@@ -14,8 +14,13 @@
 //!    those paths crossing a bisector are *pseudo-arterial edges*; their
 //!    endpoints become the next level's cores.
 //! 3. Contract everything that is not a core into shortcuts (per region, so
-//!    coverage stays meaningful) and drop all nodes that are neither cores
-//!    nor border nodes of the next grid.
+//!    coverage stays meaningful), drop all nodes that are neither cores
+//!    nor border nodes of the next grid, and compact the overlay down to
+//!    the arcs between the nodes that remain.
+//!
+//! Step 2 only reads the overlay, so the regions of a stage are searched on
+//! every available core; step 3 inserts shortcuts in a fixed order and
+//! stays sequential. The result is the same for every thread count.
 //!
 //! At level 1 the overlay *is* the original graph, so pseudo-arterial edges
 //! coincide with the arterial edges of Definition 1; at coarser levels they

@@ -4,7 +4,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ah_graph::{Dist, NodeId, INFINITY, INVALID_NODE};
-use ah_search::StampedVec;
 
 use crate::overlay::{OArc, Overlay, Span};
 
@@ -15,17 +14,37 @@ pub enum Dir {
     Backward,
 }
 
+/// What a run knows about one node it reached.
+#[derive(Debug, Clone, Copy)]
+struct Reached {
+    /// The run that wrote this record; records of earlier runs read as
+    /// "not reached", which resets the search in O(1).
+    run: u32,
+    settled: bool,
+    parent: NodeId,
+    dist: Dist,
+    /// Span of the arc over which the node was reached (for path-extent
+    /// bookkeeping in the shortcut phase).
+    in_span: Span,
+}
+
+const UNREACHED: Reached = Reached {
+    run: 0,
+    settled: false,
+    parent: INVALID_NODE,
+    dist: INFINITY,
+    in_span: Span::ALWAYS,
+};
+
 /// A reusable Dijkstra specialized for the tiny, heavily-filtered searches
 /// of level assignment: per-arc admission (coverage condition), per-node
 /// expansion control (border/interior conditions), O(1) reset between runs.
 #[derive(Debug)]
 pub struct LocalSearch {
-    dist: StampedVec<Dist>,
-    parent: StampedVec<NodeId>,
-    /// Span of the arc over which the node was reached (for path-extent
-    /// bookkeeping in the shortcut phase).
-    in_span: StampedVec<Span>,
-    settled: StampedVec<bool>,
+    /// One record per node, so relaxing an arc touches one cache line.
+    nodes: Vec<Reached>,
+    /// Number of the current run, never 0.
+    run: u32,
     settled_list: Vec<NodeId>,
     heap: BinaryHeap<Reverse<(Dist, NodeId)>>,
 }
@@ -40,10 +59,8 @@ impl LocalSearch {
     /// Creates an empty search; buffers grow on first use.
     pub fn new() -> Self {
         LocalSearch {
-            dist: StampedVec::new(0, INFINITY),
-            parent: StampedVec::new(0, INVALID_NODE),
-            in_span: StampedVec::new(0, Span::ALWAYS),
-            settled: StampedVec::new(0, false),
+            nodes: Vec::new(),
+            run: 0,
             settled_list: Vec::new(),
             heap: BinaryHeap::new(),
         }
@@ -57,34 +74,43 @@ impl LocalSearch {
     ///   continue" semantics for region borders / type-(b) endpoints).
     /// * An individual arc is relaxed only if `arc_ok(tail, arc)` holds
     ///   (coverage condition, activity of the head, region membership …).
+    ///   It is asked only about arcs that would shorten the way to their
+    ///   head, so it must not depend on being asked.
     pub fn run(
         &mut self,
         ov: &Overlay,
         source: NodeId,
         dir: Dir,
-        mut expand_from: impl FnMut(NodeId) -> bool,
-        mut arc_ok: impl FnMut(NodeId, &OArc) -> bool,
+        expand_from: impl Fn(NodeId) -> bool,
+        arc_ok: impl Fn(NodeId, &OArc) -> bool,
     ) {
-        let n = ov.num_nodes();
-        self.dist.ensure_len(n);
-        self.parent.ensure_len(n);
-        self.in_span.ensure_len(n);
-        self.settled.ensure_len(n);
-        self.dist.reset();
-        self.parent.reset();
-        self.in_span.reset();
-        self.settled.reset();
+        if self.nodes.len() < ov.num_nodes() {
+            self.nodes.resize(ov.num_nodes(), UNREACHED);
+        }
+        self.run = self.run.wrapping_add(1);
+        if self.run == 0 {
+            // Run counter wrapped: physically clear once every 2^32 runs
+            // so a stale record can never alias.
+            self.nodes.fill(UNREACHED);
+            self.run = 1;
+        }
+        let run = self.run;
         self.settled_list.clear();
         self.heap.clear();
 
-        self.dist.set(source as usize, Dist::ZERO);
+        self.nodes[source as usize] = Reached {
+            run,
+            dist: Dist::ZERO,
+            ..UNREACHED
+        };
         self.heap.push(Reverse((Dist::ZERO, source)));
 
         while let Some(Reverse((d, u))) = self.heap.pop() {
-            if self.settled.get(u as usize) {
+            let popped = &mut self.nodes[u as usize];
+            if popped.settled {
                 continue;
             }
-            self.settled.set(u as usize, true);
+            popped.settled = true;
             self.settled_list.push(u);
             if u != source && !expand_from(u) {
                 continue;
@@ -94,30 +120,39 @@ impl LocalSearch {
                 Dir::Backward => ov.inn(u),
             };
             for a in arcs {
-                if self.settled.get(a.to as usize) || !arc_ok(u, a) {
-                    continue;
-                }
+                // A settled head is never improved (its distance is at
+                // most `d`), so it needs no test of its own.
+                let head = &mut self.nodes[a.to as usize];
                 let nd = d.concat(a.dist);
-                if nd < self.dist.get(a.to as usize) {
-                    self.dist.set(a.to as usize, nd);
-                    self.parent.set(a.to as usize, u);
-                    self.in_span.set(a.to as usize, a.span);
+                if (head.run != run || nd < head.dist) && arc_ok(u, a) {
+                    *head = Reached {
+                        run,
+                        settled: false,
+                        parent: u,
+                        dist: nd,
+                        in_span: a.span,
+                    };
                     self.heap.push(Reverse((nd, a.to)));
                 }
             }
         }
     }
 
+    #[inline]
+    fn reached(&self, v: NodeId) -> Option<&Reached> {
+        self.nodes.get(v as usize).filter(|r| r.run == self.run)
+    }
+
     /// Distance of `v` from the source of the last run.
     #[inline]
     pub fn dist(&self, v: NodeId) -> Dist {
-        self.dist.get(v as usize)
+        self.reached(v).map_or(INFINITY, |r| r.dist)
     }
 
     /// True if `v` was settled in the last run.
     #[inline]
     pub fn is_settled(&self, v: NodeId) -> bool {
-        self.settled.get(v as usize)
+        self.reached(v).is_some_and(|r| r.settled)
     }
 
     /// Predecessor of `v` in the search tree (in traversal order: for a
@@ -125,8 +160,9 @@ impl LocalSearch {
     /// path).
     #[inline]
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        let p = self.parent.get(v as usize);
-        (p != INVALID_NODE).then_some(p)
+        self.reached(v)
+            .map(|r| r.parent)
+            .filter(|&p| p != INVALID_NODE)
     }
 
     /// Settled nodes in settle order (includes the source).
@@ -138,11 +174,12 @@ impl LocalSearch {
     /// original edges and for the source itself).
     #[inline]
     pub fn in_span(&self, v: NodeId) -> Span {
-        self.in_span.get(v as usize)
+        self.reached(v).map_or(Span::ALWAYS, |r| r.in_span)
     }
 
     /// The tree walk from `v` back to the source:
     /// `v, parent(v), …, source`.
+    #[cfg(test)]
     pub fn walk_to_source(&self, v: NodeId) -> WalkToSource<'_> {
         WalkToSource {
             search: self,
@@ -152,11 +189,13 @@ impl LocalSearch {
 }
 
 /// Iterator over the parent chain of a settled node.
+#[cfg(test)]
 pub struct WalkToSource<'a> {
     search: &'a LocalSearch,
     cur: Option<NodeId>,
 }
 
+#[cfg(test)]
 impl Iterator for WalkToSource<'_> {
     type Item = NodeId;
 

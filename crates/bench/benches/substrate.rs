@@ -43,9 +43,16 @@ fn bench_substrate(c: &mut Criterion) {
         });
     });
 
-    c.bench_function("assign_levels_S0", |b| {
-        b.iter(|| ah_arterial::assign_levels(&g, &Default::default()).overlay_shortcuts);
-    });
+    // S2 next to S0: it is the graph the repository benchmark builds, and
+    // its later stages are dense enough (84 live arcs per live node at the
+    // top grid) to show what S0's cannot. Both use every core the machine
+    // offers, like the builds they stand for.
+    let s2 = ah_bench::REGISTRY[2].build();
+    for (name, graph) in [("assign_levels_S0", &g), ("assign_levels_S2", &s2)] {
+        c.bench_function(name, |b| {
+            b.iter(|| ah_arterial::assign_levels(graph, &Default::default()).overlay_shortcuts);
+        });
+    }
 
     c.bench_function("query_set_generation_S0", |b| {
         b.iter(|| ah_workload::generate_query_sets(&g, 16, 3).len());

@@ -8,14 +8,19 @@
 //! * long-range (Q10) distance-query time should grow with `h` (≈ log n),
 //!   *not* with `n`,
 //! * path-query time should grow linearly in the returned `k` beyond the
-//!   distance-query cost.
+//!   distance-query cost,
+//! * preprocessing is dominated by `assign_levels`: its seconds (re-run on
+//!   its own) and per-stage work counts follow the main table.
 
-use ah_bench::{load_dataset, time_once, time_query_set, HarnessArgs};
+use ah_bench::{
+    level_stage_rows, load_dataset, print_level_stages, time_once, time_query_set, HarnessArgs,
+};
 use ah_core::{AhIndex, AhQuery};
 
 fn main() {
     let args = HarnessArgs::parse();
-    println!("dataset\tn\th\tindex_B/node\tbuild_s\tQ10_dist_us\tQ10_path_us\tQ10_avg_k");
+    println!("dataset\tn\th\tindex_B/node\tbuild_s\tlevels_s\tQ10_dist_us\tQ10_path_us\tQ10_avg_k");
+    let mut stage_rows = Vec::new();
     for spec in args.datasets() {
         let ds = load_dataset(spec, args.pairs, args.seed);
         let g = &ds.graph;
@@ -23,6 +28,8 @@ fn main() {
         eprintln!("[table1] {} (n = {n}) …", spec.name);
         let (ah, secs) = time_once(|| AhIndex::build(g, &Default::default()));
         let stats = ah.stats();
+        let (levels_secs, rows) = level_stage_rows(spec, g);
+        stage_rows.extend(rows);
         let mut q = AhQuery::new();
         let long = ds
             .query_sets
@@ -45,15 +52,17 @@ fn main() {
             None => (0.0, 0.0, 0.0),
         };
         println!(
-            "{}\t{}\t{}\t{:.1}\t{:.2}\t{:.2}\t{:.2}\t{:.0}",
+            "{}\t{}\t{}\t{:.1}\t{:.2}\t{:.2}\t{:.2}\t{:.2}\t{:.0}",
             spec.name,
             n,
             stats.h,
             stats.size_bytes as f64 / n as f64,
             secs,
+            levels_secs,
             dist_us,
             path_us,
             avg_k
         );
     }
+    print_level_stages(&stage_rows);
 }

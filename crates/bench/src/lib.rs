@@ -413,6 +413,44 @@ pub fn time_query_set(
     us
 }
 
+/// Runs `ah_arterial::assign_levels` on its own — the phase that is
+/// nearly all of an AH build — and returns its wall-clock seconds plus one
+/// TSV row of work counts per stage. The counts are a function of the
+/// graph alone; the seconds depend on the cores the machine offers.
+/// Print the collected rows with [`print_level_stages`].
+pub fn level_stage_rows(spec: &DatasetSpec, g: &Graph) -> (f64, Vec<String>) {
+    let (la, secs) = time_once(|| ah_arterial::assign_levels(g, &Default::default()));
+    let rows = la
+        .stages
+        .iter()
+        .enumerate()
+        .map(|(idx, st)| {
+            format!(
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                spec.name,
+                idx + 1,
+                st.regions,
+                st.live_nodes,
+                st.live_arcs,
+                st.searches,
+                st.settled,
+                st.cores,
+                st.shortcuts
+            )
+        })
+        .collect();
+    (secs, rows)
+}
+
+/// Prints the rows of [`level_stage_rows`] as one TSV block, headed by the
+/// core count their seconds were measured on.
+pub fn print_level_stages(rows: &[String]) {
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    println!("\n== assign_levels work per stage (timed on {cores} cores) ==");
+    println!("dataset\tstage\tregions\tlive_nodes\tlive_arcs\tsearches\tsettled\tcores\tshortcuts");
+    rows.iter().for_each(|r| println!("{r}"));
+}
+
 /// Pretty-prints a series of records as a console table and TSV block.
 pub fn print_records(title: &str, records: &[SeriesRecord]) {
     println!("\n== {title} ==");

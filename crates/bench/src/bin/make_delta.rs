@@ -12,7 +12,8 @@
 //!     --through S1 --changes 8 --out delta.snap --patched patched.snap
 //! # serve, then swap under load:
 //! #   curl -X POST 'http://…/admin/reload-delta?path=delta.snap'
-//! # and verify: edge_throughput --check-index patched.snap
+//! # post-swap answers are bit-equal to a server started from
+//! # patched.snap (tests/serve_edge_process.rs checks exactly this)
 //! ```
 //!
 //! `--rounds N` chains N churn rounds (each cut against the previous
@@ -21,7 +22,9 @@
 //! `--closures F` sets the fraction of changes that close the road
 //! outright. The plan is deterministic in `--seed`.
 
-use ah_bench::HarnessArgs;
+use std::num::NonZeroUsize;
+
+use ah_bench::{flag_value, HarnessArgs};
 use ah_core::AhIndex;
 use ah_store::{Snapshot, SnapshotContents};
 use ah_workload::WeightChurn;
@@ -56,31 +59,17 @@ fn parse_args() -> DeltaArgs {
         }
         match arg.as_str() {
             "--rounds" => {
-                a.rounds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .expect("--rounds needs a positive number");
+                let n: NonZeroUsize = flag_value(&mut it, "--rounds needs a positive number");
+                a.rounds = n.get();
             }
             "--changes" => {
-                a.changes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .expect("--changes needs a positive number");
+                let n: NonZeroUsize = flag_value(&mut it, "--changes needs a positive number");
+                a.changes = n.get();
             }
             "--closures" => {
-                a.closures = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--closures needs a fraction 0.0..=1.0");
+                a.closures = flag_value(&mut it, "--closures needs a fraction 0.0..=1.0");
             }
-            "--seed" => {
-                a.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
-            }
+            "--seed" => a.seed = flag_value(&mut it, "--seed needs a number"),
             "--out" => a.out = it.next().expect("--out needs a path"),
             "--patched" => a.patched = Some(it.next().expect("--patched needs a path")),
             other => panic!(
@@ -130,43 +119,21 @@ fn main() {
         args.out,
     );
 
-    let mut patched_bytes = 0;
     if let Some(path) = &args.patched {
         eprintln!("[make_delta] rebuilding patched index from scratch …");
         let idx = AhIndex::build(&patched.graph, &Default::default());
-        patched_bytes = Snapshot::write(
+        let patched_bytes = Snapshot::write(
             path,
             SnapshotContents::new().graph(&patched.graph).ah(&idx),
         )
         .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         eprintln!("[make_delta] patched snapshot → {path} ({patched_bytes} bytes)");
     }
-
     println!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"make_delta\",\n",
-            "  \"dataset\": \"{}\",\n",
-            "  \"base_id\": \"{:#018x}\",\n",
-            "  \"patched_id\": \"{:#018x}\",\n",
-            "  \"rounds\": {},\n",
-            "  \"changes\": {},\n",
-            "  \"closures\": {},\n",
-            "  \"touched_nodes\": {},\n",
-            "  \"delta_file\": \"{}\",\n",
-            "  \"delta_bytes\": {},\n",
-            "  \"patched_bytes\": {}\n",
-            "}}"
-        ),
+        "make_delta: {} base {:#018x} -> patched {:#018x}, {} changes",
         spec.name,
         delta.base_id(),
         patched.graph.content_id(),
-        args.rounds,
         delta.len(),
-        plan.closures(),
-        patched.touched.len(),
-        args.out,
-        bytes,
-        patched_bytes,
     );
 }

@@ -4,10 +4,10 @@
 //! `ah_server::Server::serve_queue`.
 //!
 //! ```sh
-//! # one-time: persist the indexes (serve_throughput does it too)
+//! # first start builds the indexes and persists them
 //! cargo run --release -p ah_bench --bin serve_edge -- \
 //!     --through S1 --save-index idx.snap
-//! # serve restarts skip the build entirely
+//! # restarts skip the build entirely
 //! cargo run --release -p ah_bench --bin serve_edge -- \
 //!     --through S1 --load-index idx.snap --addr 127.0.0.1:8080 --workers 4
 //! # then:  curl 'http://127.0.0.1:8080/v1/distance?src=17&dst=910'
@@ -22,15 +22,16 @@
 //! the global AH index). `--queue N` sets the admission window: bursts
 //! beyond it are answered `429 Too Many Requests` with a `Retry-After`
 //! hint (see `docs/EDGE.md`). `--slow-us N` injects a per-query delay
-//! (fault injection for overload rehearsal — this is what the CI smoke
-//! uses to make 429s deterministic). `--allow-shutdown` exposes
+//! (fault injection for overload rehearsal — this is what the process
+//! suite `tests/serve_edge_process.rs` uses to make 429s
+//! deterministic). `--allow-shutdown` exposes
 //! `GET /admin/shutdown` for supervised drains. `--allow-reload`
 //! (AH backend, unsharded) arms `POST /admin/reload-delta?path=…`: the
 //! delta snapshot at `path` (see `make_delta`) is applied to the live
 //! graph and the rebuilt index is published atomically mid-traffic —
 //! 202 on acceptance, 409 on a stale or concurrent reload, zero
-//! downtime, with `ah_reload_*` metrics in `/metrics` and a `reload`
-//! block in the exit report. `--trace-sample N`
+//! downtime, with `ah_reload_*` metrics and `ah_index_generation` in
+//! `/metrics`. `--trace-sample N`
 //! samples one request in N into the span ring behind
 //! `GET /debug/traces` (default 64; 0 disables tracing), and
 //! `--slow-query-us N` turns on the slow-query log for sampled spans
@@ -41,49 +42,32 @@
 //! the window slides) and `GET /debug/slo` (both windows, burn rates,
 //! the policy); without either flag `/readyz` always answers 200.
 //!
-//! On shutdown the bin prints a JSON report (edge counters, admission
-//! stats, serving latency quantiles, and the tracer's per-stage
-//! latency breakdown) to stdout and, when the `EDGE_SERVE_OUT`
-//! environment variable is set, to that file.
+//! The first stdout line is `serve_edge listening on <addr> (…)` —
+//! with `--addr 127.0.0.1:0` that is where a supervisor learns the
+//! port. On shutdown the bin prints a one-line drain summary; anything
+//! more detailed is one `GET /metrics`, `/debug/slo` or `/debug/traces`
+//! away while the process runs.
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ah_bench::{obtain_indices, snapshot_path, HarnessArgs};
+use ah_bench::{flag_value, obtain_indices, HarnessArgs};
 use ah_net::{EdgeConfig, EdgeServer, ReloadHandler};
 use ah_server::{
-    now_ns, AhBackend, DelayBackend, DeltaReloader, DistanceBackend, LabelBackend, Server,
-    ServerConfig, ShardedBackend, SloPolicy, SnapshotBackend, SnapshotServer, TraceConfig,
+    AhBackend, DelayBackend, DeltaReloader, DistanceBackend, LabelBackend, Server, ServerConfig,
+    ShardedBackend, SnapshotBackend, SnapshotServer, TraceConfig,
 };
 
+/// The flags, parsed straight into the config structs they set.
 struct EdgeArgs {
     harness: HarnessArgs,
     addr: String,
-    workers: usize,
-    queue: usize,
-    max_conns: usize,
+    edge: EdgeConfig,
+    trace: TraceConfig,
     slow_us: u64,
-    retry_after: u32,
-    allow_shutdown: bool,
     allow_reload: bool,
     backend: String,
-    trace_sample: u64,
-    slow_query_us: u64,
-    slo_p99_us: u64,
-    slo_error_pct: f64,
-}
-
-impl EdgeArgs {
-    /// The SLO policy the edge's `/readyz` and `/debug/slo` evaluate;
-    /// inactive (always ready) unless at least one objective flag was
-    /// given.
-    fn slo_policy(&self) -> SloPolicy {
-        SloPolicy {
-            p99_target_ns: self.slo_p99_us.saturating_mul(1000),
-            error_budget: self.slo_error_pct / 100.0,
-            ..Default::default()
-        }
-    }
 }
 
 fn parse_args() -> EdgeArgs {
@@ -93,18 +77,11 @@ fn parse_args() -> EdgeArgs {
             ..Default::default()
         },
         addr: "127.0.0.1:8080".to_string(),
-        workers: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        queue: 1024,
-        max_conns: 1024,
+        edge: EdgeConfig::default(),
+        trace: TraceConfig::default(),
         slow_us: 0,
-        retry_after: 1,
-        allow_shutdown: false,
         allow_reload: false,
         backend: "ah".to_string(),
-        trace_sample: 64,
-        slow_query_us: 0,
-        slo_p99_us: 0,
-        slo_error_pct: 0.0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -116,62 +93,34 @@ fn parse_args() -> EdgeArgs {
         match arg.as_str() {
             "--addr" => a.addr = it.next().expect("--addr needs host:port"),
             "--workers" => {
-                a.workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .expect("--workers needs a positive number");
+                let n: NonZeroUsize = flag_value(&mut it, "--workers needs a positive number");
+                a.edge.workers = n.get();
             }
-            "--queue" => {
-                a.queue = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--queue needs a number");
-            }
+            "--queue" => a.edge.queue_capacity = flag_value(&mut it, "--queue needs a number"),
             "--max-conns" => {
-                a.max_conns = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-conns needs a number");
+                a.edge.max_connections = flag_value(&mut it, "--max-conns needs a number");
             }
-            "--slow-us" => {
-                a.slow_us = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--slow-us needs microseconds");
-            }
+            "--slow-us" => a.slow_us = flag_value(&mut it, "--slow-us needs microseconds"),
             "--retry-after" => {
-                a.retry_after = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--retry-after needs seconds");
+                a.edge.retry_after_secs = flag_value(&mut it, "--retry-after needs seconds");
             }
-            "--allow-shutdown" => a.allow_shutdown = true,
+            "--allow-shutdown" => a.edge.allow_shutdown = true,
             "--allow-reload" => a.allow_reload = true,
             "--trace-sample" => {
-                a.trace_sample = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--trace-sample needs a number (0 disables tracing)");
+                a.trace.sample_every = flag_value(&mut it, "--trace-sample needs a number");
             }
             "--slow-query-us" => {
-                a.slow_query_us = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--slow-query-us needs microseconds");
+                let us: u64 = flag_value(&mut it, "--slow-query-us needs microseconds");
+                a.trace.slow_threshold_ns = us.saturating_mul(1000);
             }
             "--slo-p99-us" => {
-                a.slo_p99_us = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--slo-p99-us needs microseconds (0 disables the latency objective)");
+                let us: u64 = flag_value(&mut it, "--slo-p99-us needs microseconds");
+                a.edge.slo.p99_target_ns = us.saturating_mul(1000);
             }
             "--slo-error-pct" => {
-                a.slo_error_pct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&p: &f64| (0.0..=100.0).contains(&p))
-                    .expect("--slo-error-pct needs a percentage in [0, 100]");
+                let pct: f64 = flag_value(&mut it, "--slo-error-pct needs a percentage");
+                assert!((0.0..=100.0).contains(&pct), "--slo-error-pct must be in [0, 100]");
+                a.edge.slo.error_budget = pct / 100.0;
             }
             "--backend" => {
                 a.backend = it.next().expect("--backend needs ah|labels");
@@ -212,20 +161,10 @@ fn main() {
     eprintln!("[edge] building {} road network …", spec.name);
     let g = spec.build();
     let idx = obtain_indices(&args.harness, &spec, &g, "edge");
-    if let (Some(base), None) = (&args.harness.save_index, &args.harness.load_index) {
-        eprintln!(
-            "[edge] snapshot saved; restart with --load-index {} to skip the build",
-            snapshot_path(base, spec.name).display()
-        );
-    }
 
     let server = Server::new(ServerConfig {
-        workers: args.workers,
-        trace: TraceConfig {
-            sample_every: args.trace_sample,
-            slow_threshold_ns: args.slow_query_us.saturating_mul(1000),
-            ..Default::default()
-        },
+        workers: args.edge.workers,
+        trace: args.trace,
         ..Default::default()
     });
     // The serving engine and the published index live together in a
@@ -247,11 +186,10 @@ fn main() {
     // overload rehearsal.
     let ah_backend = AhBackend::new(&ah);
     let snapshot_backend = SnapshotBackend::new(&snap);
-    let sharded = idx.sharded.clone();
-    let sharded_backend = sharded.as_deref().map(ShardedBackend::new);
-    let labels = idx.labels.clone();
+    let sharded_backend = idx.sharded.as_deref().map(ShardedBackend::new);
     let label_backend = (args.backend == "labels").then(|| {
-        LabelBackend::new(labels.as_deref().expect("labels obtained for --backend labels"), &ah)
+        let labels = idx.labels.as_deref().expect("labels obtained for --backend labels");
+        LabelBackend::new(labels, &ah)
     });
     let inner: &dyn DistanceBackend = match (&label_backend, &sharded_backend) {
         (Some(b), _) => b,
@@ -266,40 +204,16 @@ fn main() {
     } else {
         inner
     };
-    let edge = EdgeServer::bind(
-        args.addr.as_str(),
-        EdgeConfig {
-            workers: args.workers,
-            queue_capacity: args.queue,
-            max_connections: args.max_conns,
-            retry_after_secs: args.retry_after,
-            allow_shutdown: args.allow_shutdown,
-            slo: args.slo_policy(),
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("cannot bind {}: {e}", args.addr));
+    let edge = EdgeServer::bind(args.addr.as_str(), args.edge.clone())
+        .unwrap_or_else(|e| panic!("cannot bind {}: {e}", args.addr));
     let addr = edge.local_addr().expect("local_addr");
     println!(
-        "serve_edge listening on {addr} ({}, {} nodes, {} workers, queue {}{}{})",
+        "serve_edge listening on {addr} ({}, {} nodes, {} workers, queue {})",
         backend.name(),
         backend.num_nodes(),
-        args.workers,
-        args.queue,
-        if args.slow_us > 0 {
-            format!(", +{}us/query", args.slow_us)
-        } else {
-            String::new()
-        },
-        if args.allow_shutdown {
-            ", admin shutdown on"
-        } else {
-            ""
-        },
+        args.edge.workers,
+        args.edge.queue_capacity,
     );
-    if args.allow_reload {
-        println!("admin reload on: POST /admin/reload-delta?path=DELTA.snap");
-    }
 
     let handler: Option<&dyn ReloadHandler> =
         reloader.as_ref().map(|r| r as &dyn ReloadHandler);
@@ -307,70 +221,19 @@ fn main() {
         .serve_with_admin(server, backend, handler)
         .expect("edge event loop");
 
-    let snapshot = server.metrics().snapshot(0.0);
     let responses = report
         .responses_by_status
         .iter()
-        .map(|(s, n)| format!("\"{s}\":{n}"))
+        .filter(|(_, n)| *n > 0)
+        .map(|(s, n)| format!("{s}:{n}"))
         .collect::<Vec<_>>()
-        .join(",");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"serve_edge\",\n",
-            "  \"dataset\": \"{}\",\n",
-            "  \"backend\": \"{}\",\n",
-            "  \"addr\": \"{}\",\n",
-            "  \"poller\": \"{}\",\n",
-            "  \"workers\": {},\n",
-            "  \"queue_capacity\": {},\n",
-            "  \"index_loaded\": {},\n",
-            "  \"connections\": {},\n",
-            "  \"shed_connections\": {},\n",
-            "  \"timeouts\": {},\n",
-            "  \"bytes_in\": {},\n",
-            "  \"bytes_out\": {},\n",
-            "  \"rejected\": {},\n",
-            "  \"queue_high_water\": {},\n",
-            "  \"responses\": {{{}}},\n",
-            "  \"reload\": {{\"enabled\":{},\"swaps\":{},\"failures\":{},\"generation\":{}}},\n",
-            "  \"serving\": {},\n",
-            "  \"slo\": {},\n",
-            "  \"trace\": {{\"sample_every\":{},\"spans_finished\":{},\"slow\":{}}},\n",
-            "  \"stage_breakdown\": {}\n",
-            "}}\n"
-        ),
-        spec.name,
-        backend.name(),
-        addr,
-        report.poller,
-        args.workers,
-        args.queue,
-        idx.loaded,
+        .join(" ");
+    println!(
+        "serve_edge drained cleanly: {} connections, responses [{responses}], \
+         {} rejected, queue high-water {}, index generation {}",
         report.connections,
-        report.shed_connections,
-        report.timeouts,
-        report.bytes_in,
-        report.bytes_out,
         report.rejected,
         report.queue_high_water,
-        responses,
-        args.allow_reload,
-        reloader.as_ref().map_or(0, |r| r.swaps()),
-        reloader.as_ref().map_or(0, |r| r.failures()),
         snap.generation(),
-        snapshot.to_json(),
-        args.slo_policy()
-            .evaluate(server.slo_windows(), now_ns())
-            .to_json(),
-        args.trace_sample,
-        server.tracer().spans_finished(),
-        server.tracer().slow_finished(),
-        server.tracer().stage_breakdown_json(),
     );
-    println!("serve_edge drained cleanly; report:\n{json}");
-    if let Ok(path) = std::env::var("EDGE_SERVE_OUT") {
-        std::fs::write(&path, &json).expect("write EDGE_SERVE_OUT");
-        println!("wrote {path}");
-    }
 }

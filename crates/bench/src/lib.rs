@@ -29,15 +29,10 @@ pub struct HarnessArgs {
     pub pairs: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Worker threads for parallel experiments (`serve_throughput` and
-    /// future parallel builds). Defaults to the machine's available
-    /// parallelism.
-    pub threads: usize,
-    /// Region shards for sharded serving (`serve_throughput`); `0`
-    /// (the default) disables the sharded run entirely.
+    /// Region shards for sharded serving (`serve_edge --shards K`); `0`
+    /// (the default) obtains no sharded index.
     pub shards: usize,
-    /// Also obtain a hub-labeling index (`--labels`; `serve_throughput`
-    /// turns this on unconditionally for its backend comparison, and
+    /// Also obtain a hub-labeling index (`--labels`;
     /// `serve_edge --backend labels` implies it). Off by default so the
     /// figure binaries never pay a labeling build on the large datasets.
     pub labels: bool,
@@ -56,7 +51,6 @@ impl Default for HarnessArgs {
             through: 5, // S0..S5 by default (see registry docs)
             pairs: 500,
             seed: 0xF16,
-            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
             shards: 0,
             labels: false,
             save_index: None,
@@ -66,8 +60,9 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--through SN` / `--pairs N` / `--seed N` / `--threads N` /
-    /// `--save-index PATH` / `--load-index PATH` from `std::env`.
+    /// Parses `--through SN` / `--pairs N` / `--seed N` / `--shards K` /
+    /// `--labels` / `--save-index PATH` / `--load-index PATH` from
+    /// `std::env`.
     pub fn parse() -> Self {
         let mut args = HarnessArgs::default();
         let mut it = std::env::args().skip(1);
@@ -75,8 +70,7 @@ impl HarnessArgs {
             if !args.accept(&a, &mut it) {
                 panic!(
                     "unknown argument {a} (try --through S9 | --pairs N | --seed N | \
-                     --threads N | --shards K | --labels | --save-index PATH | \
-                     --load-index PATH)"
+                     --shards K | --labels | --save-index PATH | --load-index PATH)"
                 );
             }
         }
@@ -96,34 +90,12 @@ impl HarnessArgs {
                     .position(|d| d.name == v)
                     .unwrap_or_else(|| panic!("unknown dataset {v}"));
             }
-            "--pairs" => {
-                self.pairs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--pairs needs a number");
-            }
-            "--seed" => {
-                self.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            "--threads" => {
-                self.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .expect("--threads needs a positive number");
-            }
+            "--pairs" => self.pairs = flag_value(it, "--pairs needs a number"),
+            "--seed" => self.seed = flag_value(it, "--seed needs a number"),
             "--shards" => {
-                self.shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--shards needs a number (0 disables sharding)");
+                self.shards = flag_value(it, "--shards needs a number (0 disables sharding)")
             }
-            "--labels" => {
-                self.labels = true;
-            }
+            "--labels" => self.labels = true,
             "--save-index" => {
                 self.save_index = Some(it.next().expect("--save-index needs a path"));
             }
@@ -139,6 +111,15 @@ impl HarnessArgs {
     pub fn datasets(&self) -> &'static [DatasetSpec] {
         &REGISTRY[..=self.through.min(REGISTRY.len() - 1)]
     }
+}
+
+/// The value of a flag: the next argument parsed as `T`. Panics with
+/// `needs` (e.g. `"--pairs needs a number"`) when it is missing or
+/// malformed; pass a `NonZero*` type to also refuse `0`.
+pub fn flag_value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, needs: &str) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{needs}"))
 }
 
 /// Derives the per-dataset snapshot path from a `--save-index` /
@@ -177,17 +158,9 @@ pub struct ObtainedIndices {
     /// Seconds spent obtaining the AH index — build time, or (near-zero)
     /// snapshot load time when `--load-index` was given.
     pub ah_secs: f64,
-    /// Seconds spent obtaining the CH index (the whole snapshot is read
-    /// once; the load time is attributed to AH, so this is 0 on load).
-    pub ch_secs: f64,
-    /// Seconds spent obtaining the sharded index (0 when disabled or
-    /// loaded).
-    pub sharded_secs: f64,
     /// Seconds spent obtaining the labeling (0 when disabled or loaded;
     /// build time when the snapshot predates the labels section).
     pub labels_secs: f64,
-    /// True if the indexes came from a snapshot instead of a build.
-    pub loaded: bool,
 }
 
 /// Builds — or, under `--load-index`, reloads — the AH and CH indexes for
@@ -199,7 +172,7 @@ pub struct ObtainedIndices {
 /// from a registry revision with changed weights — same topology, same
 /// node count — fails loudly instead of silently benchmarking the wrong
 /// network; a graph-less snapshot falls back to a node-count check.
-/// `tag` prefixes the progress lines (`[serve]`, `[fig8]`, …).
+/// `tag` prefixes the progress lines (`[edge]`, `[fig8]`, …).
 pub fn obtain_indices(
     args: &HarnessArgs,
     spec: &DatasetSpec,
@@ -298,16 +271,13 @@ pub fn obtain_indices(
             sharded,
             labels,
             ah_secs: load_secs,
-            ch_secs: 0.0,
-            sharded_secs: 0.0,
             labels_secs,
-            loaded: true,
         };
     }
 
     let (ah, ah_secs) = time_once(|| Arc::new(AhIndex::build(g, &Default::default())));
-    let (ch, ch_secs) = time_once(|| ChIndex::build(g));
-    let (sharded, sharded_secs) = if args.shards > 0 {
+    let ch = ChIndex::build(g);
+    let sharded = if args.shards > 0 {
         let cfg = ShardConfig {
             shards: args.shards,
             ..Default::default()
@@ -321,9 +291,9 @@ pub fn obtain_indices(
             sh.stats().borders,
             sh.certified()
         );
-        (Some(sh), secs)
+        Some(sh)
     } else {
-        (None, 0.0)
+        None
     };
     let (labels, labels_secs) = if args.labels {
         let (l, secs) = time_once(|| Arc::new(LabelIndex::build(g, ch.order())));
@@ -365,10 +335,7 @@ pub fn obtain_indices(
         sharded,
         labels,
         ah_secs,
-        ch_secs,
-        sharded_secs,
         labels_secs,
-        loaded: false,
     }
 }
 
@@ -495,7 +462,6 @@ mod tests {
         let a = HarnessArgs::default();
         assert_eq!(a.datasets().len(), 6);
         assert_eq!(a.datasets()[5].name, "S5");
-        assert!(a.threads >= 1, "threads defaults to available parallelism");
     }
 
     #[test]
@@ -544,7 +510,6 @@ mod tests {
             ..Default::default()
         };
         let built = obtain_indices(&save_args, &spec, &g, "test");
-        assert!(!built.loaded);
         assert!(built.labels.is_some());
 
         let load_args = HarnessArgs {
@@ -553,7 +518,6 @@ mod tests {
             ..Default::default()
         };
         let loaded = obtain_indices(&load_args, &spec, &g, "test");
-        assert!(loaded.loaded);
         assert_eq!(loaded.ah.stats(), built.ah.stats());
         assert_eq!(loaded.ch.num_shortcuts(), built.ch.num_shortcuts());
         // The labels section round-tripped (loaded, not rebuilt).

@@ -30,19 +30,9 @@ pub type TargetBuckets = HashMap<NodeId, Vec<(u32, Dist)>>;
 
 impl LabelIndex {
     /// Buckets the in-labels of `targets` by hub, ready for
-    /// [`Self::sweep_source`].
-    pub fn bucket_targets(&self, targets: &[NodeId]) -> TargetBuckets {
-        let mut scratch = CostCounters::default();
-        self.bucket_targets_with_cost(targets, &mut scratch)
-    }
-
-    /// [`Self::bucket_targets`] with cost accounting: every in-label
-    /// entry dropped into a bucket counts as one `label_entries_merged`.
-    pub fn bucket_targets_with_cost(
-        &self,
-        targets: &[NodeId],
-        cost: &mut CostCounters,
-    ) -> TargetBuckets {
+    /// [`Self::sweep_source`]. Every in-label entry dropped into a
+    /// bucket counts as one `label_entries_merged`.
+    pub fn bucket_targets(&self, targets: &[NodeId], cost: &mut CostCounters) -> TargetBuckets {
         let mut buckets: TargetBuckets = HashMap::new();
         for (j, &t) in targets.iter().enumerate() {
             let entries = self.in_labels(t);
@@ -59,20 +49,9 @@ impl LabelIndex {
 
     /// One source's row of the distance table: scans `L_out(source)`
     /// once against the target buckets. `width` is the target count
-    /// (the row length).
+    /// (the row length). Each out-label entry scanned and each bucket
+    /// hit priced count as `label_entries_merged`.
     pub fn sweep_source(
-        &self,
-        source: NodeId,
-        buckets: &TargetBuckets,
-        width: usize,
-    ) -> Vec<Option<u64>> {
-        let mut scratch = CostCounters::default();
-        self.sweep_source_with_cost(source, buckets, width, &mut scratch)
-    }
-
-    /// [`Self::sweep_source`] with cost accounting: each out-label entry
-    /// scanned and each bucket hit priced count as `label_entries_merged`.
-    pub fn sweep_source_with_cost(
         &self,
         source: NodeId,
         buckets: &TargetBuckets,
@@ -104,60 +83,38 @@ impl LabelIndex {
         &self,
         sources: &[NodeId],
         targets: &[NodeId],
-    ) -> Vec<Vec<Option<u64>>> {
-        let mut scratch = CostCounters::default();
-        self.many_to_many_with_cost(sources, targets, &mut scratch)
-    }
-
-    /// [`Self::many_to_many`] with cost accounting.
-    pub fn many_to_many_with_cost(
-        &self,
-        sources: &[NodeId],
-        targets: &[NodeId],
         cost: &mut CostCounters,
     ) -> Vec<Vec<Option<u64>>> {
-        let buckets = self.bucket_targets_with_cost(targets, cost);
+        let buckets = self.bucket_targets(targets, cost);
         sources
             .iter()
-            .map(|&s| self.sweep_source_with_cost(s, &buckets, targets.len(), cost))
+            .map(|&s| self.sweep_source(s, &buckets, targets.len(), cost))
             .collect()
     }
 
     /// Distances from `source` to each of `targets`; row `i` of
     /// [`Self::many_to_many`] with a single source.
-    pub fn one_to_many(&self, source: NodeId, targets: &[NodeId]) -> Vec<Option<u64>> {
-        let buckets = self.bucket_targets(targets);
-        self.sweep_source(source, &buckets, targets.len())
-    }
-
-    /// [`Self::one_to_many`] with cost accounting.
-    pub fn one_to_many_with_cost(
+    pub fn one_to_many(
         &self,
         source: NodeId,
         targets: &[NodeId],
         cost: &mut CostCounters,
     ) -> Vec<Option<u64>> {
-        let buckets = self.bucket_targets_with_cost(targets, cost);
-        self.sweep_source_with_cost(source, &buckets, targets.len(), cost)
+        let buckets = self.bucket_targets(targets, cost);
+        self.sweep_source(source, &buckets, targets.len(), cost)
     }
 
     /// The `k` nearest `candidates` from `source` by network distance,
     /// sorted ascending by `(distance, node id)`; unreachable candidates
     /// dropped. One batched sweep prices every candidate.
-    pub fn knn(&self, source: NodeId, candidates: &[NodeId], k: usize) -> Vec<(NodeId, u64)> {
-        let mut scratch = CostCounters::default();
-        self.knn_with_cost(source, candidates, k, &mut scratch)
-    }
-
-    /// [`Self::knn`] with cost accounting.
-    pub fn knn_with_cost(
+    pub fn knn(
         &self,
         source: NodeId,
         candidates: &[NodeId],
         k: usize,
         cost: &mut CostCounters,
     ) -> Vec<(NodeId, u64)> {
-        let row = self.one_to_many_with_cost(source, candidates, cost);
+        let row = self.one_to_many(source, candidates, cost);
         let mut found: Vec<(u64, NodeId)> = row
             .iter()
             .zip(candidates)
@@ -178,27 +135,16 @@ impl LabelIndex {
         s: NodeId,
         t: NodeId,
         candidates: &[NodeId],
-    ) -> Option<(NodeId, u64, u64)> {
-        let mut scratch = CostCounters::default();
-        self.via_with_cost(s, t, candidates, &mut scratch)
-    }
-
-    /// [`Self::via`] with cost accounting.
-    pub fn via_with_cost(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        candidates: &[NodeId],
         cost: &mut CostCounters,
     ) -> Option<(NodeId, u64, u64)> {
-        let to = self.one_to_many_with_cost(s, candidates, cost);
+        let to = self.one_to_many(s, candidates, cost);
         // Backward legs: a 1-wide many-to-many with the candidate set as
         // sources — the bucket holds only L_in(t).
         let from: Vec<Option<u64>> = {
-            let buckets = self.bucket_targets_with_cost(&[t], cost);
+            let buckets = self.bucket_targets(&[t], cost);
             candidates
                 .iter()
-                .map(|&p| self.sweep_source_with_cost(p, &buckets, 1, cost)[0])
+                .map(|&p| self.sweep_source(p, &buckets, 1, cost)[0])
                 .collect()
         };
         let mut best: Option<(u64, NodeId, u64, u64)> = None;
@@ -246,7 +192,7 @@ mod tests {
         let last = g.num_nodes() as u32 - 1;
         let sources = [0u32, 9, 30, last];
         let targets = [5u32, 0, 44, last, 17];
-        let table = labels.many_to_many(&sources, &targets);
+        let table = labels.many_to_many(&sources, &targets, &mut CostCounters::default());
         for (i, &s) in sources.iter().enumerate() {
             for (j, &t) in targets.iter().enumerate() {
                 assert_eq!(
@@ -263,9 +209,10 @@ mod tests {
         let g = grid();
         let labels = build(&g);
         let targets = [3u32, 8, 21, 50];
+        let cost = &mut CostCounters::default();
         assert_eq!(
-            labels.one_to_many(7, &targets),
-            labels.many_to_many(&[7], &targets)[0]
+            labels.one_to_many(7, &targets, cost),
+            labels.many_to_many(&[7], &targets, cost)[0]
         );
     }
 
@@ -275,11 +222,12 @@ mod tests {
         let labels = build(&g);
         let pois = PoiSet::synthetic(g.num_nodes(), 4, 5);
         let mut eng = ScenarioEngine::new();
+        let cost = &mut CostCounters::default();
         for cat in 0..4 {
             let cands = pois.category(cat);
             let far = g.num_nodes() as u32 - 3;
-            assert_eq!(labels.knn(12, cands, 4), eng.knn(&g, 12, cands, 4), "knn cat {cat}");
-            let got = labels.via(2, far, cands);
+            assert_eq!(labels.knn(12, cands, 4, cost), eng.knn(&g, 12, cands, 4), "knn cat {cat}");
+            let got = labels.via(2, far, cands, cost);
             let want = eng
                 .via(&g, 2, far, cands)
                 .map(|v| (v.poi, v.to_poi, v.from_poi));
@@ -299,8 +247,9 @@ mod tests {
         b.add_bidirectional_edge(3, 4, 2);
         let g = b.build();
         let labels = build(&g);
-        assert_eq!(labels.one_to_many(0, &[1, 2, 4]), vec![Some(2), None, None]);
-        assert_eq!(labels.knn(0, &[2, 4], 3), vec![]);
-        assert_eq!(labels.via(0, 1, &[3, 4]), None);
+        let cost = &mut CostCounters::default();
+        assert_eq!(labels.one_to_many(0, &[1, 2, 4], cost), vec![Some(2), None, None]);
+        assert_eq!(labels.knn(0, &[2, 4], 3, cost), vec![]);
+        assert_eq!(labels.via(0, 1, &[3, 4], cost), None);
     }
 }

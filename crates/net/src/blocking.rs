@@ -7,8 +7,7 @@
 //! Responses a read pulls past the current one are carried over to the
 //! next [`Client::recv`] call, so deeply pipelined exchanges parse
 //! correctly. It is intentionally synchronous (one `TcpStream`, no
-//! poller): load generators split it into a paced writer and a
-//! sequential reader via [`Client::from_stream`] + `try_clone`.
+//! poller).
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -65,19 +64,13 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         let _ = stream.set_nodelay(true);
-        Ok(Client::from_stream(stream))
-    }
-
-    /// Wraps an existing stream (e.g. a `try_clone` used as the read
-    /// half of a paced open-loop connection).
-    pub fn from_stream(stream: TcpStream) -> Client {
-        Client {
+        Ok(Client {
             stream,
             carry: Vec::new(),
-        }
+        })
     }
 
-    /// The underlying stream (for raw writes, timeouts, `try_clone`).
+    /// The underlying stream (for raw reads and writes, timeouts).
     pub fn stream(&mut self) -> &mut TcpStream {
         &mut self.stream
     }

@@ -143,7 +143,7 @@ pub struct EdgeConfig {
     pub retry_after_secs: u32,
     /// Readiness backend (epoll on Linux by default, poll elsewhere).
     pub poller: PollerKind,
-    /// Expose `GET /admin/shutdown` (for loopback smoke tests and
+    /// Expose `GET /admin/shutdown` (for loopback process tests and
     /// supervised deployments; leave off on untrusted networks).
     pub allow_shutdown: bool,
     /// Service-level objectives evaluated by `GET /readyz` and
@@ -273,11 +273,6 @@ impl EdgeMetrics {
     /// Connections closed (any reason).
     pub fn connections_closed(&self) -> u64 {
         self.connections_closed.get()
-    }
-
-    /// Connections shed at accept time (connection cap).
-    pub fn shed_connections(&self) -> u64 {
-        self.shed_connections.get()
     }
 
     /// Request bytes read off sockets.
@@ -418,8 +413,6 @@ pub struct EdgeReport {
     pub responses_by_status: Vec<(u16, u64)>,
     /// Connections accepted.
     pub connections: u64,
-    /// Connections shed at accept (connection cap).
-    pub shed_connections: u64,
     /// Requests rejected at admission (the `429` source; equals the job
     /// queue's rejected counter).
     pub rejected: u64,
@@ -602,7 +595,7 @@ impl EdgeServer {
 
     /// [`EdgeServer::serve`], additionally exposing
     /// `POST /admin/reload-delta?path=...` wired to `reload`. Like
-    /// `/admin/shutdown`, the endpoint is for loopback smoke tests and
+    /// `/admin/shutdown`, the endpoint is for loopback process tests and
     /// supervised deployments — leave it unwired on untrusted networks.
     pub fn serve_with_admin(
         self,
@@ -671,8 +664,7 @@ impl EdgeServer {
         });
 
         // Fold final queue saturation into the serving metrics so
-        // report consumers (BENCH JSON, /metrics scrapes of a later
-        // incarnation) see it.
+        // whoever reads them after the run sees it.
         server.metrics().record_queue(&jobs);
 
         result.map(|()| {
@@ -680,7 +672,6 @@ impl EdgeServer {
             EdgeReport {
                 responses_by_status: STATUSES.iter().map(|&s| (s, m.responses(s))).collect(),
                 connections: m.connections(),
-                shed_connections: m.shed_connections(),
                 rejected: jobs.rejected(),
                 queue_high_water: jobs.high_water(),
                 bytes_in: m.bytes_in(),
@@ -1441,17 +1432,6 @@ impl EventLoop<'_> {
             } else {
                 self.shared.metrics.count_response(408);
                 if let Some(conn) = self.conns.get_mut(&token) {
-                    if std::env::var_os("AH_EDGE_DEBUG").is_some() {
-                        eprintln!(
-                            "[edge-debug] 408: rbuf={} ({:?}) slots={} wbuf={} reg_read={} reg_write={}",
-                            conn.rbuf.len(),
-                            String::from_utf8_lossy(&conn.rbuf[..conn.rbuf.len().min(80)]),
-                            conn.slots.len(),
-                            conn.wbuf.len() - conn.wpos,
-                            conn.reg_read,
-                            conn.reg_write,
-                        );
-                    }
                     let body = http::json_error("request timed out");
                     conn.push_ready(
                         false,

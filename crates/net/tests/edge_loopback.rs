@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use ah_net::{EdgeConfig, EdgeHandle, EdgeReport, EdgeServer, PollerKind};
 use ah_server::{
-    BackendSession, DijkstraBackend, DistanceBackend, Server, ServerConfig,
+    BackendSession, CostCounters, DijkstraBackend, DistanceBackend, Server, ServerConfig,
 };
 
 fn poller_kinds() -> Vec<PollerKind> {
@@ -304,6 +304,9 @@ impl BackendSession for GateSession<'_> {
     fn path(&mut self, _s: u32, _t: u32) -> Option<ah_graph::Path> {
         None
     }
+    fn take_cost(&mut self) -> CostCounters {
+        CostCounters::default()
+    }
 }
 
 #[test]
@@ -519,6 +522,9 @@ impl BackendSession for AlwaysPanicSession {
     }
     fn path(&mut self, _s: u32, _t: u32) -> Option<ah_graph::Path> {
         panic!("injected backend bug");
+    }
+    fn take_cost(&mut self) -> CostCounters {
+        CostCounters::default()
     }
 }
 

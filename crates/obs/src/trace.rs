@@ -398,11 +398,6 @@ impl Tracer {
         self.spans_total.get()
     }
 
-    /// Finished spans at or above the slow-query threshold.
-    pub fn slow_finished(&self) -> u64 {
-        self.slow_total.get()
-    }
-
     /// The interval histogram feeding `ah_stage_duration_seconds`
     /// for `stage` = [`INTERVAL_NAMES`]`[i]`.
     pub fn stage_histogram(&self, i: usize) -> &Arc<Histogram> {
@@ -475,28 +470,6 @@ impl Tracer {
         }
         out.push_str("]}\n");
         out
-    }
-
-    /// Renders the per-stage latency breakdown consumed by the BENCH
-    /// reports: one object per stage interval with count, mean and
-    /// p99 in microseconds.
-    pub fn stage_breakdown_json(&self) -> String {
-        let body = INTERVAL_NAMES
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let h = &self.stage_ns[i];
-                format!(
-                    "\"{}\":{{\"count\":{},\"mean_us\":{:.3},\"p99_us\":{:.3}}}",
-                    name,
-                    h.count(),
-                    h.mean_ns() / 1e3,
-                    h.quantile_ns(0.99) / 1e3,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{{{body}}}")
     }
 }
 
@@ -673,9 +646,6 @@ mod tests {
         assert!(json.contains("\"status\":200"), "{json}");
         assert!(json.contains("\"complete\":true"), "{json}");
         assert!(json.contains("\"stages\":{\"parse\":"), "{json}");
-        let breakdown = t.stage_breakdown_json();
-        assert!(breakdown.contains("\"queue\":{\"count\":1"), "{breakdown}");
-        assert!(breakdown.contains("\"compute\":"), "{breakdown}");
     }
 
     #[test]

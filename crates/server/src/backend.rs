@@ -122,11 +122,9 @@ pub trait BackendSession {
     /// Drains the algorithmic cost accumulated since the last drain —
     /// typically everything the current request did, however many
     /// kernel runs it took (a via detour is several point queries; a
-    /// matrix is many sweeps). The default returns zeros for backends
-    /// that predate cost accounting.
-    fn take_cost(&mut self) -> CostCounters {
-        CostCounters::default()
-    }
+    /// matrix is many sweeps). Deliberately without a default: a
+    /// session that forgot it would report zero work in `/metrics`.
+    fn take_cost(&mut self) -> CostCounters;
 }
 
 /// The Arterial Hierarchy backend (the paper's contribution, and the
@@ -371,23 +369,20 @@ impl BackendSession for LabelSession<'_> {
     // scans its out-label once — no per-pair merges.
 
     fn one_to_many(&mut self, source: NodeId, targets: &[NodeId]) -> Vec<Option<u64>> {
-        self.labels
-            .one_to_many_with_cost(source, targets, &mut self.cost)
+        self.labels.one_to_many(source, targets, &mut self.cost)
     }
 
     fn matrix(&mut self, sources: &[NodeId], targets: &[NodeId]) -> Vec<Vec<Option<u64>>> {
-        self.labels
-            .many_to_many_with_cost(sources, targets, &mut self.cost)
+        self.labels.many_to_many(sources, targets, &mut self.cost)
     }
 
     fn knn(&mut self, source: NodeId, candidates: &[NodeId], k: usize) -> Vec<(NodeId, u64)> {
-        self.labels
-            .knn_with_cost(source, candidates, k, &mut self.cost)
+        self.labels.knn(source, candidates, k, &mut self.cost)
     }
 
     fn via(&mut self, s: NodeId, t: NodeId, candidates: &[NodeId]) -> Option<ViaAnswer> {
         self.labels
-            .via_with_cost(s, t, candidates, &mut self.cost)
+            .via(s, t, candidates, &mut self.cost)
             .map(|(poi, to_poi, from_poi)| ViaAnswer {
                 poi,
                 total: to_poi.saturating_add(from_poi),
@@ -407,9 +402,9 @@ impl BackendSession for LabelSession<'_> {
 
 /// Wraps any backend and sleeps a fixed delay before each query — a
 /// fault-injection stand-in for heavier backends (bigger networks,
-/// remote shards). The network edge's CI smoke uses it to make
-/// overload deterministic: with a known per-query cost, a burst larger
-/// than the admission window *must* shed `429`s.
+/// remote shards). The `serve_edge` process suite uses it (`--slow-us`)
+/// to make overload deterministic: with a known per-query cost, a burst
+/// larger than the admission window *must* shed `429`s.
 pub struct DelayBackend<'a> {
     inner: &'a dyn DistanceBackend,
     delay: std::time::Duration,

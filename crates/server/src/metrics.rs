@@ -257,9 +257,7 @@ impl ServerMetrics {
             } else {
                 0.0
             },
-            mean_us: self.latency.mean_ns() / 1e3,
             p50_us: self.latency.quantile_ns(0.50) / 1e3,
-            p95_us: self.latency.quantile_ns(0.95) / 1e3,
             p99_us: self.latency.quantile_ns(0.99) / 1e3,
             cache_hits: hits,
             cache_misses: misses,
@@ -275,7 +273,6 @@ impl ServerMetrics {
             queue_high_water: self.queue_high_water.get(),
             queue_depth: self.queue_depth.get(),
             queue_wait_mean_us: self.queue_wait.mean_ns() / 1e3,
-            queue_wait_p99_us: self.queue_wait.quantile_ns(0.99) / 1e3,
         }
     }
 }
@@ -289,12 +286,8 @@ pub struct MetricsSnapshot {
     pub wall_secs: f64,
     /// Aggregate throughput over the run (queries / wall second).
     pub qps: f64,
-    /// Mean per-query latency, microseconds.
-    pub mean_us: f64,
     /// Median per-query latency, microseconds (log₂-bucket resolution).
     pub p50_us: f64,
-    /// 95th-percentile latency, microseconds.
-    pub p95_us: f64,
     /// 99th-percentile latency, microseconds.
     pub p99_us: f64,
     /// Distance queries answered from cache.
@@ -320,44 +313,6 @@ pub struct MetricsSnapshot {
     /// Mean enqueue→dequeue wait, microseconds (0 when no wait
     /// histogram was attached to the queue).
     pub queue_wait_mean_us: f64,
-    /// 99th-percentile enqueue→dequeue wait, microseconds.
-    pub queue_wait_p99_us: f64,
-}
-
-impl MetricsSnapshot {
-    /// Renders the snapshot as one JSON object (hand-rolled: the workspace
-    /// serde is an offline stub, see `vendor/serde`).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"queries\":{},\"wall_secs\":{:.6},\"qps\":{:.1},",
-                "\"mean_us\":{:.3},\"p50_us\":{:.3},\"p95_us\":{:.3},",
-                "\"p99_us\":{:.3},\"cache_hits\":{},\"cache_misses\":{},",
-                "\"cache_hit_rate\":{:.4},\"rejected\":{},",
-                "\"scenario_via\":{},\"scenario_knn\":{},\"scenario_matrix\":{},",
-                "\"queue_high_water\":{},\"queue_depth\":{},",
-                "\"queue_wait_mean_us\":{:.3},\"queue_wait_p99_us\":{:.3}}}"
-            ),
-            self.queries,
-            self.wall_secs,
-            self.qps,
-            self.mean_us,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate,
-            self.rejected,
-            self.scenario_via,
-            self.scenario_knn,
-            self.scenario_matrix,
-            self.queue_high_water,
-            self.queue_depth,
-            self.queue_wait_mean_us,
-            self.queue_wait_p99_us,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -417,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_derives_rates_and_json() {
+    fn snapshot_derives_rates() {
         let m = ServerMetrics::new();
         m.latency.record_ns(1_000);
         m.latency.record_ns(2_000);
@@ -429,13 +384,7 @@ mod tests {
         assert!((s.qps - 1.0).abs() < 1e-12);
         assert!((s.cache_hit_rate - 0.5).abs() < 1e-12);
         assert!((s.queue_wait_mean_us - 5.0).abs() < 1e-12);
-        let json = s.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"queries\":2"));
-        assert!(json.contains("\"cache_hit_rate\":0.5000"));
-        assert!(json.contains("\"rejected\":0"));
-        assert!(json.contains("\"queue_high_water\":0"));
-        assert!(json.contains("\"queue_wait_mean_us\":5.000"));
+        assert_eq!((s.rejected, s.queue_high_water), (0, 0));
     }
 
     #[test]

@@ -196,11 +196,6 @@ impl DeltaReloader {
         self.swaps_total.get()
     }
 
-    /// Delta reloads rejected or failed before publishing.
-    pub fn failures(&self) -> u64 {
-        self.failures_total.get()
-    }
-
     /// The outcome of the most recently *finished* reload, if any
     /// (errors are flattened to their display form).
     pub fn last_outcome(&self) -> Option<Result<ReloadOutcome, String>> {

@@ -194,12 +194,6 @@ pub struct ServerConfig {
     /// recent-trace ring behind `/debug/traces`, and the slow-query
     /// threshold). `sample_every: 0` disables tracing entirely.
     pub trace: TraceConfig,
-    /// Per-request algorithmic cost accounting (`ah_query_*` families,
-    /// span cost fields). The kernels' plain counters always run; this
-    /// gates only the per-request drain into the shared atomics, so
-    /// turning it off gives the "compiled in but unsampled" baseline
-    /// the cost-overhead A/B measures against.
-    pub cost_accounting: bool,
 }
 
 impl Default for ServerConfig {
@@ -210,7 +204,6 @@ impl Default for ServerConfig {
             cache_capacity: 64 * 1024,
             batch_size: 32,
             trace: TraceConfig::default(),
-            cost_accounting: true,
         }
     }
 }
@@ -353,68 +346,36 @@ impl Server {
         let mut start = Instant::now();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let queue = &queue;
-                let results = &results;
-                let run_metrics = &run_metrics;
-                let ready = &ready;
-                let cache = self.cache.as_ref();
-                let tracer = self.tracer.as_ref();
-                let slo = self.slo.as_ref();
-                let cost_accounting = self.cfg.cost_accounting;
-                let pois = &pois;
-                scope.spawn(move || {
-                    let _close = CloseOnDrop(queue);
+                scope.spawn(|| {
+                    let _close = CloseOnPanic(&queue);
                     // If make_session panics, this guard still reaches the
                     // barrier during unwinding so the feeder is not
                     // stranded waiting for a dead worker.
                     let mut at_barrier = BarrierOnUnwind {
-                        barrier: ready,
+                        barrier: &ready,
                         armed: true,
                     };
                     let mut session = backend.make_session();
                     ready.wait();
                     at_barrier.armed = false;
-                    let mut batch: Vec<Job<()>> = Vec::with_capacity(self.cfg.batch_size);
                     let mut local: Vec<Response> = Vec::new();
-                    loop {
-                        batch.clear();
-                        if queue.pop_batch(self.cfg.batch_size, &mut batch) == 0 {
-                            break;
-                        }
-                        for job in batch.drain(..) {
-                            let Job {
-                                req,
-                                batch: endpoints,
-                                mut span,
-                                ..
-                            } = job;
-                            if let Some(s) = span.as_deref_mut() {
-                                s.stamp(Stage::Dequeue);
-                            }
-                            // Closed-loop runs keep only the fixed-size
-                            // response word; scenario payloads are for
-                            // open-loop consumers (the edge).
-                            let (resp, _payload) = timed_serve(
-                                &req,
-                                endpoints.as_deref(),
-                                num_nodes,
-                                pois,
-                                session.as_mut(),
-                                cache,
-                                run_metrics,
-                                slo,
-                                cost_accounting,
-                                span.as_deref_mut(),
-                            );
+                    // Closed-loop runs keep only the fixed-size response
+                    // word (scenario payloads are for open-loop consumers,
+                    // the edge) and have no serialize/flush stages — the
+                    // (honest, partial) span finishes right after compute.
+                    self.drain(
+                        session.as_mut(),
+                        num_nodes,
+                        &pois,
+                        &queue,
+                        &run_metrics,
+                        |(), resp, _payload, span| {
                             local.push(resp);
-                            // Closed-loop runs have no serialize/flush
-                            // stages — finish the (honest, partial) span
-                            // right after compute.
                             if let Some(s) = span {
-                                tracer.finish(s, 200);
+                                self.tracer.finish(s, 200);
                             }
-                        }
-                    }
+                        },
+                    );
                     results.lock().unwrap().append(&mut local);
                 });
             }
@@ -495,36 +456,45 @@ impl Server {
     /// [`BoundedQueue::abort`] — it returns the dropped items so the
     /// caller can still answer their originators (e.g. with 503s).
     /// If this worker (or the backend underneath it) panics, a drop
-    /// guard closes the queue — the same invariant [`Server::run`]
-    /// enforces with its own guards — so producers observe
+    /// guard closes the queue — the same guard [`Server::run`]'s
+    /// workers hold — so producers observe
     /// [`BoundedQueue::is_closed`] and can fail fast instead of waiting
     /// forever for completions a dead worker will never deliver.
     pub fn serve_queue<T: Send>(
         &self,
         backend: &dyn DistanceBackend,
         queue: &BoundedQueue<Job<T>>,
-        mut on_done: impl FnMut(T, Response, Option<Box<ScenarioResult>>, Option<Box<Span>>),
+        on_done: impl FnMut(T, Response, Option<Box<ScenarioResult>>, Option<Box<Span>>),
     ) {
-        struct CloseOnPanic<'a, T: Send>(&'a BoundedQueue<T>);
-        impl<T: Send> Drop for CloseOnPanic<'_, T> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.close();
-                }
-            }
-        }
         let _guard = CloseOnPanic(queue);
-
         let num_nodes = backend.num_nodes();
         let pois = PoiSet::default_for(num_nodes);
-        let cache = self.cache.as_ref();
         let mut session = backend.make_session();
+        self.drain(
+            session.as_mut(),
+            num_nodes,
+            &pois,
+            queue,
+            &self.metrics,
+            on_done,
+        );
+    }
+
+    /// The one worker loop: pops batches off `queue` until it is closed
+    /// *and* empty, stamps [`Stage::Dequeue`], serves each job through
+    /// [`timed_serve`] into `metrics` (a run's own, or the lifetime
+    /// set), and hands the completion to `on_done`.
+    fn drain<T: Send>(
+        &self,
+        session: &mut dyn crate::backend::BackendSession,
+        num_nodes: usize,
+        pois: &PoiSet,
+        queue: &BoundedQueue<Job<T>>,
+        metrics: &ServerMetrics,
+        mut on_done: impl FnMut(T, Response, Option<Box<ScenarioResult>>, Option<Box<Span>>),
+    ) {
         let mut batch: Vec<Job<T>> = Vec::with_capacity(self.cfg.batch_size);
-        loop {
-            batch.clear();
-            if queue.pop_batch(self.cfg.batch_size, &mut batch) == 0 {
-                break;
-            }
+        while queue.pop_batch(self.cfg.batch_size, &mut batch) > 0 {
             for job in batch.drain(..) {
                 let Job {
                     req,
@@ -539,12 +509,11 @@ impl Server {
                     &req,
                     endpoints.as_deref(),
                     num_nodes,
-                    &pois,
-                    session.as_mut(),
-                    cache,
-                    &self.metrics,
+                    pois,
+                    session,
+                    self.cache.as_ref(),
+                    metrics,
                     &self.slo,
-                    self.cfg.cost_accounting,
                     span.as_deref_mut(),
                 );
                 on_done(tag, resp, payload, span);
@@ -554,12 +523,13 @@ impl Server {
 }
 
 /// Closes the queue if the owning worker is unwinding from a panic (and
-/// only then), so a dying worker can never leave the feeder blocked on a
-/// full queue or its peers parked on an empty one. On a normal exit this
-/// is a no-op: the feeder closes the queue after the last request.
-struct CloseOnDrop<'a, T: Send>(&'a BoundedQueue<T>);
+/// only then), so a dying worker can never leave the producer blocked on
+/// a full queue, waiting for completions that will never come, or its
+/// peers parked on an empty one. On a normal exit this is a no-op: the
+/// producer closes the queue after the last request.
+struct CloseOnPanic<'a, T: Send>(&'a BoundedQueue<T>);
 
-impl<T: Send> Drop for CloseOnDrop<'_, T> {
+impl<T: Send> Drop for CloseOnPanic<'_, T> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.close();
@@ -601,9 +571,8 @@ pub fn trace_kind(kind: QueryKind) -> u8 {
 /// scenario kind into `metrics`, its latency into the `slo` window
 /// ring, and its drained algorithmic cost into the per-kind cost
 /// counters (and the sampled span, when present) — the per-query body
-/// shared by the closed-loop worker pool and the open-loop
-/// [`Server::serve_queue`] drain. A sampled span gets its cache-probe
-/// and compute stages stamped inside [`serve_one`].
+/// of the worker loop ([`Server::drain`]). A sampled span gets its
+/// cache-probe and compute stages stamped inside [`serve_one`].
 #[allow(clippy::too_many_arguments)]
 fn timed_serve(
     req: &Request,
@@ -614,7 +583,6 @@ fn timed_serve(
     cache: Option<&DistanceCache>,
     metrics: &ServerMetrics,
     slo: &SloWindows,
-    cost_accounting: bool,
     mut span: Option<&mut Span>,
 ) -> (Response, Option<Box<ScenarioResult>>) {
     let t0 = Instant::now();
@@ -637,18 +605,16 @@ fn timed_serve(
     // serving-layer cache outcome, and attribute it to the request
     // kind — this is the "what did the algorithm do" ledger next to
     // the wall-clock one above.
-    if cost_accounting {
-        let mut cost = session.take_cost();
-        if matches!(req.kind, QueryKind::Distance | QueryKind::Via { .. }) && cache.is_some() {
-            cost.cache_probes += 1;
-            if resp.cache_hit {
-                cost.cache_hits += 1;
-            }
+    let mut cost = session.take_cost();
+    if matches!(req.kind, QueryKind::Distance | QueryKind::Via { .. }) && cache.is_some() {
+        cost.cache_probes += 1;
+        if resp.cache_hit {
+            cost.cache_hits += 1;
         }
-        metrics.cost.record(trace_kind(req.kind) as usize, &cost);
-        if let Some(s) = span.as_deref_mut() {
-            s.add_cost(&cost);
-        }
+    }
+    metrics.cost.record(trace_kind(req.kind) as usize, &cost);
+    if let Some(s) = span.as_deref_mut() {
+        s.add_cost(&cost);
     }
     // Only the kinds that probe the cache (distance, via) enter the
     // hit/miss ratio, so the snapshot agrees with the cache's own
@@ -1048,6 +1014,9 @@ mod tests {
         fn path(&mut self, _s: u32, _t: u32) -> Option<ah_graph::Path> {
             panic!("backend bug");
         }
+        fn take_cost(&mut self) -> ah_obs::CostCounters {
+            ah_obs::CostCounters::default()
+        }
     }
 
     /// A backend that cannot even build a session.
@@ -1084,7 +1053,7 @@ mod tests {
     #[should_panic(expected = "a scoped thread panicked")]
     fn worker_panic_propagates_instead_of_deadlocking() {
         // More requests than the queue holds, one worker: without the
-        // CloseOnDrop guard the feeder would block forever on the full
+        // CloseOnPanic guard the feeder would block forever on the full
         // queue after the sole worker died.
         let server = Server::new(ServerConfig {
             workers: 1,

@@ -5,7 +5,7 @@
 //! * **Fast restart** — [`Server::from_snapshot`] brings a server up from
 //!   a persisted [`AhIndex`] in milliseconds, skipping the multi-second
 //!   build (the snapshot is written once, e.g. by
-//!   `serve_throughput --save-index`).
+//!   `serve_edge --save-index`).
 //! * **Zero-downtime reindexing** — a [`SnapshotServer`] owns its index
 //!   behind an atomically swappable handle. Road data changed? Build or
 //!   load the new index *off the serving path*, then
@@ -28,6 +28,7 @@ use std::sync::{Arc, RwLock};
 
 use ah_core::{AhIndex, AhQuery};
 use ah_graph::NodeId;
+use ah_obs::CostCounters;
 use ah_store::{Snapshot, SnapshotError};
 
 use crate::backend::{AhBackend, BackendSession, DistanceBackend};
@@ -199,6 +200,10 @@ impl BackendSession for SnapshotSession<'_> {
         let idx = self.server.index();
         self.q.path(&idx, s, t)
     }
+
+    fn take_cost(&mut self) -> CostCounters {
+        self.q.take_cost()
+    }
 }
 
 #[cfg(test)]
@@ -329,6 +334,23 @@ mod tests {
             assert_eq!(p.dist.length, want2.unwrap());
             p.verify(&g2).unwrap();
         }
+    }
+
+    #[test]
+    fn snapshot_session_drains_kernel_cost_across_swaps() {
+        let g = ah_data::fixtures::lattice(5, 5, 10);
+        let idx = Arc::new(AhIndex::build(&g, &BuildConfig::default()));
+        let server = SnapshotServer::new(idx.clone(), ServerConfig::with_workers(1));
+        let backend = SnapshotBackend::new(&server);
+        let mut session = backend.make_session();
+
+        assert!(session.distance(0, 24).is_some());
+        assert!(session.take_cost().nodes_settled > 0, "generation 0 query cost lost");
+        assert_eq!(session.take_cost(), CostCounters::default(), "drain resets");
+
+        server.swap_index(idx);
+        assert!(session.distance(0, 24).is_some());
+        assert!(session.take_cost().nodes_settled > 0, "post-swap query cost lost");
     }
 
     #[test]

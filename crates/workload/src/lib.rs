@@ -12,7 +12,7 @@ mod churn;
 mod traffic;
 
 pub use churn::{ChurnPlan, ChurnRound, WeightChurn};
-pub use traffic::{ScenarioOp, TrafficSchedule};
+pub use traffic::TrafficSchedule;
 
 use ah_graph::{Graph, NodeId};
 use ah_search::{DijkstraDriver, SearchOptions};

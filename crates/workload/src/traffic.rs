@@ -13,27 +13,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::QuerySet;
 
-/// One request of a mixed-scenario traffic stream
-/// ([`TrafficSchedule::generate_mixed`]): the serving layer's five
-/// query kinds, each carrying exactly the parameters its endpoint
-/// takes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScenarioOp {
-    /// Point distance query (`/v1/distance`).
-    Distance { s: NodeId, t: NodeId },
-    /// Point path query (`/v1/path`).
-    Path { s: NodeId, t: NodeId },
-    /// Optimal-detour query (`/v1/via`).
-    Via { s: NodeId, t: NodeId, cat: u32 },
-    /// k-nearest-POIs query (`/v1/knn`).
-    Knn { s: NodeId, cat: u32, k: u32 },
-    /// Batched distance table (`POST /v1/matrix`).
-    Matrix {
-        sources: Vec<NodeId>,
-        targets: Vec<NodeId>,
-    },
-}
-
 /// How a traffic stream draws from the ten query sets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficSchedule {
@@ -71,75 +50,6 @@ impl TrafficSchedule {
             repeat_fraction: repeat_fraction.clamp(0.0, 1.0),
             seed,
         }
-    }
-
-    /// The scenario-benchmark mix: interactive weights over the query
-    /// sets with an explicit `seed`, meant to be materialized with
-    /// [`TrafficSchedule::generate_mixed`]. Equal arguments yield
-    /// bit-equal streams — the loopback smoke and the bench bins rely
-    /// on replaying the exact same traffic against different backends.
-    pub fn mixed(total: usize, repeat_fraction: f64, seed: u64) -> Self {
-        TrafficSchedule::interactive(total, repeat_fraction, seed)
-    }
-
-    /// Materializes a mixed-scenario stream: the pair stream of
-    /// [`TrafficSchedule::generate`] with a deterministic scenario kind
-    /// assigned to each pair — mostly point queries (the bread and
-    /// butter), a slice of via/knn scenario traffic (`cat <
-    /// categories`, `1 <= k <= max_k`), and occasional matrix batches
-    /// assembled from nearby pairs of the same stream. Deterministic in
-    /// the schedule seed.
-    pub fn generate_mixed(
-        &self,
-        sets: &[QuerySet],
-        categories: u32,
-        max_k: u32,
-    ) -> Vec<ScenarioOp> {
-        let pairs = self.generate(sets);
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        let categories = categories.max(1);
-        let max_k = max_k.max(1);
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5CE2_A210);
-        let mut ops: Vec<ScenarioOp> = Vec::with_capacity(pairs.len());
-        for (i, &(s, t)) in pairs.iter().enumerate() {
-            let roll = rng.random_range(0..100u32);
-            ops.push(match roll {
-                0..=59 => ScenarioOp::Distance { s, t },
-                60..=71 => ScenarioOp::Path { s, t },
-                72..=83 => ScenarioOp::Via {
-                    s,
-                    t,
-                    cat: rng.random_range(0..categories),
-                },
-                84..=95 => ScenarioOp::Knn {
-                    s,
-                    cat: rng.random_range(0..categories),
-                    k: rng.random_range(1..=max_k),
-                },
-                _ => {
-                    // A small table over a window of the stream: up to
-                    // 3 sources × 3 targets from pairs at or before i.
-                    let dim = rng.random_range(1..=3usize);
-                    let pick = |rng: &mut StdRng, side: fn(&(NodeId, NodeId)) -> NodeId| {
-                        let mut ids: Vec<NodeId> = Vec::with_capacity(dim);
-                        for _ in 0..dim {
-                            let j = rng.random_range(0..=i);
-                            ids.push(side(&pairs[j]));
-                        }
-                        ids.sort_unstable();
-                        ids.dedup();
-                        ids
-                    };
-                    ScenarioOp::Matrix {
-                        sources: pick(&mut rng, |p| p.0),
-                        targets: pick(&mut rng, |p| p.1),
-                    }
-                }
-            });
-        }
-        ops
     }
 
     /// Materializes the request stream: `total` source–target pairs drawn
@@ -256,70 +166,6 @@ mod tests {
         let q10: std::collections::HashSet<_> = sets[9].pairs.iter().copied().collect();
         assert_eq!(stream.len(), 100);
         assert!(stream.iter().all(|p| q10.contains(p)));
-    }
-
-    #[test]
-    fn mixed_stream_is_deterministic_and_well_formed() {
-        let sets = sets();
-        let sched = TrafficSchedule::mixed(600, 0.2, 77);
-        let a = sched.generate_mixed(&sets, 8, 6);
-        let b = sched.generate_mixed(&sets, 8, 6);
-        assert_eq!(a.len(), 600);
-        assert_eq!(a, b, "equal seeds must replay the exact stream");
-        let c = TrafficSchedule::mixed(600, 0.2, 78).generate_mixed(&sets, 8, 6);
-        assert_ne!(a, c);
-
-        let all: std::collections::HashSet<NodeId> = sets
-            .iter()
-            .flat_map(|s| s.pairs.iter().flat_map(|&(a, b)| [a, b]))
-            .collect();
-        let mut kinds = [0usize; 5];
-        for op in &a {
-            match op {
-                ScenarioOp::Distance { s, t } | ScenarioOp::Path { s, t } => {
-                    assert!(all.contains(s) && all.contains(t));
-                    kinds[matches!(op, ScenarioOp::Path { .. }) as usize] += 1;
-                }
-                ScenarioOp::Via { s, t, cat } => {
-                    assert!(all.contains(s) && all.contains(t));
-                    assert!(*cat < 8);
-                    kinds[2] += 1;
-                }
-                ScenarioOp::Knn { s, cat, k } => {
-                    assert!(all.contains(s));
-                    assert!(*cat < 8);
-                    assert!((1..=6).contains(k));
-                    kinds[3] += 1;
-                }
-                ScenarioOp::Matrix { sources, targets } => {
-                    assert!(!sources.is_empty() && sources.len() <= 3);
-                    assert!(!targets.is_empty() && targets.len() <= 3);
-                    assert!(sources.iter().chain(targets).all(|v| all.contains(v)));
-                    kinds[4] += 1;
-                }
-            }
-        }
-        for (i, &count) in kinds.iter().enumerate() {
-            assert!(count > 0, "scenario kind {i} absent from a 600-op stream");
-        }
-        // Point queries must dominate: this models serving traffic, not
-        // a scenario stress test.
-        assert!(kinds[0] > kinds[2] && kinds[0] > kinds[3] && kinds[0] > kinds[4]);
-    }
-
-    #[test]
-    fn mixed_stream_of_empty_sets_is_empty() {
-        let empty: Vec<QuerySet> = (1..=10)
-            .map(|i| QuerySet {
-                index: i,
-                lo: 0,
-                hi: 1,
-                pairs: Vec::new(),
-            })
-            .collect();
-        assert!(TrafficSchedule::mixed(50, 0.0, 1)
-            .generate_mixed(&empty, 8, 4)
-            .is_empty());
     }
 
     #[test]

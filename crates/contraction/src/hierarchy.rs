@@ -50,8 +50,8 @@ pub struct Hierarchy {
     up_out_arcs: Vec<HArc>,
     up_in_offsets: Vec<u32>,
     up_in_arcs: Vec<HArc>,
-    /// Downward views, needed only for unpacking (finding the sub-arcs of
-    /// a shortcut): `down_out[u]` = arcs `u → x` with `rank(x) < rank(u)`.
+    /// Downward views: `down_out[u]` = arcs `u → x` with
+    /// `rank(x) < rank(u)`. No query reads them (see [`Hierarchy::down_out`]).
     down_out_offsets: Vec<u32>,
     down_out_arcs: Vec<HArc>,
     down_in_offsets: Vec<u32>,
@@ -166,13 +166,16 @@ impl Hierarchy {
         slice(&self.up_in_offsets, &self.up_in_arcs, u)
     }
 
-    /// Downward out-arcs of `u` (used for unpacking and stall checks).
+    /// Downward out-arcs of `u`. Queries, stall checks and
+    /// [`Hierarchy::unpack_arc`] read only the upward views; the downward
+    /// ones are read by tests, [`Hierarchy::size_bytes`] and
+    /// [`Hierarchy::raw_parts`] (the serialisation hook).
     #[inline]
     pub fn down_out(&self, u: NodeId) -> &[HArc] {
         slice(&self.down_out_offsets, &self.down_out_arcs, u)
     }
 
-    /// Downward in-arcs of `u`.
+    /// Downward in-arcs of `u`; read where [`Hierarchy::down_out`] is.
     #[inline]
     pub fn down_in(&self, u: NodeId) -> &[HArc] {
         slice(&self.down_in_offsets, &self.down_in_arcs, u)
@@ -262,38 +265,31 @@ impl Hierarchy {
                 * size_of::<HArc>()
     }
 
-    /// Expands the hierarchy arc `u → v` (found in the forward/upward
-    /// direction) into the original-edge node sequence, *excluding* `u` and
+    /// Expands the hierarchy arc `u → v` with middle node `middle`
+    /// ([`INVALID_NODE`] for an original edge), found in the forward/upward
+    /// direction, into the original-edge node sequence, *excluding* `u` and
     /// *including* `v`, appending to `out`.
-    pub fn unpack_arc(&self, u: NodeId, arc: &HArc, out: &mut Vec<NodeId>) {
-        if arc.is_original() {
-            out.push(arc.to);
+    pub fn unpack_arc(&self, u: NodeId, v: NodeId, middle: NodeId, out: &mut Vec<NodeId>) {
+        if middle == INVALID_NODE {
+            out.push(v);
             return;
         }
-        let m = arc.middle;
+        let m = middle;
         // First half u → m: m ranks below both endpoints, so the arc is
         // recorded among m's upward in-arcs.
         let first = self
             .up_in(m)
             .iter()
             .find(|a| a.to == u)
-            .copied()
             .unwrap_or_else(|| panic!("missing unpack arc {u} → {m}"));
-        // Flip orientation: we need it as "u → m".
-        let first = HArc {
-            to: m,
-            dist: first.dist,
-            middle: first.middle,
-        };
-        self.unpack_arc(u, &first, out);
+        self.unpack_arc(u, m, first.middle, out);
         // Second half m → v: recorded among m's upward out-arcs.
         let second = self
             .up_out(m)
             .iter()
-            .find(|a| a.to == arc.to)
-            .copied()
-            .unwrap_or_else(|| panic!("missing unpack arc {m} → {}", arc.to));
-        self.unpack_arc(m, &second, out);
+            .find(|a| a.to == v)
+            .unwrap_or_else(|| panic!("missing unpack arc {m} → {v}"));
+        self.unpack_arc(m, v, second.middle, out);
     }
 }
 
@@ -368,7 +364,7 @@ mod tests {
             .expect("shortcut 0→2 present");
         assert_eq!(sc.to, 2);
         let mut nodes = vec![0u32];
-        h.unpack_arc(0, &sc, &mut nodes);
+        h.unpack_arc(0, sc.to, sc.middle, &mut nodes);
         assert_eq!(nodes, vec![0, 1, 2]);
     }
 
@@ -378,7 +374,7 @@ mod tests {
         let arc = h.up_out(1)[0];
         assert!(arc.is_original());
         let mut nodes = vec![1u32];
-        h.unpack_arc(1, &arc, &mut nodes);
+        h.unpack_arc(1, arc.to, arc.middle, &mut nodes);
         assert_eq!(nodes, vec![1, 2]);
     }
 

@@ -3,10 +3,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ah_graph::{Dist, NodeId, Path, INFINITY, INVALID_NODE};
-use ah_search::StampedVec;
+use ah_graph::{Dist, NodeId, Path, INFINITY};
+use ah_search::{ParentArc, SearchSlots};
 
-use crate::hierarchy::{HArc, Hierarchy};
+use crate::hierarchy::Hierarchy;
 
 /// Reusable state for bidirectional upward queries (the CH query
 /// algorithm): a forward search over upward out-arcs from `s` and a
@@ -15,14 +15,8 @@ use crate::hierarchy::{HArc, Hierarchy};
 /// meeting distance.
 #[derive(Debug)]
 pub struct BidirUpwardQuery {
-    dist_f: StampedVec<Dist>,
-    dist_b: StampedVec<Dist>,
-    parent_f: StampedVec<NodeId>,
-    parent_b: StampedVec<NodeId>,
-    arc_f: StampedVec<HArc>,
-    arc_b: StampedVec<HArc>,
-    settled_f: StampedVec<bool>,
-    settled_b: StampedVec<bool>,
+    fwd: SearchSlots,
+    bwd: SearchSlots,
     heap_f: BinaryHeap<Reverse<(Dist, NodeId)>>,
     heap_b: BinaryHeap<Reverse<(Dist, NodeId)>>,
     meeting: Option<NodeId>,
@@ -37,12 +31,6 @@ pub struct BidirUpwardQuery {
     pub stall_on_demand: bool,
 }
 
-const NO_ARC: HArc = HArc {
-    to: INVALID_NODE,
-    dist: INFINITY,
-    middle: INVALID_NODE,
-};
-
 impl Default for BidirUpwardQuery {
     fn default() -> Self {
         Self::new()
@@ -53,14 +41,8 @@ impl BidirUpwardQuery {
     /// Creates an empty engine; buffers grow on first use.
     pub fn new() -> Self {
         BidirUpwardQuery {
-            dist_f: StampedVec::new(0, INFINITY),
-            dist_b: StampedVec::new(0, INFINITY),
-            parent_f: StampedVec::new(0, INVALID_NODE),
-            parent_b: StampedVec::new(0, INVALID_NODE),
-            arc_f: StampedVec::new(0, NO_ARC),
-            arc_b: StampedVec::new(0, NO_ARC),
-            settled_f: StampedVec::new(0, false),
-            settled_b: StampedVec::new(0, false),
+            fwd: SearchSlots::new(),
+            bwd: SearchSlots::new(),
             heap_f: BinaryHeap::new(),
             heap_b: BinaryHeap::new(),
             meeting: None,
@@ -105,24 +87,21 @@ impl BidirUpwardQuery {
         let dist = self.search(h, s, t, allow_f, allow_b)?;
         let m = self.meeting.expect("finite distance implies meeting node");
         // Forward half: collect the hierarchy arcs s → … → m, then unpack.
-        let mut fwd_arcs: Vec<(NodeId, HArc)> = Vec::new();
+        let mut fwd_arcs: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
         let mut cur = m;
-        while self.parent_f.get(cur as usize) != INVALID_NODE {
-            let p = self.parent_f.get(cur as usize);
-            fwd_arcs.push((p, self.arc_f.get(cur as usize)));
+        while let Some((p, arc)) = self.fwd.parent(cur) {
+            fwd_arcs.push((p, cur, arc.middle()));
             cur = p;
         }
         fwd_arcs.reverse();
         let mut nodes = vec![s];
-        for (u, arc) in fwd_arcs {
-            h.unpack_arc(u, &arc, &mut nodes);
+        for (u, v, mid) in fwd_arcs {
+            h.unpack_arc(u, v, mid, &mut nodes);
         }
-        // Backward half: arcs m → … → t in forward orientation already.
+        // Backward half: each parent is the next node toward t.
         let mut cur = m;
-        while self.parent_b.get(cur as usize) != INVALID_NODE {
-            let arc = self.arc_b.get(cur as usize);
-            let next = self.parent_b.get(cur as usize);
-            h.unpack_arc(cur, &arc, &mut nodes);
+        while let Some((next, arc)) = self.bwd.parent(cur) {
+            h.unpack_arc(cur, next, arc.middle(), &mut nodes);
             cur = next;
         }
         debug_assert_eq!(*nodes.last().unwrap(), t);
@@ -147,22 +126,8 @@ impl BidirUpwardQuery {
         FB: FnMut(NodeId) -> bool,
     {
         let n = h.num_nodes();
-        for v in [&mut self.dist_f, &mut self.dist_b] {
-            v.ensure_len(n);
-            v.reset();
-        }
-        for v in [&mut self.parent_f, &mut self.parent_b] {
-            v.ensure_len(n);
-            v.reset();
-        }
-        for v in [&mut self.arc_f, &mut self.arc_b] {
-            v.ensure_len(n);
-            v.reset();
-        }
-        for v in [&mut self.settled_f, &mut self.settled_b] {
-            v.ensure_len(n);
-            v.reset();
-        }
+        self.fwd.reset(n);
+        self.bwd.reset(n);
         self.heap_f.clear();
         self.heap_b.clear();
         self.meeting = None;
@@ -175,8 +140,8 @@ impl BidirUpwardQuery {
             return Some(Dist::ZERO);
         }
 
-        self.dist_f.set(s as usize, Dist::ZERO);
-        self.dist_b.set(t as usize, Dist::ZERO);
+        self.fwd.set_origin(s);
+        self.bwd.set_origin(t);
         self.heap_f.push(Reverse((Dist::ZERO, s)));
         self.heap_b.push(Reverse((Dist::ZERO, t)));
 
@@ -200,78 +165,41 @@ impl BidirUpwardQuery {
                 break;
             }
             let forward = if go_f && go_b { top_f <= top_b } else { go_f };
-            if forward {
-                let Reverse((d, u)) = self.heap_f.pop().expect("peeked");
-                self.heap_pops += 1;
-                if self.settled_f.get(u as usize) {
-                    continue;
-                }
-                self.settled_f.set(u as usize, true);
-                self.settled_count += 1;
-                let other = self.dist_b.get(u as usize);
-                if !other.is_infinite() {
-                    let through = d.concat(other);
-                    if through < best {
-                        best = through;
-                        self.meeting = Some(u);
-                    }
-                }
-                if self.stall_on_demand && stalled(h, u, d, &self.dist_f, true) {
-                    continue;
-                }
-                self.relaxed_arcs += h.up_out(u).len();
-                for a in h.up_out(u) {
-                    if self.settled_f.get(a.to as usize) || !allow_f(a.to) {
-                        continue;
-                    }
-                    let nd = d.concat(a.dist);
-                    if nd < self.dist_f.get(a.to as usize) {
-                        self.dist_f.set(a.to as usize, nd);
-                        self.parent_f.set(a.to as usize, u);
-                        self.arc_f.set(a.to as usize, *a);
-                        self.heap_f.push(Reverse((nd, a.to)));
-                    }
-                }
+            let (heap, this, other) = if forward {
+                (&mut self.heap_f, &mut self.fwd, &self.bwd)
             } else {
-                let Reverse((d, u)) = self.heap_b.pop().expect("peeked");
-                self.heap_pops += 1;
-                if self.settled_b.get(u as usize) {
-                    continue;
-                }
-                self.settled_b.set(u as usize, true);
-                self.settled_count += 1;
-                let other = self.dist_f.get(u as usize);
-                if !other.is_infinite() {
-                    let through = other.concat(d);
-                    if through < best {
-                        best = through;
-                        self.meeting = Some(u);
-                    }
-                }
-                if self.stall_on_demand && stalled(h, u, d, &self.dist_b, false) {
-                    continue;
-                }
-                self.relaxed_arcs += h.up_in(u).len();
-                for a in h.up_in(u) {
-                    if self.settled_b.get(a.to as usize) || !allow_b(a.to) {
-                        continue;
-                    }
-                    let nd = d.concat(a.dist);
-                    if nd < self.dist_b.get(a.to as usize) {
-                        self.dist_b.set(a.to as usize, nd);
-                        // Parent points toward t; the real arc is
-                        // a.to → u, stored in forward orientation.
-                        self.parent_b.set(a.to as usize, u);
-                        self.arc_b.set(
-                            a.to as usize,
-                            HArc {
-                                to: u,
-                                dist: a.dist,
-                                middle: a.middle,
-                            },
-                        );
-                        self.heap_b.push(Reverse((nd, a.to)));
-                    }
+                (&mut self.heap_b, &mut self.bwd, &self.fwd)
+            };
+            let Reverse((d, u)) = heap.pop().expect("peeked");
+            self.heap_pops += 1;
+            if !this.settle(u) {
+                continue;
+            }
+            self.settled_count += 1;
+            // An unreached node reads INFINITY, which `concat` keeps.
+            let through = d.concat(other.dist(u));
+            if through < best {
+                best = through;
+                self.meeting = Some(u);
+            }
+            if self.stall_on_demand && stalled(h, u, d, this, forward) {
+                continue;
+            }
+            let arcs = if forward { h.up_out(u) } else { h.up_in(u) };
+            self.relaxed_arcs += arcs.len();
+            for a in arcs {
+                let nd = d.concat(a.dist);
+                if this.improves(a.to, nd)
+                    && (if forward {
+                        allow_f(a.to)
+                    } else {
+                        allow_b(a.to)
+                    })
+                {
+                    // Backward parents point toward t: the real arc is
+                    // a.to → u, and u is what unpacking needs.
+                    this.update(a.to, nd, u, ParentArc::hierarchy(a.middle));
+                    heap.push(Reverse((nd, a.to)));
                 }
             }
         }
@@ -285,15 +213,9 @@ impl BidirUpwardQuery {
 /// yields `dist_f(w) + len(w→u) < d` — then no shortest up-down path goes
 /// through `u`, so expanding it is pointless. Mirrored for the backward
 /// side with arcs `u → w`.
-fn stalled(h: &Hierarchy, u: NodeId, d: Dist, dist: &StampedVec<Dist>, forward: bool) -> bool {
+fn stalled(h: &Hierarchy, u: NodeId, d: Dist, side: &SearchSlots, forward: bool) -> bool {
     let arcs = if forward { h.up_in(u) } else { h.up_out(u) };
-    for a in arcs {
-        let dw = dist.get(a.to as usize);
-        if !dw.is_infinite() && dw.concat(a.dist) < d {
-            return true;
-        }
-    }
-    false
+    arcs.iter().any(|a| side.dist(a.to).concat(a.dist) < d)
 }
 
 #[cfg(test)]

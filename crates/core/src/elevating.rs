@@ -21,8 +21,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ah_contraction::{HArc, Hierarchy};
-use ah_graph::{Dist, NodeId, INFINITY, INVALID_NODE};
-use ah_search::StampedVec;
+use ah_graph::{Dist, NodeId};
+use ah_search::{ParentArc, SearchSlots};
 
 /// One elevating arc.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,9 +92,10 @@ impl ElevatingSide {
         None
     }
 
-    /// The hierarchy-arc chain of an elevating arc (for unpacking).
-    pub fn chain(&self, arc: &ElevArc) -> &[(NodeId, HArc)] {
-        &self.chains[arc.chain_start as usize..(arc.chain_start + arc.chain_len) as usize]
+    /// The hierarchy-arc chain occupying `(chain_start, chain_len)` (an
+    /// arc's [`ElevArc::chain_range`]), for unpacking.
+    pub fn chain(&self, (start, len): (u32, u32)) -> &[(NodeId, HArc)] {
+        &self.chains[start as usize..(start + len) as usize]
     }
 
     /// Number of elevating arcs stored.
@@ -240,26 +241,14 @@ impl ElevatingBuilder {
 /// targets. Returns `None` if the settle budget was exceeded (set must be
 /// discarded).
 pub(crate) struct ElevatingSearch {
-    dist: StampedVec<Dist>,
-    parent: StampedVec<NodeId>,
-    arc: StampedVec<HArc>,
-    settled: StampedVec<bool>,
+    slots: SearchSlots,
     heap: BinaryHeap<Reverse<(Dist, NodeId)>>,
 }
-
-const NO_ARC: HArc = HArc {
-    to: INVALID_NODE,
-    dist: INFINITY,
-    middle: INVALID_NODE,
-};
 
 impl ElevatingSearch {
     pub fn new() -> Self {
         ElevatingSearch {
-            dist: StampedVec::new(0, INFINITY),
-            parent: StampedVec::new(0, INVALID_NODE),
-            arc: StampedVec::new(0, NO_ARC),
-            settled: StampedVec::new(0, false),
+            slots: SearchSlots::new(),
             heap: BinaryHeap::new(),
         }
     }
@@ -276,27 +265,18 @@ impl ElevatingSearch {
         forward: bool,
         settle_limit: usize,
     ) -> Option<Vec<(NodeId, Dist, Vec<(NodeId, HArc)>)>> {
-        let n = h.num_nodes();
-        self.dist.ensure_len(n);
-        self.parent.ensure_len(n);
-        self.arc.ensure_len(n);
-        self.settled.ensure_len(n);
-        self.dist.reset();
-        self.parent.reset();
-        self.arc.reset();
-        self.settled.reset();
+        self.slots.reset(h.num_nodes());
         self.heap.clear();
 
-        self.dist.set(v as usize, Dist::ZERO);
+        self.slots.set_origin(v);
         self.heap.push(Reverse((Dist::ZERO, v)));
         let mut targets: Vec<NodeId> = Vec::new();
         let mut settled_count = 0usize;
 
         while let Some(Reverse((d, u))) = self.heap.pop() {
-            if self.settled.get(u as usize) {
+            if !self.slots.settle(u) {
                 continue;
             }
-            self.settled.set(u as usize, true);
             settled_count += 1;
             if settled_count > settle_limit {
                 return None; // incomplete: discard
@@ -307,14 +287,10 @@ impl ElevatingSearch {
             }
             let arcs = if forward { h.up_out(u) } else { h.up_in(u) };
             for a in arcs {
-                if self.settled.get(a.to as usize) {
-                    continue;
-                }
                 let nd = d.concat(a.dist);
-                if nd < self.dist.get(a.to as usize) {
-                    self.dist.set(a.to as usize, nd);
-                    self.parent.set(a.to as usize, u);
-                    self.arc.set(a.to as usize, *a);
+                if self.slots.improves(a.to, nd) {
+                    self.slots
+                        .update(a.to, nd, u, ParentArc::hierarchy(a.middle));
                     self.heap.push(Reverse((nd, a.to)));
                 }
             }
@@ -325,33 +301,41 @@ impl ElevatingSearch {
             // Reconstruct the chain as (tail, arc) pairs in forward path
             // order. Forward runs walk t → v and reverse (path v → … → t);
             // backward runs walk the forward orientation directly
-            // (path t → … → v), flipping each stored up_in arc.
+            // (path t → … → v). Each step's hierarchy arc is looked up by
+            // its endpoints, as path unpacking does.
             let mut chain: Vec<(NodeId, HArc)> = Vec::new();
             let mut cur = t;
-            while cur != v {
-                let p = self.parent.get(cur as usize);
-                let a = self.arc.get(cur as usize);
+            while let Some((p, _)) = self.slots.parent(cur) {
                 if forward {
-                    chain.push((p, a));
+                    chain.push((p, find_arc(h.up_out(p), cur)));
                 } else {
                     chain.push((
                         cur,
                         HArc {
                             to: p,
-                            dist: a.dist,
-                            middle: a.middle,
+                            ..find_arc(h.up_in(p), cur)
                         },
                     ));
                 }
                 cur = p;
             }
+            debug_assert_eq!(cur, v);
             if forward {
                 chain.reverse();
             }
-            out.push((t, self.dist.get(t as usize), chain));
+            out.push((t, self.slots.dist(t), chain));
         }
         Some(out)
     }
+}
+
+/// The arc toward `to` in one node's upward view (a hierarchy keeps one
+/// arc per head).
+fn find_arc(arcs: &[HArc], to: NodeId) -> HArc {
+    *arcs
+        .iter()
+        .find(|a| a.to == to)
+        .expect("search tree arcs come from the hierarchy")
 }
 
 #[cfg(test)]
@@ -409,7 +393,7 @@ mod tests {
         for (arc, (t, d, chain)) in arcs.iter().zip(&set) {
             assert_eq!(arc.to, *t);
             assert_eq!(arc.dist, *d);
-            assert_eq!(side.chain(arc).len(), chain.len());
+            assert_eq!(side.chain(arc.chain_range()).len(), chain.len());
         }
         // No set above the node's own level 1 → none for node_level = 1.
         assert!(side.best_set(0, 1, 3).is_none());

@@ -3,7 +3,7 @@
 use ah_arterial::{assign_levels, SelectionConfig};
 use ah_contraction::{contract_with_order, Hierarchy};
 use ah_graph::{Graph, NodeId, Point};
-use ah_grid::GridHierarchy;
+use ah_grid::{Cell, GridHierarchy};
 
 use crate::config::BuildConfig;
 use crate::elevating::{ElevatingBuilder, ElevatingSearch, ElevatingSets};
@@ -21,8 +21,17 @@ pub struct IndexStats {
     /// Elevating arcs (both directions).
     pub elevating_arcs: usize,
     /// Approximate index size in bytes (hierarchy + elevating sets +
-    /// levels + coordinates).
+    /// levels + coordinates + the derived per-node cells).
     pub size_bytes: usize,
+}
+
+/// A node's level next to its `R_1` cell: all the proximity constraint
+/// reads about a node, in one 12-byte load. Its level-`i` cell is
+/// `cell.coarsened(i - 1)`, so queries never divide.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LevelCell {
+    pub(crate) cell: Cell,
+    pub(crate) level: u8,
 }
 
 /// The Arterial Hierarchy over one road network. Immutable once built;
@@ -33,9 +42,12 @@ pub struct AhIndex {
     pub(crate) hierarchy: Hierarchy,
     /// Final hierarchy level per node.
     pub(crate) level: Vec<u8>,
-    /// Node coordinates (for grid predicates at query time).
+    /// Node coordinates (kept for snapshots; queries read `level_cells`).
     pub(crate) coords: Vec<Point>,
     pub(crate) elevating: ElevatingSets,
+    /// Derived from `level`, `coords` and `grid` whenever an index is
+    /// built or loaded; never serialised.
+    pub(crate) level_cells: Vec<LevelCell>,
 }
 
 impl AhIndex {
@@ -58,12 +70,15 @@ impl AhIndex {
             ElevatingSets::default()
         };
 
+        let coords = g.coords().to_vec();
+        let level_cells = level_cells(&la.grid, &level, &coords);
         AhIndex {
             grid: la.grid,
             hierarchy,
             level,
-            coords: g.coords().to_vec(),
+            coords,
             elevating,
+            level_cells,
         }
     }
 
@@ -109,6 +124,7 @@ impl AhIndex {
             + self.elevating.size_bytes()
             + self.level.len()
             + self.coords.len() * std::mem::size_of::<Point>()
+            + self.level_cells.len() * std::mem::size_of::<LevelCell>()
     }
 
     /// Borrowed view of every component of the index (serialization hook
@@ -149,14 +165,27 @@ impl AhIndex {
         for side in [&elevating.forward, &elevating.backward] {
             validate_side_node_ids(side, n)?;
         }
+        let level_cells = level_cells(&grid, &level, &coords);
         Ok(AhIndex {
             grid,
             hierarchy,
             level,
             coords,
             elevating,
+            level_cells,
         })
     }
+}
+
+fn level_cells(grid: &GridHierarchy, level: &[u8], coords: &[Point]) -> Vec<LevelCell> {
+    level
+        .iter()
+        .zip(coords)
+        .map(|(&level, &p)| LevelCell {
+            cell: grid.cell_of(1, p),
+            level,
+        })
+        .collect()
 }
 
 /// Checks that every node id an elevating side mentions — jump targets,

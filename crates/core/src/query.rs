@@ -4,41 +4,25 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ah_contraction::HArc;
-use ah_graph::{Dist, NodeId, Path, Point, INFINITY, INVALID_NODE};
+use ah_graph::{Dist, NodeId, Path, INFINITY};
+use ah_grid::Cell;
 use ah_obs::CostCounters;
-use ah_search::StampedVec;
+use ah_search::{ParentArc, SearchSlots};
 
 use crate::config::QueryConfig;
-use crate::elevating::ElevArc;
-use crate::index::AhIndex;
-
-/// How a node was reached: over a hierarchy arc or an elevating arc.
-#[derive(Debug, Clone, Copy)]
-enum PArc {
-    None,
-    H(HArc),
-    E(ElevArc),
-}
+use crate::elevating::ElevatingSide;
+use crate::index::{AhIndex, LevelCell};
 
 /// Reusable AH query state. Create once per thread, run many queries.
 #[derive(Debug)]
 pub struct AhQuery {
     /// Constraint toggles (ablation).
     pub cfg: QueryConfig,
-    dist_f: StampedVec<Dist>,
-    dist_b: StampedVec<Dist>,
-    parent_f: StampedVec<NodeId>,
-    parent_b: StampedVec<NodeId>,
-    parc_f: StampedVec<PArc>,
-    parc_b: StampedVec<PArc>,
-    settled_f: StampedVec<bool>,
-    settled_b: StampedVec<bool>,
+    fwd: SearchSlots,
+    bwd: SearchSlots,
     heap_f: BinaryHeap<Reverse<(Dist, NodeId)>>,
     heap_b: BinaryHeap<Reverse<(Dist, NodeId)>>,
     meeting: Option<NodeId>,
-    /// Nodes settled by the last query (telemetry for the experiments).
-    pub settled_count: usize,
     cost: CostCounters,
 }
 
@@ -58,27 +42,18 @@ impl AhQuery {
     pub fn with_config(cfg: QueryConfig) -> Self {
         AhQuery {
             cfg,
-            dist_f: StampedVec::new(0, INFINITY),
-            dist_b: StampedVec::new(0, INFINITY),
-            parent_f: StampedVec::new(0, INVALID_NODE),
-            parent_b: StampedVec::new(0, INVALID_NODE),
-            parc_f: StampedVec::new(0, PArc::None),
-            parc_b: StampedVec::new(0, PArc::None),
-            settled_f: StampedVec::new(0, false),
-            settled_b: StampedVec::new(0, false),
+            fwd: SearchSlots::new(),
+            bwd: SearchSlots::new(),
             heap_f: BinaryHeap::new(),
             heap_b: BinaryHeap::new(),
             meeting: None,
-            settled_count: 0,
             cost: CostCounters::default(),
         }
     }
 
     /// Algorithmic cost accumulated since the last
-    /// [`take_cost`](Self::take_cost) drain. Unlike
-    /// [`settled_count`](Self::settled_count) (which resets per query)
-    /// this spans queries, so a request composed of several point
-    /// queries drains one total.
+    /// [`take_cost`](Self::take_cost) drain. It spans queries, so a
+    /// request composed of several point queries drains one total.
     pub fn cost(&self) -> &CostCounters {
         &self.cost
     }
@@ -104,24 +79,21 @@ impl AhQuery {
         let dist = self.search(idx, s, t)?;
         let m = self.meeting.expect("finite distance implies meeting");
         // Forward half: hierarchy/elevating arcs s → … → m.
-        let mut fwd: Vec<(NodeId, PArc)> = Vec::new();
+        let mut fwd: Vec<(NodeId, NodeId, ParentArc)> = Vec::new();
         let mut cur = m;
-        while self.parent_f.get(cur as usize) != INVALID_NODE {
-            let p = self.parent_f.get(cur as usize);
-            fwd.push((p, self.parc_f.get(cur as usize)));
+        while let Some((p, arc)) = self.fwd.parent(cur) {
+            fwd.push((p, cur, arc));
             cur = p;
         }
         fwd.reverse();
         let mut nodes = vec![s];
-        for (tail, parc) in fwd {
-            unpack_parc(idx, tail, parc, true, &mut nodes);
+        for (tail, head, arc) in fwd {
+            unpack(idx, &idx.elevating.forward, tail, head, arc, &mut nodes);
         }
-        // Backward half: m → … → t, arcs already forward-oriented.
+        // Backward half: m → … → t, each parent the next node toward t.
         let mut cur = m;
-        while self.parent_b.get(cur as usize) != INVALID_NODE {
-            let parc = self.parc_b.get(cur as usize);
-            let next = self.parent_b.get(cur as usize);
-            unpack_parc(idx, cur, parc, false, &mut nodes);
+        while let Some((next, arc)) = self.bwd.parent(cur) {
+            unpack(idx, &idx.elevating.backward, cur, next, arc, &mut nodes);
             cur = next;
         }
         debug_assert_eq!(*nodes.last().unwrap(), t);
@@ -130,40 +102,28 @@ impl AhQuery {
 
     fn search(&mut self, idx: &AhIndex, s: NodeId, t: NodeId) -> Option<Dist> {
         let n = idx.num_nodes();
-        for v in [&mut self.dist_f, &mut self.dist_b] {
-            v.ensure_len(n);
-            v.reset();
-        }
-        for v in [&mut self.parent_f, &mut self.parent_b] {
-            v.ensure_len(n);
-            v.reset();
-        }
-        for v in [&mut self.parc_f, &mut self.parc_b] {
-            v.ensure_len(n);
-            v.reset();
-        }
-        for v in [&mut self.settled_f, &mut self.settled_b] {
-            v.ensure_len(n);
-            v.reset();
-        }
+        self.fwd.reset(n);
+        self.bwd.reset(n);
         self.heap_f.clear();
         self.heap_b.clear();
         self.meeting = None;
-        self.settled_count = 0;
 
         if s == t {
             self.meeting = Some(s);
             return Some(Dist::ZERO);
         }
 
-        let coord_s = idx.coords[s as usize];
-        let coord_t = idx.coords[t as usize];
+        let cell_s = idx.level_cells[s as usize].cell;
+        let cell_t = idx.level_cells[t as usize].cell;
         // Lemma 3: the shortest path must climb to the separation level, so
         // elevating jumps may target it directly.
-        let sep = idx.grid.separation_level(coord_s, coord_t).unwrap_or(0) as u8;
+        let sep = idx
+            .grid
+            .separation_level_of_cells(cell_s, cell_t)
+            .unwrap_or(0) as u8;
 
-        self.dist_f.set(s as usize, Dist::ZERO);
-        self.dist_b.set(t as usize, Dist::ZERO);
+        self.fwd.set_origin(s);
+        self.bwd.set_origin(t);
         self.heap_f.push(Reverse((Dist::ZERO, s)));
         self.heap_b.push(Reverse((Dist::ZERO, t)));
 
@@ -185,78 +145,39 @@ impl AhQuery {
                 break;
             }
             let forward = if go_f && go_b { top_f <= top_b } else { go_f };
-
-            if forward {
-                let Reverse((d, u)) = self.heap_f.pop().expect("peeked");
-                self.cost.heap_pops += 1;
-                if self.settled_f.get(u as usize) {
-                    continue;
-                }
-                self.settled_f.set(u as usize, true);
-                self.settled_count += 1;
-                self.cost.nodes_settled += 1;
-                let other = self.dist_b.get(u as usize);
-                if !other.is_infinite() {
-                    let through = d.concat(other);
-                    if through < best {
-                        best = through;
-                        self.meeting = Some(u);
-                    }
-                }
-                if self.cfg.stall_on_demand && stalled(idx, u, d, &self.dist_f, true) {
-                    continue;
-                }
-                expand(
-                    idx,
-                    &self.cfg,
-                    u,
-                    d,
-                    coord_s,
-                    sep,
-                    true,
-                    &mut self.dist_f,
-                    &mut self.parent_f,
-                    &mut self.parc_f,
-                    &self.settled_f,
-                    &mut self.heap_f,
-                    &mut self.cost,
-                );
+            let (heap, this, other, endpoint) = if forward {
+                (&mut self.heap_f, &mut self.fwd, &self.bwd, cell_s)
             } else {
-                let Reverse((d, u)) = self.heap_b.pop().expect("peeked");
-                self.cost.heap_pops += 1;
-                if self.settled_b.get(u as usize) {
-                    continue;
-                }
-                self.settled_b.set(u as usize, true);
-                self.settled_count += 1;
-                self.cost.nodes_settled += 1;
-                let other = self.dist_f.get(u as usize);
-                if !other.is_infinite() {
-                    let through = other.concat(d);
-                    if through < best {
-                        best = through;
-                        self.meeting = Some(u);
-                    }
-                }
-                if self.cfg.stall_on_demand && stalled(idx, u, d, &self.dist_b, false) {
-                    continue;
-                }
-                expand(
-                    idx,
-                    &self.cfg,
-                    u,
-                    d,
-                    coord_t,
-                    sep,
-                    false,
-                    &mut self.dist_b,
-                    &mut self.parent_b,
-                    &mut self.parc_b,
-                    &self.settled_b,
-                    &mut self.heap_b,
-                    &mut self.cost,
-                );
+                (&mut self.heap_b, &mut self.bwd, &self.fwd, cell_t)
+            };
+
+            let Reverse((d, u)) = heap.pop().expect("peeked");
+            self.cost.heap_pops += 1;
+            if !this.settle(u) {
+                continue;
             }
+            self.cost.nodes_settled += 1;
+            // An unreached node reads INFINITY, which `concat` keeps.
+            let through = d.concat(other.dist(u));
+            if through < best {
+                best = through;
+                self.meeting = Some(u);
+            }
+            if self.cfg.stall_on_demand && stalled(idx, u, d, this, forward) {
+                continue;
+            }
+            expand(
+                idx,
+                &self.cfg,
+                u,
+                d,
+                endpoint,
+                sep,
+                forward,
+                this,
+                heap,
+                &mut self.cost,
+            );
         }
 
         (!best.is_infinite()).then_some(best)
@@ -265,16 +186,16 @@ impl AhQuery {
 
 /// Proximity constraint (Sections 3.2/4.3): a level-`i` node may be
 /// relaxed only if it shares a (3×3)-cell region of `R_(i+1)` with the
-/// side's query endpoint. Top-level nodes always pass.
+/// side's query endpoint, whose `R_1` cell is `endpoint`. Top-level nodes
+/// always pass.
 #[inline]
-fn proximity_ok(idx: &AhIndex, endpoint: Point, x: NodeId) -> bool {
-    let lx = idx.level[x as usize] as u32;
-    let h = idx.grid.levels();
-    if lx >= h {
-        return true;
-    }
-    idx.grid
-        .same_3x3_region(lx + 1, idx.coords[x as usize], endpoint)
+fn proximity_ok(idx: &AhIndex, endpoint: Cell, x: NodeId) -> bool {
+    let LevelCell { cell, level } = idx.level_cells[x as usize];
+    let lx = level as u32;
+    lx >= idx.grid.levels()
+        || cell
+            .coarsened(lx)
+            .shares_3x3_region(&endpoint.coarsened(lx))
 }
 
 /// Relaxes the out-arcs of `u` on one side, applying the elevating-edge
@@ -286,16 +207,15 @@ fn expand(
     cfg: &QueryConfig,
     u: NodeId,
     d: Dist,
-    endpoint: Point,
+    endpoint: Cell,
     sep: u8,
     forward: bool,
-    dist: &mut StampedVec<Dist>,
-    parent: &mut StampedVec<NodeId>,
-    parc: &mut StampedVec<PArc>,
-    settled: &StampedVec<bool>,
+    slots: &mut SearchSlots,
     heap: &mut BinaryHeap<Reverse<(Dist, NodeId)>>,
     cost: &mut CostCounters,
 ) {
+    // Asked only about arcs that would improve their head.
+    let admits = |x: NodeId| !cfg.proximity || proximity_ok(idx, endpoint, x);
     let own_level = idx.level[u as usize];
     if cfg.elevating && own_level < sep {
         let side = if forward {
@@ -306,17 +226,10 @@ fn expand(
         if let Some((_lvl, arcs)) = side.best_set(u, own_level, sep) {
             cost.edges_relaxed += arcs.len() as u64;
             for a in arcs {
-                if settled.get(a.to as usize) {
-                    continue;
-                }
-                if cfg.proximity && !proximity_ok(idx, endpoint, a.to) {
-                    continue;
-                }
                 let nd = d.concat(a.dist);
-                if nd < dist.get(a.to as usize) {
-                    dist.set(a.to as usize, nd);
-                    parent.set(a.to as usize, u);
-                    parc.set(a.to as usize, PArc::E(*a));
+                if slots.improves(a.to, nd) && admits(a.to) {
+                    let (start, len) = a.chain_range();
+                    slots.update(a.to, nd, u, ParentArc::elevating(start, len));
                     heap.push(Reverse((nd, a.to)));
                 }
             }
@@ -330,66 +243,43 @@ fn expand(
     };
     cost.edges_relaxed += arcs.len() as u64;
     for a in arcs {
-        if settled.get(a.to as usize) {
-            continue;
-        }
-        if cfg.proximity && !proximity_ok(idx, endpoint, a.to) {
-            continue;
-        }
         let nd = d.concat(a.dist);
-        if nd < dist.get(a.to as usize) {
-            dist.set(a.to as usize, nd);
-            parent.set(a.to as usize, u);
-            let stored = if forward {
-                *a
-            } else {
-                // Store the real arc a.to → u in forward orientation.
-                HArc {
-                    to: u,
-                    dist: a.dist,
-                    middle: a.middle,
-                }
-            };
-            parc.set(a.to as usize, PArc::H(stored));
+        if slots.improves(a.to, nd) && admits(a.to) {
+            // Backward parents point toward t: the real arc is a.to → u.
+            slots.update(a.to, nd, u, ParentArc::hierarchy(a.middle));
             heap.push(Reverse((nd, a.to)));
         }
     }
 }
 
 /// Stall-on-demand (identical to the CH variant, on the AH hierarchy).
-fn stalled(idx: &AhIndex, u: NodeId, d: Dist, dist: &StampedVec<Dist>, forward: bool) -> bool {
+fn stalled(idx: &AhIndex, u: NodeId, d: Dist, slots: &SearchSlots, forward: bool) -> bool {
     let arcs = if forward {
         idx.hierarchy.up_in(u)
     } else {
         idx.hierarchy.up_out(u)
     };
-    for a in arcs {
-        let dw = dist.get(a.to as usize);
-        if !dw.is_infinite() && dw.concat(a.dist) < d {
-            return true;
-        }
-    }
-    false
+    arcs.iter().any(|a| slots.dist(a.to).concat(a.dist) < d)
 }
 
-/// Appends the original-edge expansion of one parent arc to `nodes`.
-/// For the forward side, `tail` is the arc's tail; for the backward side
-/// the stored arcs are already forward-oriented with `tail` = the current
-/// node walking toward `t`.
-fn unpack_parc(idx: &AhIndex, tail: NodeId, parc: PArc, forward: bool, nodes: &mut Vec<NodeId>) {
-    match parc {
-        PArc::None => unreachable!("unpacking a node without a parent arc"),
-        PArc::H(arc) => idx.hierarchy.unpack_arc(tail, &arc, nodes),
-        PArc::E(earc) => {
-            let side = if forward {
-                &idx.elevating.forward
-            } else {
-                &idx.elevating.backward
-            };
-            for (t, harc) in side.chain(&earc) {
-                idx.hierarchy.unpack_arc(*t, harc, nodes);
+/// Appends the original-edge expansion of the parent arc `tail → head` to
+/// `nodes`. Elevating chains live in `side`, the elevating sets of the
+/// search side that took the arc, already in forward path order.
+fn unpack(
+    idx: &AhIndex,
+    side: &ElevatingSide,
+    tail: NodeId,
+    head: NodeId,
+    arc: ParentArc,
+    nodes: &mut Vec<NodeId>,
+) {
+    match arc.chain() {
+        Some(range) => {
+            for (t, harc) in side.chain(range) {
+                idx.hierarchy.unpack_arc(*t, harc.to, harc.middle, nodes);
             }
         }
+        None => idx.hierarchy.unpack_arc(tail, head, arc.middle(), nodes),
     }
 }
 

@@ -19,6 +19,25 @@ impl Cell {
         let dy = self.y.abs_diff(other.y);
         dx.max(dy)
     }
+
+    /// The cell `k` levels coarser that contains this one: `R_(i+k)`'s
+    /// cell over this `R_i` cell. Exact because every `R_(i+1)` cell is
+    /// 2×2 `R_i` cells on a shared origin, and the clamp to the grid edge
+    /// commutes with the shift (see [`GridHierarchy::cell_of`]).
+    #[inline]
+    pub fn coarsened(self, k: u32) -> Cell {
+        Cell {
+            x: self.x >> k,
+            y: self.y >> k,
+        }
+    }
+
+    /// True if some (3×3)-cell region covers both cells of one grid, i.e.
+    /// they are within Chebyshev distance 2.
+    #[inline]
+    pub fn shares_3x3_region(&self, other: &Cell) -> bool {
+        self.chebyshev(other) <= 2
+    }
 }
 
 /// The grid hierarchy `R_1 … R_h` over a bounding box.
@@ -142,6 +161,11 @@ impl GridHierarchy {
     /// The cell of `R_i` containing point `p`. Points outside the fitted
     /// box are clamped to the boundary cells so that queries about slightly
     /// stale coordinates stay well-defined.
+    ///
+    /// Equals `cell_of(1, p).coarsened(i - 1)`: floor division by
+    /// `s1 · 2^(i-1)` is floor division by `s1` and then by `2^(i-1)`, a
+    /// negative offset clamps to 0 at every level, and the last `R_1`
+    /// cell index `2^(h+1) - 1` shifts to the last `R_i` index.
     pub fn cell_of(&self, i: u32, p: Point) -> Cell {
         let side = self.cell_side(i) as i64;
         let per_axis = self.cells_per_axis(i) as i64;
@@ -158,7 +182,7 @@ impl GridHierarchy {
     /// predicate; the union of all 3×3 regions covering `p` is the 5×5
     /// window centred on `p`'s cell).
     pub fn same_3x3_region(&self, i: u32, p: Point, q: Point) -> bool {
-        self.cell_of(i, p).chebyshev(&self.cell_of(i, q)) <= 2
+        self.cell_of(i, p).shares_3x3_region(&self.cell_of(i, q))
     }
 
     /// The coarsest grid level `j` such that *no* (3×3)-cell region of
@@ -183,6 +207,15 @@ impl GridHierarchy {
         } else {
             Some(self.h)
         }
+    }
+
+    /// [`separation_level`](Self::separation_level) of two points given
+    /// their `R_1` cells `a` and `b`, with shifts instead of divisions:
+    /// the largest level whose 3×3 regions cannot cover both.
+    pub fn separation_level_of_cells(&self, a: Cell, b: Cell) -> Option<u32> {
+        (1..=self.h)
+            .rev()
+            .find(|&i| !a.coarsened(i - 1).shares_3x3_region(&b.coarsened(i - 1)))
     }
 
     /// All (4×4)-cell regions of `R_i` (sliding window, stride one cell)
@@ -311,6 +344,105 @@ mod tests {
             let coarse = g.cell_of(i + 1, p);
             assert_eq!(coarse.x, fine.x / 2);
             assert_eq!(coarse.y, fine.y / 2);
+        }
+    }
+
+    /// Grids of several shapes: power-of-two and odd sides, a level cap
+    /// that leaves `s1 > 1`, a non-square box off the origin.
+    fn fitted_grids() -> Vec<(GridHierarchy, BoundingBox)> {
+        let boxes = [
+            square(15),
+            square(255),
+            square(1 << 20),
+            BoundingBox::of([Point::new(-1_000, 300), Point::new(4_321, 1_234)]),
+        ];
+        let mut out = Vec::new();
+        for bb in boxes {
+            out.push((GridHierarchy::fit(bb, MAX_LEVELS), bb));
+            out.push((GridHierarchy::fit(bb, 5), bb));
+        }
+        out
+    }
+
+    /// splitmix64: reproducible pseudo-random numbers without a
+    /// dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A point inside `bb`, past its max corner, or below its origin
+    /// (by up to one box side), in equal shares.
+    fn random_point(bb: &BoundingBox, state: &mut u64) -> Point {
+        let side = bb.square_side() as i64 + 1;
+        let mut coord = |lo: i32, hi: i32| {
+            let r = next(state);
+            let (lo, hi) = (lo as i64, hi as i64);
+            let v = match r % 3 {
+                0 => lo + (r >> 2) as i64 % (hi - lo + 1),
+                1 => hi + 1 + (r >> 2) as i64 % side,
+                _ => lo - 1 - (r >> 2) as i64 % side,
+            };
+            v as i32
+        };
+        Point::new(coord(bb.min_x, bb.max_x), coord(bb.min_y, bb.max_y))
+    }
+
+    #[test]
+    fn every_level_cell_is_the_r1_cell_shifted() {
+        let mut state = 1;
+        for (g, bb) in fitted_grids() {
+            let (origin, side) = (g.origin(), bb.square_side() as i32);
+            let corners = [
+                origin,
+                Point::new(bb.max_x, bb.max_y),
+                Point::new(origin.x - 1, origin.y - 1),
+                Point::new(origin.x + side + 1, origin.y - side),
+            ];
+            let random = (0..500).map(|_| random_point(&bb, &mut state));
+            for p in corners.into_iter().chain(random) {
+                let c1 = g.cell_of(1, p);
+                for i in 1..=g.levels() {
+                    assert_eq!(
+                        g.cell_of(i, p),
+                        c1.coarsened(i - 1),
+                        "{g:?} level {i} {p:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shift_separation_level_matches_the_division_one() {
+        let mut state = 7;
+        for (g, bb) in fitted_grids() {
+            let mut seen = std::collections::HashSet::new();
+            for _ in 0..2_000 {
+                let (p, q) = (random_point(&bb, &mut state), random_point(&bb, &mut state));
+                // Half the pairs close together, so every level is hit.
+                let q = if next(&mut state) & 1 == 0 {
+                    let near = |a: i32, b: i32| a + (b - a) / 64;
+                    Point::new(near(p.x, q.x), near(p.y, q.y))
+                } else {
+                    q
+                };
+                let want = g.separation_level(p, q);
+                assert_eq!(
+                    g.separation_level_of_cells(g.cell_of(1, p), g.cell_of(1, q)),
+                    want,
+                    "{g:?} {p:?} {q:?}"
+                );
+                seen.insert(want);
+            }
+            assert!(
+                seen.contains(&None) && seen.contains(&Some(g.levels())),
+                "{g:?}: {seen:?}"
+            );
+            assert!(seen.len() >= 3 || g.levels() < 3, "{g:?}: {seen:?}");
         }
     }
 

@@ -11,6 +11,8 @@
 //!   buffers (no per-query clearing), supporting early termination, distance
 //!   bounds, settle limits, node filters and both search directions;
 //! * [`BidirectionalDijkstra`] — the exact bidirectional baseline;
+//! * [`SearchSlots`] — one 32-byte record per node (distance, parent,
+//!   [`ParentArc`], settled) for the CH and AH hierarchy searches;
 //! * one-shot convenience functions ([`dijkstra_distance`],
 //!   [`dijkstra_path`], [`shortest_path_tree`]).
 //!
@@ -40,6 +42,7 @@ mod driver;
 mod oneshot;
 pub mod scenario;
 mod search_graph;
+mod slots;
 mod stamped;
 
 pub use bidirectional::BidirectionalDijkstra;
@@ -47,6 +50,7 @@ pub use driver::{DijkstraDriver, Direction, SearchOptions, SearchOutcome};
 pub use oneshot::{dijkstra_distance, dijkstra_path, shortest_path_tree, ShortestPathTree};
 pub use scenario::{PoiSet, ScenarioEngine, ViaAnswer, POI_CATEGORIES, POI_SEED};
 pub use search_graph::SearchGraph;
+pub use slots::{ParentArc, SearchSlots};
 pub use stamped::StampedVec;
 
 pub use ah_graph::{Dist, NodeId, Weight, INFINITY};

@@ -264,11 +264,12 @@ fn drive(edge: &Edge, want: &Reference, pairs: &[(u32, u32)]) -> u64 {
 /// and the backend it must name. Returns the scrape.
 fn check_metrics(edge: &Edge, backend: &str, pairs: usize) -> String {
     let m = edge.metrics();
+    let format_version = format!("format_version=\"{}\"", ah_store::VERSION);
     for family in [
         "ah_server_query_latency_seconds_bucket{",
         "ah_queue_wait_seconds_bucket{",
         "ah_stage_duration_seconds_bucket{stage=",
-        "format_version=\"4\"",
+        &format_version,
         "ah_uptime_seconds ",
         "ah_trace_slow_total ",
     ] {

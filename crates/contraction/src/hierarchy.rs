@@ -32,16 +32,16 @@ impl HArc {
 pub struct HierarchyParts<'a> {
     /// Contraction rank per node.
     pub rank: &'a [u32],
-    /// The four CSR views as `(offsets, arcs)` pairs, in the order
-    /// up-out, up-in, down-out, down-in.
-    pub views: [(&'a [u32], &'a [HArc]); 4],
+    /// The two CSR views as `(offsets, arcs)` pairs: up-out, then up-in.
+    pub views: [(&'a [u32], &'a [HArc]); 2],
     /// Shortcut count (denormalized; recomputed on load would also work
     /// but persisting it keeps load O(1) in the arc count).
     pub num_shortcuts: usize,
 }
 
-/// A contracted graph in CSR form, split into the four adjacency views a
-/// bidirectional upward query needs.
+/// A contracted graph in CSR form: the two upward adjacency views a
+/// bidirectional upward query relaxes. Every hierarchy arc sits in exactly
+/// one of them, filed under its lower-ranked end.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     /// Rank (contraction position) per node; higher = more important.
@@ -50,12 +50,6 @@ pub struct Hierarchy {
     up_out_arcs: Vec<HArc>,
     up_in_offsets: Vec<u32>,
     up_in_arcs: Vec<HArc>,
-    /// Downward views: `down_out[u]` = arcs `u → x` with
-    /// `rank(x) < rank(u)`. No query reads them (see [`Hierarchy::down_out`]).
-    down_out_offsets: Vec<u32>,
-    down_out_arcs: Vec<HArc>,
-    down_in_offsets: Vec<u32>,
-    down_in_arcs: Vec<HArc>,
     num_shortcuts: usize,
 }
 
@@ -74,8 +68,6 @@ impl Hierarchy {
         let mut num_shortcuts = 0usize;
         let mut up_out: Vec<Vec<HArc>> = vec![Vec::new(); n];
         let mut up_in: Vec<Vec<HArc>> = vec![Vec::new(); n];
-        let mut down_out: Vec<Vec<HArc>> = vec![Vec::new(); n];
-        let mut down_in: Vec<Vec<HArc>> = vec![Vec::new(); n];
         for u in 0..n {
             for &a in &out[u] {
                 if !a.is_original() {
@@ -83,39 +75,25 @@ impl Hierarchy {
                 }
                 if rank[a.to as usize] > rank[u] {
                     up_out[u].push(a);
-                } else {
-                    down_out[u].push(a);
                 }
             }
-            for &a in &inn[u] {
-                if rank[a.to as usize] > rank[u] {
-                    up_in[u].push(a);
-                } else {
-                    down_in[u].push(a);
-                }
-            }
+            up_in[u].extend(inn[u].iter().filter(|a| rank[a.to as usize] > rank[u]));
         }
         // Sort upward arcs by rank of the head: keeps query relaxation
         // cache-friendly and deterministic.
-        for lists in [&mut up_out, &mut up_in, &mut down_out, &mut down_in] {
+        for lists in [&mut up_out, &mut up_in] {
             for l in lists.iter_mut() {
                 l.sort_unstable_by_key(|a| (rank[a.to as usize], a.to));
             }
         }
         let (up_out_offsets, up_out_arcs) = to_csr(&up_out);
         let (up_in_offsets, up_in_arcs) = to_csr(&up_in);
-        let (down_out_offsets, down_out_arcs) = to_csr(&down_out);
-        let (down_in_offsets, down_in_arcs) = to_csr(&down_in);
         Hierarchy {
             rank,
             up_out_offsets,
             up_out_arcs,
             up_in_offsets,
             up_in_arcs,
-            down_out_offsets,
-            down_out_arcs,
-            down_in_offsets,
-            down_in_arcs,
             num_shortcuts,
         }
     }
@@ -166,19 +144,18 @@ impl Hierarchy {
         slice(&self.up_in_offsets, &self.up_in_arcs, u)
     }
 
-    /// Downward out-arcs of `u`. Queries, stall checks and
-    /// [`Hierarchy::unpack_arc`] read only the upward views; the downward
-    /// ones are read by tests, [`Hierarchy::size_bytes`] and
-    /// [`Hierarchy::raw_parts`] (the serialisation hook).
+    /// The hierarchy arc `a → b`, if there is one, with [`HArc::to`] set
+    /// to `b`. It is filed under its lower-ranked end: `up_out(a)` when
+    /// `b` ranks above `a`, else `up_in(b)`. A hierarchy keeps one arc per
+    /// head, so the first match is the arc.
     #[inline]
-    pub fn down_out(&self, u: NodeId) -> &[HArc] {
-        slice(&self.down_out_offsets, &self.down_out_arcs, u)
-    }
-
-    /// Downward in-arcs of `u`; read where [`Hierarchy::down_out`] is.
-    #[inline]
-    pub fn down_in(&self, u: NodeId) -> &[HArc] {
-        slice(&self.down_in_offsets, &self.down_in_arcs, u)
+    pub fn arc_between(&self, a: NodeId, b: NodeId) -> Option<HArc> {
+        if self.rank(b) > self.rank(a) {
+            self.up_out(a).iter().find(|x| x.to == b).copied()
+        } else {
+            let x = self.up_in(b).iter().find(|x| x.to == a)?;
+            Some(HArc { to: b, ..*x })
+        }
     }
 
     /// Borrowed view of all internal arrays (serialization hook).
@@ -188,8 +165,6 @@ impl Hierarchy {
             views: [
                 (&self.up_out_offsets, &self.up_out_arcs),
                 (&self.up_in_offsets, &self.up_in_arcs),
-                (&self.down_out_offsets, &self.down_out_arcs),
-                (&self.down_in_offsets, &self.down_in_arcs),
             ],
             num_shortcuts: self.num_shortcuts,
         }
@@ -198,14 +173,13 @@ impl Hierarchy {
     /// Reassembles a hierarchy from raw arrays (the inverse of
     /// [`Hierarchy::raw_parts`], used when loading snapshots).
     ///
-    /// Validates the CSR shape of all four views, arc endpoint bounds, and
+    /// Validates the CSR shape of both views, arc endpoint bounds, and
     /// that `rank` is a permutation of `0..n` — the property every upward
     /// query and unpack walk relies on — so a corrupt or hand-forged
     /// snapshot is rejected instead of producing panics at query time.
-    #[allow(clippy::type_complexity)]
     pub fn from_raw_parts(
         rank: Vec<u32>,
-        views: [(Vec<u32>, Vec<HArc>); 4],
+        views: [(Vec<u32>, Vec<HArc>); 2],
         num_shortcuts: usize,
     ) -> Result<Self, &'static str> {
         let n = rank.len();
@@ -233,18 +207,13 @@ impl Hierarchy {
                 return Err("hierarchy arc endpoint out of range");
             }
         }
-        let [(up_out_offsets, up_out_arcs), (up_in_offsets, up_in_arcs), (down_out_offsets, down_out_arcs), (down_in_offsets, down_in_arcs)] =
-            views;
+        let [(up_out_offsets, up_out_arcs), (up_in_offsets, up_in_arcs)] = views;
         Ok(Hierarchy {
             rank,
             up_out_offsets,
             up_out_arcs,
             up_in_offsets,
             up_in_arcs,
-            down_out_offsets,
-            down_out_arcs,
-            down_in_offsets,
-            down_in_arcs,
             num_shortcuts,
         })
     }
@@ -252,44 +221,27 @@ impl Hierarchy {
     /// Approximate heap footprint (Figure 10a accounting).
     pub fn size_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.rank.len() * size_of::<u32>()
-            + (self.up_out_offsets.len()
-                + self.up_in_offsets.len()
-                + self.down_out_offsets.len()
-                + self.down_in_offsets.len())
-                * size_of::<u32>()
-            + (self.up_out_arcs.len()
-                + self.up_in_arcs.len()
-                + self.down_out_arcs.len()
-                + self.down_in_arcs.len())
-                * size_of::<HArc>()
+        (self.rank.len() + self.up_out_offsets.len() + self.up_in_offsets.len())
+            * size_of::<u32>()
+            + (self.up_out_arcs.len() + self.up_in_arcs.len()) * size_of::<HArc>()
     }
 
     /// Expands the hierarchy arc `u → v` with middle node `middle`
-    /// ([`INVALID_NODE`] for an original edge), found in the forward/upward
-    /// direction, into the original-edge node sequence, *excluding* `u` and
-    /// *including* `v`, appending to `out`.
+    /// ([`INVALID_NODE`] for an original edge) into the original-edge node
+    /// sequence, *excluding* `u` and *including* `v`, appending to `out`.
+    /// A shortcut's two halves `u → middle → v` are found with
+    /// [`Hierarchy::arc_between`].
     pub fn unpack_arc(&self, u: NodeId, v: NodeId, middle: NodeId, out: &mut Vec<NodeId>) {
         if middle == INVALID_NODE {
             out.push(v);
             return;
         }
-        let m = middle;
-        // First half u → m: m ranks below both endpoints, so the arc is
-        // recorded among m's upward in-arcs.
-        let first = self
-            .up_in(m)
-            .iter()
-            .find(|a| a.to == u)
-            .unwrap_or_else(|| panic!("missing unpack arc {u} → {m}"));
-        self.unpack_arc(u, m, first.middle, out);
-        // Second half m → v: recorded among m's upward out-arcs.
-        let second = self
-            .up_out(m)
-            .iter()
-            .find(|a| a.to == v)
-            .unwrap_or_else(|| panic!("missing unpack arc {m} → {v}"));
-        self.unpack_arc(m, v, second.middle, out);
+        for (a, b) in [(u, middle), (middle, v)] {
+            let half = self
+                .arc_between(a, b)
+                .unwrap_or_else(|| panic!("missing unpack arc {a} → {b}"));
+            self.unpack_arc(a, b, half.middle, out);
+        }
     }
 }
 
@@ -338,20 +290,35 @@ mod tests {
     #[test]
     fn adjacency_partitions_by_rank() {
         let h = tiny();
-        // 0 (rank 1): upward out-arc to 2 (rank 2); downward out-arc to 1.
+        // 0 (rank 1): upward out-arc to 2 (rank 2); its arc to 1 (rank
+        // 0) is filed under 1 as an upward in-arc.
         assert_eq!(h.up_out(0).len(), 1);
         assert_eq!(h.up_out(0)[0].to, 2);
-        assert_eq!(h.down_out(0).len(), 1);
-        assert_eq!(h.down_out(0)[0].to, 1);
-        // 1 (rank 0): both neighbours rank higher.
-        assert_eq!(h.up_out(1).len(), 1);
         assert_eq!(h.up_in(1).len(), 1);
+        assert_eq!(h.up_in(1)[0].to, 0);
+        // 1 (rank 0): its out-arc climbs to 2.
+        assert_eq!(h.up_out(1).len(), 1);
         // 2 (rank 2) is the apex: nothing ranks above it, so its upward
-        // views are empty and both in-arcs are downward.
+        // views are empty.
         assert!(h.up_in(2).is_empty());
         assert!(h.up_out(2).is_empty());
-        assert_eq!(h.down_in(2).len(), 2);
         assert_eq!(h.num_shortcuts(), 1);
+    }
+
+    #[test]
+    fn arc_between_finds_each_arc_in_either_view() {
+        let h = tiny();
+        // Upward: filed in up_out(tail).
+        let up = h.arc_between(0, 2).unwrap();
+        assert_eq!((up.to, up.dist, up.middle), (2, Dist::new(2, 0), 1));
+        // Downward 0 → 1: filed in up_in(1) with `to` = 0, returned with
+        // `to` = 1.
+        let down = h.arc_between(0, 1).unwrap();
+        assert_eq!((down.to, down.dist, down.middle), (1, Dist::new(1, 0), INVALID_NODE));
+        // No arc 2 → 0, 1 → 0 or 0 → 0.
+        assert_eq!(h.arc_between(2, 0), None);
+        assert_eq!(h.arc_between(1, 0), None);
+        assert_eq!(h.arc_between(0, 0), None);
     }
 
     #[test]
@@ -397,8 +364,6 @@ mod tests {
             assert_eq!(h2.rank(v), h.rank(v));
             assert_eq!(h2.up_out(v), h.up_out(v));
             assert_eq!(h2.up_in(v), h.up_in(v));
-            assert_eq!(h2.down_out(v), h.down_out(v));
-            assert_eq!(h2.down_in(v), h.down_in(v));
         }
     }
 

@@ -14,13 +14,14 @@
 //! discarded and queries fall back to normal arcs at `v`). Completeness
 //! makes the pure-jump rule safe: any upward continuation from `v` factors
 //! through one of the recorded targets with the recorded (shortest)
-//! prefix distance. Every arc also stores its underlying hierarchy-arc
-//! chain so paths unpack exactly.
+//! prefix distance. Every arc also stores the interior nodes of its climb,
+//! so paths unpack exactly: each hop between consecutive nodes is one
+//! hierarchy arc, found again with [`Hierarchy::arc_between`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ah_contraction::{HArc, Hierarchy};
+use ah_contraction::Hierarchy;
 use ah_graph::{Dist, NodeId};
 use ah_search::{ParentArc, SearchSlots};
 
@@ -31,10 +32,27 @@ pub struct ElevArc {
     pub to: NodeId,
     /// Length of the climb.
     pub dist: Dist,
-    /// Range into the shared chain buffer holding the underlying
-    /// hierarchy arcs as `(tail, arc)` pairs in forward path order.
+    /// Range into the side's shared chain buffer holding the climb's
+    /// interior node ids in forward path order (empty when the climb is
+    /// a single hierarchy arc).
     chain_start: u32,
     chain_len: u32,
+}
+
+/// A climb found by [`ElevatingSearch::run`]: target, distance, and the
+/// interior node ids in forward path order.
+pub(crate) type Climb = (NodeId, Dist, Vec<NodeId>);
+
+/// The hops `(a, b)` of the climb `tail → interior… → head`, in order;
+/// each one is a hierarchy arc.
+pub(crate) fn hops(
+    tail: NodeId,
+    interior: &[NodeId],
+    head: NodeId,
+) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    std::iter::once(tail)
+        .chain(interior.iter().copied())
+        .zip(interior.iter().copied().chain([head]))
 }
 
 /// Per-direction elevating sets for all nodes, CSR-packed.
@@ -45,7 +63,8 @@ pub struct ElevatingSide {
     /// Per (node, level) set: target level and arc range.
     entries: Vec<(u8, u32, u32)>,
     arcs: Vec<ElevArc>,
-    chains: Vec<(NodeId, HArc)>,
+    /// Every arc's interior node ids, back to back.
+    chains: Vec<NodeId>,
 }
 
 impl ElevArc {
@@ -92,9 +111,9 @@ impl ElevatingSide {
         None
     }
 
-    /// The hierarchy-arc chain occupying `(chain_start, chain_len)` (an
+    /// The interior node ids occupying `(chain_start, chain_len)` (an
     /// arc's [`ElevArc::chain_range`]), for unpacking.
-    pub fn chain(&self, (start, len): (u32, u32)) -> &[(NodeId, HArc)] {
+    pub fn chain(&self, (start, len): (u32, u32)) -> &[NodeId] {
         &self.chains[start as usize..(start + len) as usize]
     }
 
@@ -109,7 +128,7 @@ impl ElevatingSide {
         self.node_offsets.len() * size_of::<u32>()
             + self.entries.len() * size_of::<(u8, u32, u32)>()
             + self.arcs.len() * size_of::<ElevArc>()
-            + self.chains.len() * size_of::<(NodeId, HArc)>()
+            + self.chains.len() * size_of::<NodeId>()
     }
 
     /// Borrowed view of the four flat arrays, in the order
@@ -117,14 +136,7 @@ impl ElevatingSide {
     /// `ah_store`; [`ElevatingSide::from_raw_parts`] is the validated
     /// inverse).
     #[allow(clippy::type_complexity)]
-    pub fn raw_parts(
-        &self,
-    ) -> (
-        &[u32],
-        &[(u8, u32, u32)],
-        &[ElevArc],
-        &[(NodeId, HArc)],
-    ) {
+    pub fn raw_parts(&self) -> (&[u32], &[(u8, u32, u32)], &[ElevArc], &[NodeId]) {
         (&self.node_offsets, &self.entries, &self.arcs, &self.chains)
     }
 
@@ -136,7 +148,7 @@ impl ElevatingSide {
         node_offsets: Vec<u32>,
         entries: Vec<(u8, u32, u32)>,
         arcs: Vec<ElevArc>,
-        chains: Vec<(NodeId, HArc)>,
+        chains: Vec<NodeId>,
     ) -> Result<Self, &'static str> {
         // An entirely empty side (elevating disabled) is valid.
         if node_offsets.is_empty() {
@@ -168,6 +180,45 @@ impl ElevatingSide {
             chains,
         })
     }
+
+    /// Checks the side against the hierarchy it was built over (snapshot
+    /// loading, after [`ElevatingSide::from_raw_parts`]): one node-offset
+    /// entry per node, every node id in range, and every climb a query can
+    /// take — `tail → interior… → head` for each arc of each node's sets —
+    /// stepping along hierarchy arcs, so unpacking a path through it
+    /// cannot fail. A forward arc of `v` climbs `v → … → to`; a backward
+    /// one `to → … → v`.
+    pub(crate) fn validate_against(
+        &self,
+        h: &Hierarchy,
+        forward: bool,
+    ) -> Result<(), &'static str> {
+        if self.node_offsets.is_empty() {
+            return Ok(());
+        }
+        let n = h.num_nodes();
+        if self.node_offsets.len() != n + 1 {
+            return Err("elevating node-offset array disagrees with the node count");
+        }
+        if self.arcs.iter().any(|a| a.to as usize >= n)
+            || self.chains.iter().any(|&x| x as usize >= n)
+        {
+            return Err("elevating node id out of range");
+        }
+        for (v, w) in self.node_offsets.windows(2).enumerate() {
+            let v = v as NodeId;
+            for &(_, start, len) in &self.entries[w[0] as usize..w[1] as usize] {
+                for a in &self.arcs[start as usize..(start + len) as usize] {
+                    let (tail, head) = if forward { (v, a.to) } else { (a.to, v) };
+                    let interior = self.chain(a.chain_range());
+                    if hops(tail, interior, head).any(|(x, y)| h.arc_between(x, y).is_none()) {
+                        return Err("elevating chain hop is not a hierarchy arc");
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Forward and backward elevating sets.
@@ -191,7 +242,7 @@ impl ElevatingSets {
 
 /// Builder accumulating per-node sets before CSR packing.
 pub(crate) struct ElevatingBuilder {
-    per_node: Vec<Vec<(u8, Vec<(NodeId, Dist, Vec<(NodeId, HArc)>)>)>>,
+    per_node: Vec<Vec<(u8, Vec<Climb>)>>,
 }
 
 impl ElevatingBuilder {
@@ -201,12 +252,7 @@ impl ElevatingBuilder {
         }
     }
 
-    pub fn push_set(
-        &mut self,
-        v: NodeId,
-        level: u8,
-        arcs: Vec<(NodeId, Dist, Vec<(NodeId, HArc)>)>,
-    ) {
+    pub fn push_set(&mut self, v: NodeId, level: u8, arcs: Vec<Climb>) {
         self.per_node[v as usize].push((level, arcs));
     }
 
@@ -217,14 +263,14 @@ impl ElevatingBuilder {
             sets.sort_by_key(|&(lvl, _)| lvl);
             for (lvl, arcs) in sets.iter() {
                 let start = side.arcs.len() as u32;
-                for (to, dist, chain) in arcs {
+                for (to, dist, interior) in arcs {
                     let cs = side.chains.len() as u32;
-                    side.chains.extend_from_slice(chain);
+                    side.chains.extend_from_slice(interior);
                     side.arcs.push(ElevArc {
                         to: *to,
                         dist: *dist,
                         chain_start: cs,
-                        chain_len: chain.len() as u32,
+                        chain_len: interior.len() as u32,
                     });
                 }
                 side.entries
@@ -255,7 +301,6 @@ impl ElevatingSearch {
 
     /// Computes the `(v, ℓ)` set in the given direction (`forward` uses
     /// `up_out`, else `up_in`). `levels` are the final node levels.
-    #[allow(clippy::type_complexity)]
     pub fn run(
         &mut self,
         h: &Hierarchy,
@@ -264,7 +309,7 @@ impl ElevatingSearch {
         ell: u8,
         forward: bool,
         settle_limit: usize,
-    ) -> Option<Vec<(NodeId, Dist, Vec<(NodeId, HArc)>)>> {
+    ) -> Option<Vec<Climb>> {
         self.slots.reset(h.num_nodes());
         self.heap.clear();
 
@@ -298,44 +343,26 @@ impl ElevatingSearch {
 
         let mut out = Vec::with_capacity(targets.len());
         for t in targets {
-            // Reconstruct the chain as (tail, arc) pairs in forward path
-            // order. Forward runs walk t → v and reverse (path v → … → t);
-            // backward runs walk the forward orientation directly
-            // (path t → … → v). Each step's hierarchy arc is looked up by
-            // its endpoints, as path unpacking does.
-            let mut chain: Vec<(NodeId, HArc)> = Vec::new();
-            let mut cur = t;
-            while let Some((p, _)) = self.slots.parent(cur) {
-                if forward {
-                    chain.push((p, find_arc(h.up_out(p), cur)));
-                } else {
-                    chain.push((
-                        cur,
-                        HArc {
-                            to: p,
-                            ..find_arc(h.up_in(p), cur)
-                        },
-                    ));
-                }
-                cur = p;
+            // The parent walk from t back to v lists the interior nodes.
+            // Forward runs climbed v → … → t, so the walk is reversed;
+            // backward runs climbed the path t → … → v against its arcs,
+            // so the walk is already in forward path order.
+            let parent = |x: NodeId| {
+                self.slots.parent(x).expect("the search tree leads back to v").0
+            };
+            let mut interior = Vec::new();
+            let mut cur = parent(t);
+            while cur != v {
+                interior.push(cur);
+                cur = parent(cur);
             }
-            debug_assert_eq!(cur, v);
             if forward {
-                chain.reverse();
+                interior.reverse();
             }
-            out.push((t, self.slots.dist(t), chain));
+            out.push((t, self.slots.dist(t), interior));
         }
         Some(out)
     }
-}
-
-/// The arc toward `to` in one node's upward view (a hierarchy keeps one
-/// arc per head).
-fn find_arc(arcs: &[HArc], to: NodeId) -> HArc {
-    *arcs
-        .iter()
-        .find(|a| a.to == to)
-        .expect("search tree arcs come from the hierarchy")
 }
 
 #[cfg(test)]
@@ -354,6 +381,13 @@ mod tests {
         (g, h, levels)
     }
 
+    /// The hierarchy arcs along `tail → interior… → head`, summed.
+    fn climb_dist(h: &Hierarchy, tail: NodeId, interior: &[NodeId], head: NodeId) -> Dist {
+        hops(tail, interior, head).fold(Dist::ZERO, |sum, (a, b)| {
+            sum.concat(h.arc_between(a, b).expect("hop is a hierarchy arc").dist)
+        })
+    }
+
     #[test]
     fn forward_set_reaches_first_high_node() {
         let (_g, h, levels) = setup();
@@ -362,13 +396,9 @@ mod tests {
         let set = es.run(&h, &levels, 0, 1, true, 100).unwrap();
         let tos: Vec<NodeId> = set.iter().map(|&(t, _, _)| t).collect();
         assert!(tos.contains(&2), "targets: {tos:?}");
-        for (t, d, chain) in &set {
-            // Chain distances telescope to the recorded distance.
-            let sum = chain
-                .iter()
-                .fold(Dist::ZERO, |acc, (_, a)| acc.concat(a.dist));
-            assert_eq!(sum, *d, "chain of target {t}");
-            assert_eq!(chain.last().unwrap().1.to, *t);
+        for (t, d, interior) in &set {
+            // Hop distances telescope to the recorded distance.
+            assert_eq!(climb_dist(&h, 0, interior, *t), *d, "climb to target {t}");
         }
     }
 
@@ -387,13 +417,14 @@ mod tests {
         let mut b = ElevatingBuilder::new(5);
         b.push_set(0, 1, set.clone());
         let side = b.finish();
+        side.validate_against(&h, true).unwrap();
         let (lvl, arcs) = side.best_set(0, 0, 3).unwrap();
         assert_eq!(lvl, 1);
         assert_eq!(arcs.len(), set.len());
-        for (arc, (t, d, chain)) in arcs.iter().zip(&set) {
+        for (arc, (t, d, interior)) in arcs.iter().zip(&set) {
             assert_eq!(arc.to, *t);
             assert_eq!(arc.dist, *d);
-            assert_eq!(side.chain(arc.chain_range()).len(), chain.len());
+            assert_eq!(side.chain(arc.chain_range()), interior.as_slice());
         }
         // No set above the node's own level 1 → none for node_level = 1.
         assert!(side.best_set(0, 1, 3).is_none());
@@ -407,17 +438,11 @@ mod tests {
         let mut es = ElevatingSearch::new();
         // Backward from node 0: climbs over up_in arcs (paths ending at 0).
         let set = es.run(&h, &levels, 0, 1, false, 100).unwrap();
-        let entry = set
+        let (t, d, interior) = set
             .iter()
             .find(|&&(t, _, _)| t == 2)
             .expect("node 2 reachable backward");
-        let (t, d, chain) = entry;
-        // Chain is in forward path order t → … → 0.
-        assert_eq!(chain.first().unwrap().0, *t);
-        assert_eq!(chain.last().unwrap().1.to, 0);
-        let sum = chain
-            .iter()
-            .fold(Dist::ZERO, |acc, (_, a)| acc.concat(a.dist));
-        assert_eq!(sum, *d);
+        // Interior is in forward path order t → … → 0.
+        assert_eq!(climb_dist(&h, *t, interior, 0), *d);
     }
 }

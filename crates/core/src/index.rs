@@ -143,10 +143,11 @@ impl AhIndex {
     /// Reassembles an index from its components (snapshot loading). The
     /// per-component constructors have already validated internal shapes;
     /// this checks the cross-component invariants: one level, coordinate
-    /// and hierarchy entry per node, no level above the grid's `h`, and
-    /// every node id referenced by the elevating sets in range — so a
-    /// checksum-valid but forged snapshot can never produce an index that
-    /// panics or misindexes at query time.
+    /// and hierarchy entry per node, no level above the grid's `h`, every
+    /// node id referenced by the elevating sets in range, and every hop of
+    /// every elevating chain a hierarchy arc — so a checksum-valid but
+    /// forged snapshot can never produce an index that panics or
+    /// misindexes at query time.
     pub fn from_raw_parts(
         grid: GridHierarchy,
         hierarchy: Hierarchy,
@@ -162,9 +163,8 @@ impl AhIndex {
         if level.iter().any(|&l| l as u32 > h) {
             return Err("node level above the grid hierarchy height");
         }
-        for side in [&elevating.forward, &elevating.backward] {
-            validate_side_node_ids(side, n)?;
-        }
+        elevating.forward.validate_against(&hierarchy, true)?;
+        elevating.backward.validate_against(&hierarchy, false)?;
         let level_cells = level_cells(&grid, &level, &coords);
         Ok(AhIndex {
             grid,
@@ -186,34 +186,6 @@ fn level_cells(grid: &GridHierarchy, level: &[u8], coords: &[Point]) -> Vec<Leve
             level,
         })
         .collect()
-}
-
-/// Checks that every node id an elevating side mentions — jump targets,
-/// chain tails, chain arc endpoints and middle nodes — indexes a real
-/// node. [`crate::ElevatingSide::from_raw_parts`] validates the side's
-/// *internal* ranges; the node count is a cross-component fact only the
-/// index constructor knows.
-fn validate_side_node_ids(
-    side: &crate::ElevatingSide,
-    n: usize,
-) -> Result<(), &'static str> {
-    use ah_graph::INVALID_NODE;
-    let (node_offsets, _, arcs, chains) = side.raw_parts();
-    if !node_offsets.is_empty() && node_offsets.len() != n + 1 {
-        return Err("elevating node-offset array disagrees with the node count");
-    }
-    if arcs.iter().any(|a| a.to as usize >= n) {
-        return Err("elevating arc target out of range");
-    }
-    for &(tail, arc) in chains {
-        if tail as usize >= n
-            || arc.to as usize >= n
-            || (arc.middle != INVALID_NODE && arc.middle as usize >= n)
-        {
-            return Err("elevating chain node out of range");
-        }
-    }
-    Ok(())
 }
 
 /// Borrowed view of an [`AhIndex`]'s components, as returned by
@@ -300,6 +272,7 @@ fn is_border_at(g: &Graph, grid: &GridHierarchy, v: NodeId, ell: u32) -> bool {
 mod tests {
     use super::*;
     use crate::BuildConfig;
+    use ah_graph::Dist;
 
     #[test]
     fn build_smoke_test() {
@@ -327,8 +300,7 @@ mod tests {
 
     #[test]
     fn from_raw_parts_rejects_forged_elevating_node_ids() {
-        use crate::{ElevArc, ElevatingSets, ElevatingSide};
-        use ah_graph::Dist;
+        use crate::{ElevArc, ElevatingSide};
 
         let g = ah_data::fixtures::lattice(6, 6, 16);
         let idx = AhIndex::build(&g, &BuildConfig::default());
@@ -357,6 +329,57 @@ mod tests {
             },
         );
         assert!(err.is_err(), "forged elevating target must be rejected");
+    }
+
+    #[test]
+    fn from_raw_parts_rejects_a_chain_hop_off_the_hierarchy() {
+        use crate::ElevatingSide;
+
+        let g = ah_data::fixtures::lattice(8, 8, 16);
+        let idx = AhIndex::build(&g, &BuildConfig::default());
+        let p = idx.raw_parts();
+        let h = p.hierarchy;
+        let (offsets, entries, arcs, chains) = p.elevating.forward.raw_parts();
+        // A forward climb v → interior… with at least one interior node.
+        let (v, first) = (0..idx.num_nodes())
+            .flat_map(|v| {
+                entries[offsets[v] as usize..offsets[v + 1] as usize]
+                    .iter()
+                    .flat_map(|&(_, start, len)| &arcs[start as usize..(start + len) as usize])
+                    .map(move |a| (v as NodeId, a.chain_range()))
+            })
+            .find_map(|(v, (start, len))| (len > 0).then_some((v, start as usize)))
+            .expect("some climb has an interior node");
+        // Swap its first interior node for an in-range node v has no arc to.
+        let stranger = (0..idx.num_nodes() as NodeId)
+            .find(|&x| x != v && h.arc_between(v, x).is_none())
+            .unwrap();
+        let load = |chains: Vec<NodeId>| {
+            let forward = ElevatingSide::from_raw_parts(
+                offsets.to_vec(),
+                entries.to_vec(),
+                arcs.to_vec(),
+                chains,
+            )
+            .unwrap();
+            AhIndex::from_raw_parts(
+                p.grid.clone(),
+                h.clone(),
+                p.level.to_vec(),
+                p.coords.to_vec(),
+                ElevatingSets {
+                    forward,
+                    backward: p.elevating.backward.clone(),
+                },
+            )
+        };
+        assert!(load(chains.to_vec()).is_ok(), "the built chains load");
+        let mut forged = chains.to_vec();
+        forged[first] = stranger;
+        match load(forged) {
+            Err(reason) => assert!(reason.contains("hop"), "{reason}"),
+            Ok(_) => panic!("a chain hop {v} → {stranger} off the hierarchy loaded"),
+        }
     }
 
     #[test]

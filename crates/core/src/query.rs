@@ -10,7 +10,7 @@ use ah_obs::CostCounters;
 use ah_search::{ParentArc, SearchSlots};
 
 use crate::config::QueryConfig;
-use crate::elevating::ElevatingSide;
+use crate::elevating::{hops, ElevatingSide};
 use crate::index::{AhIndex, LevelCell};
 
 /// Reusable AH query state. Create once per thread, run many queries.
@@ -263,8 +263,9 @@ fn stalled(idx: &AhIndex, u: NodeId, d: Dist, slots: &SearchSlots, forward: bool
 }
 
 /// Appends the original-edge expansion of the parent arc `tail → head` to
-/// `nodes`. Elevating chains live in `side`, the elevating sets of the
-/// search side that took the arc, already in forward path order.
+/// `nodes`. An elevating arc's interior nodes live in `side`, the
+/// elevating sets of the search side that took the arc, already in forward
+/// path order; each hop `tail → interior… → head` is one hierarchy arc.
 fn unpack(
     idx: &AhIndex,
     side: &ElevatingSide,
@@ -273,13 +274,17 @@ fn unpack(
     arc: ParentArc,
     nodes: &mut Vec<NodeId>,
 ) {
+    let h = &idx.hierarchy;
     match arc.chain() {
         Some(range) => {
-            for (t, harc) in side.chain(range) {
-                idx.hierarchy.unpack_arc(*t, harc.to, harc.middle, nodes);
+            for (a, b) in hops(tail, side.chain(range), head) {
+                let hop = h
+                    .arc_between(a, b)
+                    .expect("elevating chains are checked at build and load");
+                h.unpack_arc(a, b, hop.middle, nodes);
             }
         }
-        None => idx.hierarchy.unpack_arc(tail, head, arc.middle(), nodes),
+        None => h.unpack_arc(tail, head, arc.middle(), nodes),
     }
 }
 

@@ -270,11 +270,6 @@ impl EdgeMetrics {
         self.connections.get()
     }
 
-    /// Connections closed (any reason).
-    pub fn connections_closed(&self) -> u64 {
-        self.connections_closed.get()
-    }
-
     /// Request bytes read off sockets.
     pub fn bytes_in(&self) -> u64 {
         self.bytes_in.get()

@@ -231,11 +231,6 @@ impl Default for SloPolicy {
 }
 
 impl SloPolicy {
-    /// True if at least one objective is active.
-    pub fn is_active(&self) -> bool {
-        self.p99_target_ns > 0 || self.error_budget > 0.0
-    }
-
     /// Evaluates both windows at `now_ns` and decides readiness off
     /// the fast window: not ready when (with at least
     /// [`SloPolicy::min_requests`] fast-window samples) the error burn

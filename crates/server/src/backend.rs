@@ -9,7 +9,7 @@
 //! set, but multiplied across threads.
 
 use ah_ch::{ChIndex, ChQuery};
-use ah_core::{AhIndex, AhQuery, QueryConfig};
+use ah_core::{AhIndex, AhQuery};
 use ah_graph::{Graph, NodeId, Path};
 use ah_labels::LabelIndex;
 use ah_obs::CostCounters;
@@ -131,18 +131,12 @@ pub trait BackendSession {
 /// serving default).
 pub struct AhBackend<'a> {
     idx: &'a AhIndex,
-    cfg: QueryConfig,
 }
 
 impl<'a> AhBackend<'a> {
     /// Serves queries from a prebuilt AH index with default constraints.
     pub fn new(idx: &'a AhIndex) -> Self {
-        Self::with_config(idx, QueryConfig::default())
-    }
-
-    /// Serves with explicit constraint toggles (ablation traffic).
-    pub fn with_config(idx: &'a AhIndex, cfg: QueryConfig) -> Self {
-        AhBackend { idx, cfg }
+        AhBackend { idx }
     }
 }
 
@@ -158,7 +152,7 @@ impl DistanceBackend for AhBackend<'_> {
     fn make_session(&self) -> Box<dyn BackendSession + '_> {
         Box::new(AhSession {
             idx: self.idx,
-            q: AhQuery::with_config(self.cfg),
+            q: AhQuery::new(),
         })
     }
 }

@@ -181,11 +181,6 @@ impl DeltaReloader {
         &self.server
     }
 
-    /// The graph generation currently serving (a clone).
-    pub fn current_graph(&self) -> Graph {
-        self.graph.lock().unwrap().clone()
-    }
-
     /// Whether a reload is currently rebuilding.
     pub fn is_busy(&self) -> bool {
         self.busy.load(Ordering::SeqCst)
@@ -208,16 +203,6 @@ impl DeltaReloader {
     pub fn reload(&self, delta: WeightDelta) -> Result<ReloadOutcome, ReloadError> {
         let _flight = Self::begin(self)?;
         self.run_claimed(delta)
-    }
-
-    /// [`DeltaReloader::reload`], loading the delta from the `delta`
-    /// section of the snapshot file at `path`.
-    pub fn reload_from_file(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<ReloadOutcome, ReloadError> {
-        let delta = Snapshot::load_delta(path)?;
-        self.reload(delta)
     }
 
     /// Loads the delta at `path` and rebuilds on a **background

@@ -272,11 +272,6 @@ impl Server {
         }
     }
 
-    /// The serving configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.cfg
-    }
-
     /// Telemetry accumulated over the server's lifetime (all runs).
     pub fn metrics(&self) -> &ServerMetrics {
         &self.metrics
@@ -896,7 +891,6 @@ mod tests {
             cache_capacity: 1024,
             batch_size: 8,
             trace: TraceConfig::default(),
-            ..Default::default()
         });
         let report = server.run(&backend, &reqs);
         assert_eq!(report.responses.len(), reqs.len());
@@ -1043,7 +1037,6 @@ mod tests {
             cache_capacity: 0,
             batch_size: 1,
             trace: TraceConfig::default(),
-            ..Default::default()
         });
         let reqs: Vec<Request> = (0..16).map(|i| Request::distance(i, 0, 1)).collect();
         let _ = server.run(&PanicOnSessionBackend, &reqs);
@@ -1061,7 +1054,6 @@ mod tests {
             cache_capacity: 0,
             batch_size: 2,
             trace: TraceConfig::default(),
-            ..Default::default()
         });
         let reqs: Vec<Request> = (0..64).map(|i| Request::distance(i, 0, 1)).collect();
         let _ = server.run(&PanicBackend, &reqs);
@@ -1084,7 +1076,6 @@ mod tests {
                 sample_every: 1, // trace every request
                 ..Default::default()
             },
-            ..Default::default()
         });
         let queue: BoundedQueue<Job<u64>> = BoundedQueue::new(64);
         queue.set_wait_histogram(Arc::clone(&server.metrics().queue_wait));
@@ -1165,7 +1156,6 @@ mod tests {
             cache_capacity: 0,
             batch_size: 2,
             trace: TraceConfig::default(),
-            ..Default::default()
         });
         let reqs: Vec<Request> = (0..64)
             .map(|i| Request::distance(i, (i % 16) as u32, ((i * 5 + 1) % 16) as u32))

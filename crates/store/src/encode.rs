@@ -17,7 +17,7 @@
 use ah_ch::ChIndex;
 use ah_contraction::{HArc, Hierarchy};
 use ah_core::{AhIndex, ElevArc, ElevatingSets, ElevatingSide};
-use ah_graph::{Arc, Dist, Graph, NodeId, Point, WeightChange, WeightDelta};
+use ah_graph::{Arc, Dist, Graph, Point, WeightChange, WeightDelta};
 use ah_grid::GridHierarchy;
 use ah_labels::{LabelEntry, LabelIndex};
 use ah_shard::ShardedIndex;
@@ -155,7 +155,7 @@ fn get_hierarchy(r: &mut FieldReader<'_>) -> Result<Hierarchy, SnapshotError> {
     if rank.len() != n {
         return Err(r.malformed("hierarchy node count disagrees with the rank array"));
     }
-    let mut views: [(Vec<u32>, Vec<HArc>); 4] = Default::default();
+    let mut views: [(Vec<u32>, Vec<HArc>); 2] = Default::default();
     for view in views.iter_mut() {
         let offsets = r.get_u32_vec()?;
         let arcs = get_harc_vec(r)?;
@@ -239,15 +239,7 @@ fn put_side(w: &mut FieldWriter, side: &ElevatingSide) {
         w.put_u64(a.dist.length);
         w.put_u64(a.dist.nuance);
     }
-    w.put_u64(chains.len() as u64);
-    for &(tail, arc) in chains {
-        w.put_u32(tail);
-        w.put_u32(arc.to);
-        w.put_u32(arc.middle);
-        w.put_u32(0); // reserved / alignment
-        w.put_u64(arc.dist.length);
-        w.put_u64(arc.dist.nuance);
-    }
+    w.put_u32_slice(chains);
 }
 
 fn get_side(r: &mut FieldReader<'_>) -> Result<ElevatingSide, SnapshotError> {
@@ -280,24 +272,7 @@ fn get_side(r: &mut FieldReader<'_>) -> Result<ElevatingSide, SnapshotError> {
             chain_len,
         ));
     }
-    let n_chains = r.get_len(32)?;
-    let mut chains: Vec<(NodeId, HArc)> = Vec::with_capacity(n_chains);
-    for _ in 0..n_chains {
-        let tail = r.get_u32()?;
-        let to = r.get_u32()?;
-        let middle = r.get_u32()?;
-        let _reserved = r.get_u32()?;
-        let length = r.get_u64()?;
-        let nuance = r.get_u64()?;
-        chains.push((
-            tail,
-            HArc {
-                to,
-                middle,
-                dist: Dist::new(length, nuance),
-            },
-        ));
-    }
+    let chains = r.get_u32_vec()?;
     let section = r.section();
     ElevatingSide::from_raw_parts(node_offsets, entries, arcs, chains)
         .map_err(|reason| SnapshotError::Malformed { section, reason })
@@ -527,7 +502,7 @@ pub fn decode_sharded(
     for s in 0..k {
         let tag = SectionTag::shard_slot(s);
         let idx = container
-            .section(tag)
+            .index_section(tag)?
             .map(|b| decode_ah_in(tag, b))
             .transpose()?;
         indexes.push(idx);

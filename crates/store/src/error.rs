@@ -66,6 +66,16 @@ pub enum SnapshotError {
         /// Content id of the graph actually in the snapshot.
         found: u64,
     },
+    /// An index section (`ah.index`, `ch.index` or `shardNNN`) comes from
+    /// a file older than format version 5, whose index layout this build
+    /// no longer decodes. The file's `graph` section still loads: rebuild
+    /// the index from it and write a fresh snapshot.
+    StaleIndex {
+        /// The refused section.
+        section: SectionTag,
+        /// Version found in the file.
+        found: u16,
+    },
     /// A section passed its checksum but its payload violates a structural
     /// invariant (CSR shape, index bounds, …) — an encoder bug or a
     /// deliberately forged file.
@@ -108,6 +118,13 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::DeltaBaseMismatch { expected, found } => write!(
                 f,
                 "delta section was cut against base graph {expected:#018x}, but the snapshot's graph is {found:#018x}"
+            ),
+            SnapshotError::StaleIndex { section, found } => write!(
+                f,
+                "section `{section}` was written by snapshot format version {found}, \
+                 whose index layout this reader no longer decodes (version {} and later): \
+                 rebuild the index and write a new snapshot",
+                crate::format::MIN_INDEX_VERSION
             ),
             SnapshotError::Malformed { section, reason } => {
                 write!(f, "malformed `{section}` section: {reason}")

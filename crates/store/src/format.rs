@@ -38,8 +38,19 @@ pub const MAGIC: [u8; 8] = *b"AHSNAP\r\n";
 /// section); **4** adds the weight-delta section (`delta`): incremental
 /// edge re-weights (closures as `u32::MAX` weight) against a named base
 /// graph, cross-checked on load against the `graph` section's content
-/// id. Files of versions 1–3 remain loadable.
-pub const VERSION: u16 = 4;
+/// id; **5** stores only what queries read: the contraction-hierarchy
+/// sub-block keeps its two upward views (the downward ones are gone) and
+/// an elevating chain is its interior node ids (`u32`) instead of a
+/// 32-byte record per hierarchy arc. This changes the `ah.index`,
+/// `ch.index` and `shardNNN` payloads. The `graph`, `labels` and `delta`
+/// sections of every version 1–5 file still load; the index sections of
+/// a version 1–4 file are refused with [`SnapshotError::StaleIndex`]
+/// (rebuild them from the graph).
+pub const VERSION: u16 = 5;
+
+/// The version the current `ah.index`, `ch.index` and `shardNNN` payload
+/// layout dates from; older index payloads are refused, never misread.
+pub(crate) const MIN_INDEX_VERSION: u16 = 5;
 
 /// Fixed header bytes before the section table.
 pub const HEADER_LEN: usize = 16;
@@ -174,6 +185,7 @@ impl ContainerWriter {
 /// A parsed, checksum-verified container over a byte buffer.
 pub struct Container<'a> {
     data: &'a [u8],
+    version: u16,
     entries: Vec<SectionEntry>,
 }
 
@@ -255,7 +267,11 @@ impl<'a> Container<'a> {
         {
             return Err(SnapshotError::BadLayout("section ranges overlap"));
         }
-        Ok(Container { data, entries })
+        Ok(Container {
+            data,
+            version,
+            entries,
+        })
     }
 
     /// The verified payload of `tag`, if present.
@@ -264,6 +280,23 @@ impl<'a> Container<'a> {
             .iter()
             .find(|e| e.tag == tag)
             .map(|e| &self.data[e.offset as usize..(e.offset + e.len) as usize])
+    }
+
+    /// The verified payload of the index section `tag` (`ah.index`,
+    /// `ch.index` or `shardNNN`), if present. An index payload from a file
+    /// older than version 5 has a layout this build no longer decodes, so
+    /// it fails with [`SnapshotError::StaleIndex`] instead.
+    pub(crate) fn index_section(
+        &self,
+        tag: SectionTag,
+    ) -> Result<Option<&'a [u8]>, SnapshotError> {
+        match self.section(tag) {
+            Some(_) if self.version < MIN_INDEX_VERSION => Err(SnapshotError::StaleIndex {
+                section: tag,
+                found: self.version,
+            }),
+            payload => Ok(payload),
+        }
     }
 
     /// The parsed section table (spec tooling and tests).

@@ -270,7 +270,7 @@ impl Snapshot {
         let bytes = std::fs::read(path)?;
         let container = format::Container::parse(&bytes)?;
         let section = container
-            .section(SectionTag::AH)
+            .index_section(SectionTag::AH)?
             .ok_or(SnapshotError::MissingSection {
                 section: SectionTag::AH,
             })?;
@@ -287,12 +287,12 @@ impl Snapshot {
             .map(encode::decode_graph)
             .transpose()?;
         let ah = container
-            .section(SectionTag::AH)
+            .index_section(SectionTag::AH)?
             .map(encode::decode_ah)
             .transpose()?
             .map(Arc::new);
         let ch = container
-            .section(SectionTag::CH)
+            .index_section(SectionTag::CH)?
             .map(encode::decode_ch)
             .transpose()?;
         let labels = container
@@ -359,7 +359,7 @@ impl Snapshot {
             .map(encode::decode_graph)
             .transpose()?;
         let global = container
-            .section(SectionTag::AH)
+            .index_section(SectionTag::AH)?
             .map(encode::decode_ah)
             .transpose()?
             .map(Arc::new);

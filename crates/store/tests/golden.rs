@@ -40,10 +40,10 @@ fn tiny_fixture_bytes_are_stable() {
     println!("{dump}");
 
     let expected = "\
-00000000  41 48 53 4e 41 50 0d 0a 04 00 01 00 00 00 00 00
+00000000  41 48 53 4e 41 50 0d 0a 05 00 01 00 00 00 00 00
 00000010  67 72 61 70 68 00 00 00 38 00 00 00 00 00 00 00
 00000020  90 00 00 00 00 00 00 00 17 57 bf 83 fb c6 2b ae
-00000030  0f 1d f6 a9 a1 7d 55 5a 02 00 00 00 00 00 00 00
+00000030  5b 1f 85 6a 30 20 f6 33 02 00 00 00 00 00 00 00
 00000040  03 00 00 00 00 00 00 00 00 00 00 00 01 00 00 00
 00000050  02 00 00 00 00 00 00 00 02 00 00 00 00 00 00 00
 00000060  01 00 00 00 07 00 00 00 6e a4 d1 00 00 00 00 00
@@ -81,12 +81,12 @@ fn tiny_delta_bytes_are_stable() {
     println!("{dump}");
 
     let expected = "\
-00000000  41 48 53 4e 41 50 0d 0a 04 00 02 00 00 00 00 00
+00000000  41 48 53 4e 41 50 0d 0a 05 00 02 00 00 00 00 00
 00000010  67 72 61 70 68 00 00 00 58 00 00 00 00 00 00 00
 00000020  90 00 00 00 00 00 00 00 17 57 bf 83 fb c6 2b ae
 00000030  64 65 6c 74 61 00 00 00 e8 00 00 00 00 00 00 00
 00000040  30 00 00 00 00 00 00 00 5b 45 6f 91 8c 85 65 3f
-00000050  f5 4a 76 f5 cb dd 9e ff 02 00 00 00 00 00 00 00
+00000050  50 29 6c b7 d2 08 af f1 02 00 00 00 00 00 00 00
 00000060  03 00 00 00 00 00 00 00 00 00 00 00 01 00 00 00
 00000070  02 00 00 00 00 00 00 00 02 00 00 00 00 00 00 00
 00000080  01 00 00 00 07 00 00 00 6e a4 d1 00 00 00 00 00
@@ -181,26 +181,77 @@ fn forged_delta_base_id_is_rejected_typed() {
     }
 }
 
-/// Compatibility floor: the very same payload bytes stamped with the
-/// previous format versions still load. The v4 bump added a section
-/// (`delta`); it changed nothing about the sections v1–v3 writers
-/// produce, so their files must keep working.
+/// `bytes` restamped with format version `version`, the table CRC
+/// re-sealed the way a writer of that version would have.
+fn restamped(bytes: &[u8], version: u16) -> Vec<u8> {
+    let mut img = bytes.to_vec();
+    img[8..10].copy_from_slice(&version.to_le_bytes());
+    let count = u16::from_le_bytes(img[10..12].try_into().unwrap()) as usize;
+    let table_end = 16 + 32 * count;
+    let crc = ah_store::crc64(&img[..table_end]).to_le_bytes();
+    img[table_end..table_end + 8].copy_from_slice(&crc);
+    img
+}
+
+/// Compatibility floor: the very same graph payload stamped with every
+/// previous format version still loads. No bump since v1 changed the
+/// `graph` section (v5 changed only the index sections), so those files
+/// must keep working.
 #[test]
 fn older_version_stamps_still_load() {
     let g = tiny_graph();
     let bytes = Snapshot::to_bytes(SnapshotContents::new().graph(&g));
-    for old in [1u16, 2, 3] {
-        let mut img = bytes.clone();
-        img[8..10].copy_from_slice(&old.to_le_bytes());
-        // Re-seal the table CRC the way an old writer would have.
-        let count = u16::from_le_bytes(img[10..12].try_into().unwrap()) as usize;
-        let table_end = 16 + 32 * count;
-        let crc = ah_store::crc64(&img[..table_end]).to_le_bytes();
-        img[table_end..table_end + 8].copy_from_slice(&crc);
+    for old in [1u16, 2, 3, 4] {
+        let img = restamped(&bytes, old);
         let loaded = Snapshot::from_bytes(&img)
             .unwrap_or_else(|e| panic!("v{old} file refused: {e}"))
             .require_graph()
             .unwrap();
         assert_eq!(loaded.num_nodes(), 2, "v{old} graph decoded differently");
     }
+}
+
+/// A v4-stamped image holding an AH index: v5 changed the `ah.index` and
+/// `ch.index` layouts, so their pre-v5 payloads are refused with a typed
+/// error naming the section, never decoded under the new layout. The
+/// `graph`, `labels` and `delta` sections still load from a v4 image.
+#[test]
+fn v4_stamped_index_sections_are_refused_as_stale() {
+    use ah_core::{AhIndex, BuildConfig};
+    use ah_graph::{WeightChange, WeightDelta};
+    use ah_store::{SectionTag, SnapshotError};
+
+    let g = ah_data::fixtures::lattice(4, 4, 10);
+    let ah = AhIndex::build(&g, &BuildConfig::default());
+    let ch = ah_ch::ChIndex::build(&g);
+    let delta = WeightDelta::new(&g, [WeightChange::new(0, 1, 99)]).unwrap();
+    for (contents, section) in [
+        (SnapshotContents::new().graph(&g).ah(&ah), SectionTag::AH),
+        (SnapshotContents::new().ch(&ch), SectionTag::CH),
+    ] {
+        let img = restamped(&Snapshot::to_bytes(contents), 4);
+        match Snapshot::from_bytes(&img).err() {
+            Some(e @ SnapshotError::StaleIndex { section: s, found: 4 }) if s == section => {
+                let text = e.to_string();
+                assert!(text.contains(&format!("`{section}`")) && text.contains("rebuild"), "{text}");
+            }
+            other => panic!("v4 `{section}` decoded or mistyped: {other:?}"),
+        }
+    }
+    let path = std::env::temp_dir().join(format!("ah_v4_stale_{}.snap", std::process::id()));
+    let img = restamped(&Snapshot::to_bytes(SnapshotContents::new().graph(&g).ah(&ah)), 4);
+    std::fs::write(&path, &img).unwrap();
+    assert!(matches!(
+        Snapshot::load_ah(&path),
+        Err(SnapshotError::StaleIndex { found: 4, .. })
+    ));
+    std::fs::remove_file(&path).ok();
+
+    let labels = ah_labels::LabelIndex::build(&g, ch.order());
+    let contents = SnapshotContents::new().graph(&g).labels(&labels).delta(&delta);
+    let img = restamped(&Snapshot::to_bytes(contents), 4);
+    let loaded = Snapshot::from_bytes(&img).expect("v4 graph + labels + delta load");
+    assert_eq!(loaded.graph.unwrap().num_nodes(), 16);
+    assert_eq!(loaded.labels.unwrap().raw_parts(), labels.raw_parts());
+    assert_eq!(loaded.delta.unwrap(), delta);
 }

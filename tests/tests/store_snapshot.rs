@@ -318,18 +318,31 @@ fn forged_labels_payload_is_malformed() {
 }
 
 /// Version floor: a labels-free v2 image (what a pre-labels writer
-/// produced) still loads and decodes under the v3 reader.
+/// produced) still loads its graph under the current reader. Its AH
+/// section predates the v5 index layout, so it is refused typed and
+/// naming the section rather than decoded.
 #[test]
 fn v2_image_without_labels_still_loads() {
-    let mut bytes = small_snapshot_bytes();
-    bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
-    let count = u16::from_le_bytes(bytes[10..12].try_into().unwrap()) as usize;
-    let table_end = 16 + 32 * count;
-    let crc = crc64(&bytes[..table_end]).to_le_bytes();
-    bytes[table_end..table_end + 8].copy_from_slice(&crc);
-    let loaded = Snapshot::from_bytes(&bytes).expect("v2 image refused");
-    assert!(loaded.graph.is_some() && loaded.ah.is_some());
+    let restamp = |mut bytes: Vec<u8>| {
+        bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+        let count = u16::from_le_bytes(bytes[10..12].try_into().unwrap()) as usize;
+        let table_end = 16 + 32 * count;
+        let crc = crc64(&bytes[..table_end]).to_le_bytes();
+        bytes[table_end..table_end + 8].copy_from_slice(&crc);
+        bytes
+    };
+    let g = ah_data::fixtures::lattice(6, 6, 12);
+    let graph_only = restamp(Snapshot::to_bytes(SnapshotContents::new().graph(&g)));
+    let loaded = Snapshot::from_bytes(&graph_only).expect("v2 image refused");
+    assert_eq!(loaded.graph.map(|g| g.num_nodes()), Some(36));
     assert!(loaded.labels.is_none(), "v2 image grew a labels section");
+    match Snapshot::from_bytes(&restamp(small_snapshot_bytes())) {
+        Err(SnapshotError::StaleIndex { section, found: 2 }) => {
+            assert_eq!(section, ah_store::SectionTag::AH)
+        }
+        Err(e) => panic!("unexpected error kind: {e}"),
+        Ok(_) => panic!("v2 AH section decoded under the v5 layout"),
+    }
 }
 
 /// End-to-end restart: a server brought up from a snapshot serves the

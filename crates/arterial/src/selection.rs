@@ -743,7 +743,7 @@ fn compute_border_next(
 mod tests {
     use super::*;
     use ah_data::fixtures;
-    use ah_search::{dijkstra_path, DijkstraDriver, SearchOptions};
+    use ah_search::dijkstra_path;
 
     /// Empirical check of Lemma 3 / Statement 4: for far-apart pairs (no
     /// (3×3)-cell region of `R_j` covers both), the canonical shortest path
@@ -1055,12 +1055,5 @@ mod tests {
         assert_eq!(shortcuts, la.overlay_shortcuts);
         let top = la.stages.last().unwrap();
         assert_eq!(top.shortcuts, 0, "the top grid reduces nothing");
-    }
-
-    // Silence unused-import warning for DijkstraDriver/SearchOptions which
-    // document the intended debugging workflow.
-    #[allow(dead_code)]
-    fn _unused(d: &mut DijkstraDriver, g: &ah_graph::Graph) {
-        d.run(g, 0, &SearchOptions::default(), |_| true);
     }
 }

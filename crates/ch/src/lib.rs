@@ -85,11 +85,11 @@ impl ChIndex {
     }
 }
 
-/// Reusable CH query state (one per thread).
+/// Reusable CH query state (one per thread): the shared upward search
+/// under the plain CH rule, the hierarchy itself.
 #[derive(Default)]
 pub struct ChQuery {
-    inner: BidirUpwardQuery,
-    cost: CostCounters,
+    search: BidirUpwardQuery,
 }
 
 // Concurrency contract, checked at compile time: one `ChIndex` is shared
@@ -102,15 +102,7 @@ const _: () = _assert_send::<ChQuery>();
 impl ChQuery {
     /// Creates a query engine.
     pub fn new() -> ChQuery {
-        ChQuery {
-            inner: BidirUpwardQuery::new(),
-            cost: CostCounters::default(),
-        }
-    }
-
-    /// Disables stall-on-demand (for ablation runs).
-    pub fn set_stall_on_demand(&mut self, on: bool) {
-        self.inner.stall_on_demand = on;
+        ChQuery::default()
     }
 
     /// Network distance from `s` to `t`.
@@ -120,42 +112,18 @@ impl ChQuery {
 
     /// Distance with the nuance tie-break component.
     pub fn distance_full(&mut self, idx: &ChIndex, s: NodeId, t: NodeId) -> Option<Dist> {
-        let d = self
-            .inner
-            .distance(&idx.hierarchy, s, t, |_| true, |_| true);
-        self.accumulate_cost();
-        d
+        self.search.distance(&idx.hierarchy, s, t)
     }
 
     /// Shortest path from `s` to `t` in the original network.
     pub fn path(&mut self, idx: &ChIndex, s: NodeId, t: NodeId) -> Option<Path> {
-        let p = self.inner.path(&idx.hierarchy, s, t, |_| true, |_| true);
-        self.accumulate_cost();
-        p
+        self.search.path(&idx.hierarchy, s, t)
     }
 
-    /// Nodes settled by the last query (telemetry).
-    pub fn settled_count(&self) -> usize {
-        self.inner.settled_count
-    }
-
-    /// Algorithmic cost accumulated since the last
-    /// [`take_cost`](Self::take_cost) drain (possibly several queries).
-    pub fn cost(&self) -> &CostCounters {
-        &self.cost
-    }
-
-    /// Drains and returns the accumulated cost tally.
+    /// Drains the cost accumulated since the last drain (possibly
+    /// several queries).
     pub fn take_cost(&mut self) -> CostCounters {
-        self.cost.take()
-    }
-
-    fn accumulate_cost(&mut self) {
-        // The inner engine resets its counters per search, so fold them
-        // into the drainable tally after every call.
-        self.cost.nodes_settled += self.inner.settled_count as u64;
-        self.cost.heap_pops += self.inner.heap_pops as u64;
-        self.cost.edges_relaxed += self.inner.relaxed_arcs as u64;
+        self.search.take_cost()
     }
 }
 
@@ -209,6 +177,6 @@ mod tests {
         assert!(idx.size_bytes() > 0);
         let mut q = ChQuery::new();
         q.distance(&idx, 0, 35);
-        assert!(q.settled_count() > 0);
+        assert!(q.take_cost().nodes_settled > 0);
     }
 }

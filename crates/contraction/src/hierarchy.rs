@@ -173,10 +173,11 @@ impl Hierarchy {
     /// Reassembles a hierarchy from raw arrays (the inverse of
     /// [`Hierarchy::raw_parts`], used when loading snapshots).
     ///
-    /// Validates the CSR shape of both views, arc endpoint bounds, and
-    /// that `rank` is a permutation of `0..n` — the property every upward
-    /// query and unpack walk relies on — so a corrupt or hand-forged
-    /// snapshot is rejected instead of producing panics at query time.
+    /// Validates the CSR shape of both views, arc endpoint bounds, that
+    /// `rank` is a permutation of `0..n` — the property every upward query
+    /// and unpack walk relies on — and that every shortcut unpacks, so a
+    /// corrupt or hand-forged snapshot is rejected instead of producing
+    /// panics at query time.
     pub fn from_raw_parts(
         rank: Vec<u32>,
         views: [(Vec<u32>, Vec<HArc>); 2],
@@ -208,14 +209,30 @@ impl Hierarchy {
             }
         }
         let [(up_out_offsets, up_out_arcs), (up_in_offsets, up_in_arcs)] = views;
-        Ok(Hierarchy {
+        let h = Hierarchy {
             rank,
             up_out_offsets,
             up_out_arcs,
             up_in_offsets,
             up_in_arcs,
             num_shortcuts,
-        })
+        };
+        // Every shortcut must unpack: its two halves are hierarchy arcs,
+        // and its middle ranks below both ends, so each recursion step of
+        // `unpack_arc` lowers the lower end's rank and the walk ends.
+        for u in 0..n as NodeId {
+            let out = h.up_out(u).iter().map(|a| (u, a.to, a.middle));
+            let inn = h.up_in(u).iter().map(|a| (a.to, u, a.middle));
+            for (a, b, m) in out.chain(inn).filter(|&(_, _, m)| m != INVALID_NODE) {
+                if h.rank(m) >= h.rank(a).min(h.rank(b)) {
+                    return Err("shortcut middle does not rank below both ends");
+                }
+                if h.arc_between(a, m).is_none() || h.arc_between(m, b).is_none() {
+                    return Err("shortcut half is not a hierarchy arc");
+                }
+            }
+        }
+        Ok(h)
     }
 
     /// Approximate heap footprint (Figure 10a accounting).
@@ -385,5 +402,24 @@ mod tests {
         let mut v = views();
         *v[1].0.last_mut().unwrap() += 1;
         assert!(Hierarchy::from_raw_parts(p.rank.to_vec(), v, 1).is_err());
+        // The 0 → 2 shortcut with a forged middle: an end (0 would miss an
+        // unpack arc) or the shortcut's own head (2 would recurse forever).
+        for middle in [0, 2] {
+            let mut v = views();
+            v[0].1.iter_mut().find(|a| !a.is_original()).unwrap().middle = middle;
+            assert_eq!(
+                Hierarchy::from_raw_parts(p.rank.to_vec(), v, 1).err(),
+                Some("shortcut middle does not rank below both ends"),
+                "middle {middle}"
+            );
+        }
+        // The shortcut's first half 0 → 1, filed in up_in(1), redirected
+        // to come from 2.
+        let mut v = views();
+        v[1].1.iter_mut().find(|a| a.to == 0).unwrap().to = 2;
+        assert_eq!(
+            Hierarchy::from_raw_parts(p.rank.to_vec(), v, 1).err(),
+            Some("shortcut half is not a hierarchy arc")
+        );
     }
 }

@@ -15,8 +15,15 @@
 //!   (AH: levels from the arterial construction + in-level rank);
 //! * [`contract_adaptive`] — CH's heuristic ordering (edge difference +
 //!   deleted neighbours, lazy updates);
-//! * [`Hierarchy`] — the resulting upward/downward search structure with
-//!   middle-node path unpacking.
+//! * [`Hierarchy`] — the resulting two upward views with middle-node path
+//!   unpacking;
+//! * [`BidirUpwardQuery`] — the one bidirectional upward search, shared by
+//!   CH, FC and AH. Each index passes an [`UpwardRule`] saying which arcs
+//!   a settled node relaxes (its hierarchy arcs, or a jump's
+//!   [`UpwardArc`]s), which heads a side admits and how a parent arc
+//!   unpacks; the loop owns the heaps, search slots, termination,
+//!   meeting check, stall-on-demand, path walk and cost tally. A
+//!   `Hierarchy` is itself the plain CH rule.
 //!
 //! Correctness does not depend on the order: witness searches guarantee
 //! that for every node pair some shortest path is representable as an
@@ -31,7 +38,7 @@ mod query;
 pub use contractor::{ContractionConfig, Contractor, SimulationStats};
 pub use hierarchy::{HArc, Hierarchy, HierarchyParts};
 pub use ordering::{contract_adaptive, contract_with_order};
-pub use query::BidirUpwardQuery;
+pub use query::{BidirUpwardQuery, UpwardArc, UpwardRule};
 
 // Concurrency contract, checked at compile time: a contracted `Hierarchy`
 // is immutable and shared by every `ah_server` worker, and the per-thread

@@ -1,139 +1,163 @@
-//! Bidirectional upward search over a [`Hierarchy`].
+//! The bidirectional upward search shared by CH, FC and AH.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ah_graph::{Dist, NodeId, Path, INFINITY};
+use ah_obs::CostCounters;
 use ah_search::{ParentArc, SearchSlots};
 
-use crate::hierarchy::Hierarchy;
+use crate::hierarchy::{HArc, Hierarchy};
+
+/// An arc the shared search relaxes: where it leads, how long it is, and
+/// what the node it reaches records as its parent arc.
+pub trait UpwardArc {
+    /// The node the arc reaches (for a backward search, the real arc's
+    /// tail).
+    fn head(&self) -> NodeId;
+    /// Length of the path the arc stands for.
+    fn length(&self) -> Dist;
+    /// What path unpacking needs to expand the arc.
+    fn parent_arc(&self) -> ParentArc;
+}
+
+impl UpwardArc for HArc {
+    #[inline]
+    fn head(&self) -> NodeId {
+        self.to
+    }
+
+    #[inline]
+    fn length(&self) -> Dist {
+        self.dist
+    }
+
+    #[inline]
+    fn parent_arc(&self) -> ParentArc {
+        ParentArc::hierarchy(self.middle)
+    }
+}
+
+/// What one index adds to the shared upward search: which arcs a settled
+/// node relaxes, which heads a side admits, and how a parent arc unpacks.
+/// `forward` names the side: the search from `s` over upward out-arcs, or
+/// the one from `t` over upward in-arcs. A [`Hierarchy`] is itself the
+/// plain CH rule; every default below is that rule.
+pub trait UpwardRule {
+    /// The arcs of a jump ([`HArc`] for a rule that never jumps).
+    type Jump: UpwardArc;
+
+    /// The hierarchy searched. It sizes the search state, and
+    /// stall-on-demand reads its upward arcs.
+    fn hierarchy(&self) -> &Hierarchy;
+
+    /// The arcs that replace the settled node `u`'s hierarchy arcs on one
+    /// side, if `u` jumps. Otherwise `u` relaxes its hierarchy arcs:
+    /// `up_out` forward, `up_in` backward.
+    #[inline]
+    fn jumps(&self, _u: NodeId, _forward: bool) -> Option<&[Self::Jump]> {
+        None
+    }
+
+    /// Whether one side may reach `x`; asked only about arcs that would
+    /// improve their head.
+    #[inline]
+    fn admits(&self, _forward: bool, _x: NodeId) -> bool {
+        true
+    }
+
+    /// Appends the original-edge expansion of the parent arc `tail →
+    /// head`, taken by one side, to `nodes` (excluding `tail`).
+    fn unpack(
+        &self,
+        _forward: bool,
+        tail: NodeId,
+        head: NodeId,
+        arc: ParentArc,
+        nodes: &mut Vec<NodeId>,
+    ) {
+        self.hierarchy().unpack_arc(tail, head, arc.middle(), nodes);
+    }
+
+    /// Stall-on-demand: skip expanding a node proven suboptimal through a
+    /// higher-ranked neighbour. Pure pruning; never changes an answer.
+    #[inline]
+    fn stall_on_demand(&self) -> bool {
+        true
+    }
+}
+
+impl UpwardRule for Hierarchy {
+    type Jump = HArc;
+
+    #[inline]
+    fn hierarchy(&self) -> &Hierarchy {
+        self
+    }
+}
 
 /// Reusable state for bidirectional upward queries (the CH query
-/// algorithm): a forward search over upward out-arcs from `s` and a
-/// backward search over upward in-arcs from `t`; the answer is the best
-/// meeting node. Each side stops once its queue minimum reaches the best
-/// meeting distance.
-#[derive(Debug)]
+/// algorithm): a forward search from `s` and a backward search from `t`,
+/// each relaxing the arcs its [`UpwardRule`] offers; the answer is the
+/// best meeting node. Each side stops once its queue minimum reaches the
+/// best meeting distance.
+#[derive(Debug, Default)]
 pub struct BidirUpwardQuery {
     fwd: SearchSlots,
     bwd: SearchSlots,
     heap_f: BinaryHeap<Reverse<(Dist, NodeId)>>,
     heap_b: BinaryHeap<Reverse<(Dist, NodeId)>>,
     meeting: Option<NodeId>,
-    /// Settled-node counters for the last query (experiment telemetry).
-    pub settled_count: usize,
-    /// Heap pops (including stale entries) for the last query.
-    pub heap_pops: usize,
-    /// Upward arcs examined for relaxation during the last query.
-    pub relaxed_arcs: usize,
-    /// Stall-on-demand: skip expanding nodes proven suboptimal through a
-    /// higher-ranked neighbour. Pure optimization, on by default.
-    pub stall_on_demand: bool,
-}
-
-impl Default for BidirUpwardQuery {
-    fn default() -> Self {
-        Self::new()
-    }
+    cost: CostCounters,
 }
 
 impl BidirUpwardQuery {
     /// Creates an empty engine; buffers grow on first use.
     pub fn new() -> Self {
-        BidirUpwardQuery {
-            fwd: SearchSlots::new(),
-            bwd: SearchSlots::new(),
-            heap_f: BinaryHeap::new(),
-            heap_b: BinaryHeap::new(),
-            meeting: None,
-            settled_count: 0,
-            heap_pops: 0,
-            relaxed_arcs: 0,
-            stall_on_demand: true,
-        }
+        Self::default()
     }
 
-    /// Distance query. `allow_f`/`allow_b` filter nodes the forward /
-    /// backward side may *relax into* (AH's proximity constraint hooks in
-    /// here; plain CH passes `|_| true`).
-    pub fn distance<FF, FB>(
-        &mut self,
-        h: &Hierarchy,
-        s: NodeId,
-        t: NodeId,
-        allow_f: FF,
-        allow_b: FB,
-    ) -> Option<Dist>
-    where
-        FF: FnMut(NodeId) -> bool,
-        FB: FnMut(NodeId) -> bool,
-    {
-        self.search(h, s, t, allow_f, allow_b)
+    /// Drains the cost accumulated since the last drain. It spans
+    /// queries, so a request composed of several point queries drains
+    /// one total.
+    pub fn take_cost(&mut self) -> CostCounters {
+        self.cost.take()
     }
 
     /// Shortest-path query: distance plus the fully unpacked node sequence.
-    pub fn path<FF, FB>(
-        &mut self,
-        h: &Hierarchy,
-        s: NodeId,
-        t: NodeId,
-        allow_f: FF,
-        allow_b: FB,
-    ) -> Option<Path>
-    where
-        FF: FnMut(NodeId) -> bool,
-        FB: FnMut(NodeId) -> bool,
-    {
-        let dist = self.search(h, s, t, allow_f, allow_b)?;
+    pub fn path<R: UpwardRule>(&mut self, rule: &R, s: NodeId, t: NodeId) -> Option<Path> {
+        let dist = self.distance(rule, s, t)?;
         let m = self.meeting.expect("finite distance implies meeting node");
-        // Forward half: collect the hierarchy arcs s → … → m, then unpack.
-        let mut fwd_arcs: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
+        // Forward half: collect the arcs s → … → m, then unpack in order.
+        let mut fwd: Vec<(NodeId, NodeId, ParentArc)> = Vec::new();
         let mut cur = m;
         while let Some((p, arc)) = self.fwd.parent(cur) {
-            fwd_arcs.push((p, cur, arc.middle()));
+            fwd.push((p, cur, arc));
             cur = p;
         }
-        fwd_arcs.reverse();
         let mut nodes = vec![s];
-        for (u, v, mid) in fwd_arcs {
-            h.unpack_arc(u, v, mid, &mut nodes);
+        for &(tail, head, arc) in fwd.iter().rev() {
+            rule.unpack(true, tail, head, arc, &mut nodes);
         }
         // Backward half: each parent is the next node toward t.
         let mut cur = m;
         while let Some((next, arc)) = self.bwd.parent(cur) {
-            h.unpack_arc(cur, next, arc.middle(), &mut nodes);
+            rule.unpack(false, cur, next, arc, &mut nodes);
             cur = next;
         }
         debug_assert_eq!(*nodes.last().unwrap(), t);
         Some(Path { nodes, dist })
     }
 
-    /// The meeting node of the last successful query.
-    pub fn meeting(&self) -> Option<NodeId> {
-        self.meeting
-    }
-
-    fn search<FF, FB>(
-        &mut self,
-        h: &Hierarchy,
-        s: NodeId,
-        t: NodeId,
-        mut allow_f: FF,
-        mut allow_b: FB,
-    ) -> Option<Dist>
-    where
-        FF: FnMut(NodeId) -> bool,
-        FB: FnMut(NodeId) -> bool,
-    {
+    /// Distance query under `rule`.
+    pub fn distance<R: UpwardRule>(&mut self, rule: &R, s: NodeId, t: NodeId) -> Option<Dist> {
+        let h = rule.hierarchy();
         let n = h.num_nodes();
         self.fwd.reset(n);
         self.bwd.reset(n);
         self.heap_f.clear();
         self.heap_b.clear();
         self.meeting = None;
-        self.settled_count = 0;
-        self.heap_pops = 0;
-        self.relaxed_arcs = 0;
 
         if s == t {
             self.meeting = Some(s);
@@ -171,41 +195,55 @@ impl BidirUpwardQuery {
                 (&mut self.heap_b, &mut self.bwd, &self.fwd)
             };
             let Reverse((d, u)) = heap.pop().expect("peeked");
-            self.heap_pops += 1;
+            self.cost.heap_pops += 1;
             if !this.settle(u) {
                 continue;
             }
-            self.settled_count += 1;
+            self.cost.nodes_settled += 1;
             // An unreached node reads INFINITY, which `concat` keeps.
             let through = d.concat(other.dist(u));
             if through < best {
                 best = through;
                 self.meeting = Some(u);
             }
-            if self.stall_on_demand && stalled(h, u, d, this, forward) {
+            if rule.stall_on_demand() && stalled(h, u, d, this, forward) {
                 continue;
             }
-            let arcs = if forward { h.up_out(u) } else { h.up_in(u) };
-            self.relaxed_arcs += arcs.len();
-            for a in arcs {
-                let nd = d.concat(a.dist);
-                if this.improves(a.to, nd)
-                    && (if forward {
-                        allow_f(a.to)
-                    } else {
-                        allow_b(a.to)
-                    })
-                {
-                    // Backward parents point toward t: the real arc is
-                    // a.to → u, and u is what unpacking needs.
-                    this.update(a.to, nd, u, ParentArc::hierarchy(a.middle));
-                    heap.push(Reverse((nd, a.to)));
+            let offered = match rule.jumps(u, forward) {
+                Some(jumps) => relax(rule, forward, u, d, jumps, this, heap),
+                None => {
+                    let arcs = if forward { h.up_out(u) } else { h.up_in(u) };
+                    relax(rule, forward, u, d, arcs, this, heap)
                 }
-            }
+            };
+            self.cost.edges_relaxed += offered as u64;
         }
 
         (!best.is_infinite()).then_some(best)
     }
+}
+
+/// Relaxes `arcs` out of `u`, settled at `d` on one side; returns how many
+/// it offered. Backward parents point toward `t`: the real arc is
+/// `head → u`.
+#[inline]
+fn relax<R: UpwardRule, A: UpwardArc>(
+    rule: &R,
+    forward: bool,
+    u: NodeId,
+    d: Dist,
+    arcs: &[A],
+    slots: &mut SearchSlots,
+    heap: &mut BinaryHeap<Reverse<(Dist, NodeId)>>,
+) -> usize {
+    for a in arcs {
+        let (head, nd) = (a.head(), d.concat(a.length()));
+        if slots.improves(head, nd) && rule.admits(forward, head) {
+            slots.update(head, nd, u, a.parent_arc());
+            heap.push(Reverse((nd, head)));
+        }
+    }
+    arcs.len()
 }
 
 /// Stall-on-demand check: `u` (popped at distance `d`) is *stalled* on the
@@ -231,10 +269,10 @@ mod tests {
         let n = g.num_nodes() as NodeId;
         for s in 0..n {
             for t in 0..n {
-                let got = q.distance(h, s, t, |_| true, |_| true);
+                let got = q.distance(h, s, t);
                 let want = dijkstra_distance(g, s, t);
                 assert_eq!(got, want, "distance ({s},{t})");
-                let path = q.path(h, s, t, |_| true, |_| true);
+                let path = q.path(h, s, t);
                 match (path, dijkstra_path(g, s, t)) {
                     (Some(p), Some(expect)) => {
                         p.verify(g).unwrap();
@@ -282,22 +320,52 @@ mod tests {
         check_all_pairs(&g, &h);
     }
 
+    /// The CH rule with stall-on-demand turned off.
+    struct NoStall<'a>(&'a Hierarchy);
+
+    impl UpwardRule for NoStall<'_> {
+        type Jump = HArc;
+
+        fn hierarchy(&self) -> &Hierarchy {
+            self.0
+        }
+
+        fn stall_on_demand(&self) -> bool {
+            false
+        }
+    }
+
     #[test]
     fn stalling_does_not_change_answers() {
         let g = fixtures::lattice(4, 4, 10);
         let (h, _) = contract_adaptive(&g, ContractionConfig::default());
-        let mut q1 = BidirUpwardQuery::new();
-        let mut q2 = BidirUpwardQuery::new();
-        q2.stall_on_demand = false;
+        let mut q = BidirUpwardQuery::new();
+        let (mut stalled_work, mut plain_work) = (0, 0);
         for s in 0..16u32 {
             for t in 0..16u32 {
-                assert_eq!(
-                    q1.distance(&h, s, t, |_| true, |_| true),
-                    q2.distance(&h, s, t, |_| true, |_| true),
-                    "({s},{t})"
-                );
+                let stalled = q.distance(&h, s, t);
+                stalled_work += q.take_cost().edges_relaxed;
+                assert_eq!(stalled, q.distance(&NoStall(&h), s, t), "({s},{t})");
+                plain_work += q.take_cost().edges_relaxed;
             }
         }
+        assert!(stalled_work < plain_work, "{stalled_work} vs {plain_work}");
+    }
+
+    #[test]
+    fn cost_accumulates_until_drained() {
+        let g = fixtures::lattice(4, 4, 10);
+        let (h, _) = contract_adaptive(&g, ContractionConfig::default());
+        let mut q = BidirUpwardQuery::new();
+        q.distance(&h, 0, 15);
+        let one = q.take_cost();
+        assert!(one.nodes_settled > 0 && one.heap_pops >= one.nodes_settled);
+        q.distance(&h, 0, 15);
+        q.path(&h, 0, 15);
+        let two = q.take_cost();
+        assert_eq!(two.nodes_settled, 2 * one.nodes_settled);
+        assert_eq!(two.edges_relaxed, 2 * one.edges_relaxed);
+        assert_eq!(q.take_cost(), CostCounters::default(), "drained");
     }
 
     #[test]
@@ -309,12 +377,9 @@ mod tests {
         let g = b.build();
         let h = contract_with_order(&g, &[0, 1], ContractionConfig::default());
         let mut q = BidirUpwardQuery::new();
-        assert!(q.distance(&h, 1, 0, |_| true, |_| true).is_none());
-        assert!(q.path(&h, 1, 0, |_| true, |_| true).is_none());
-        assert_eq!(
-            q.distance(&h, 0, 1, |_| true, |_| true).unwrap().length,
-            3
-        );
+        assert!(q.distance(&h, 1, 0).is_none());
+        assert!(q.path(&h, 1, 0).is_none());
+        assert_eq!(q.distance(&h, 0, 1).unwrap().length, 3);
     }
 
     #[test]
@@ -322,11 +387,8 @@ mod tests {
         let g = fixtures::line(3, 5);
         let h = contract_with_order(&g, &[1, 0, 2], ContractionConfig::default());
         let mut q = BidirUpwardQuery::new();
-        assert_eq!(
-            q.distance(&h, 1, 1, |_| true, |_| true),
-            Some(Dist::ZERO)
-        );
-        let p = q.path(&h, 1, 1, |_| true, |_| true).unwrap();
+        assert_eq!(q.distance(&h, 1, 1), Some(Dist::ZERO));
+        let p = q.path(&h, 1, 1).unwrap();
         assert_eq!(p.nodes, vec![1]);
     }
 }

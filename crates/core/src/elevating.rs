@@ -21,7 +21,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ah_contraction::Hierarchy;
+use ah_contraction::{Hierarchy, UpwardArc};
 use ah_graph::{Dist, NodeId};
 use ah_search::{ParentArc, SearchSlots};
 
@@ -84,6 +84,23 @@ impl ElevArc {
     /// buffer (serialization hook).
     pub fn chain_range(&self) -> (u32, u32) {
         (self.chain_start, self.chain_len)
+    }
+}
+
+impl UpwardArc for ElevArc {
+    #[inline]
+    fn head(&self) -> NodeId {
+        self.to
+    }
+
+    #[inline]
+    fn length(&self) -> Dist {
+        self.dist
+    }
+
+    #[inline]
+    fn parent_arc(&self) -> ParentArc {
+        ParentArc::elevating(self.chain_start, self.chain_len)
     }
 }
 

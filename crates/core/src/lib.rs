@@ -28,11 +28,15 @@
 //!
 //! # Queries
 //!
-//! [`AhQuery`] runs the bidirectional upward search of Section 4.3 with the
-//! **rank constraint** (only climb), the **proximity constraint** (a
-//! level-`i` node is only visited inside the (5×5)-cell window of
-//! `R_(i+1)` around the query endpoint) and the **elevating-edge jumps**.
-//! Every constraint can be toggled through [`QueryConfig`] for ablation.
+//! [`AhQuery`] runs the bidirectional upward search of Section 4.3: the
+//! CH search loop of [`ah_contraction::BidirUpwardQuery`], whose upward
+//! arcs are the **rank constraint** (only climb), under an AH rule that
+//! adds the **proximity constraint** (a level-`i` node is only visited
+//! inside the (5×5)-cell window of `R_(i+1)` around the query endpoint)
+//! and the **elevating-edge jumps** (below the separation level a node
+//! relaxes its elevating set instead of its hierarchy arcs). Proximity,
+//! jumps and stall-on-demand can be toggled through [`QueryConfig`] for
+//! ablation.
 //!
 //! ```
 //! use ah_core::{AhIndex, AhQuery, BuildConfig};

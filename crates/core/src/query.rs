@@ -1,66 +1,44 @@
-//! The AH query algorithm (Section 4.3): bidirectional upward search with
-//! rank, proximity and elevating-edge rules.
+//! The AH query algorithm (Section 4.3): the shared bidirectional upward
+//! search of [`ah_contraction`] under AH's rule, which adds the proximity
+//! constraint and elevating-edge jumps.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use ah_graph::{Dist, NodeId, Path, INFINITY};
+use ah_contraction::{BidirUpwardQuery, Hierarchy, UpwardRule};
+use ah_graph::{Dist, NodeId, Path};
 use ah_grid::Cell;
 use ah_obs::CostCounters;
-use ah_search::{ParentArc, SearchSlots};
+use ah_search::ParentArc;
 
 use crate::config::QueryConfig;
-use crate::elevating::{hops, ElevatingSide};
+use crate::elevating::{hops, ElevArc, ElevatingSide};
 use crate::index::{AhIndex, LevelCell};
 
 /// Reusable AH query state. Create once per thread, run many queries.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AhQuery {
     /// Constraint toggles (ablation).
     pub cfg: QueryConfig,
-    fwd: SearchSlots,
-    bwd: SearchSlots,
-    heap_f: BinaryHeap<Reverse<(Dist, NodeId)>>,
-    heap_b: BinaryHeap<Reverse<(Dist, NodeId)>>,
-    meeting: Option<NodeId>,
-    cost: CostCounters,
-}
-
-impl Default for AhQuery {
-    fn default() -> Self {
-        Self::new()
-    }
+    search: BidirUpwardQuery,
 }
 
 impl AhQuery {
     /// Creates a query engine with the paper's default constraints.
     pub fn new() -> Self {
-        Self::with_config(QueryConfig::default())
+        Self::default()
     }
 
     /// Creates a query engine with explicit constraint toggles.
     pub fn with_config(cfg: QueryConfig) -> Self {
         AhQuery {
             cfg,
-            fwd: SearchSlots::new(),
-            bwd: SearchSlots::new(),
-            heap_f: BinaryHeap::new(),
-            heap_b: BinaryHeap::new(),
-            meeting: None,
-            cost: CostCounters::default(),
+            search: BidirUpwardQuery::new(),
         }
     }
 
-    /// Algorithmic cost accumulated since the last
-    /// [`take_cost`](Self::take_cost) drain. It spans queries, so a
-    /// request composed of several point queries drains one total.
-    pub fn cost(&self) -> &CostCounters {
-        &self.cost
-    }
-
-    /// Drains and returns the accumulated cost tally.
+    /// Drains the cost accumulated since the last drain. It spans
+    /// queries, so a request composed of several point queries drains one
+    /// total.
     pub fn take_cost(&mut self) -> CostCounters {
-        self.cost.take()
+        self.search.take_cost()
     }
 
     /// Network distance from `s` to `t`, or `None` if unreachable.
@@ -71,116 +49,107 @@ impl AhQuery {
     /// Distance with the nuance component (for cross-method equivalence
     /// tests).
     pub fn distance_full(&mut self, idx: &AhIndex, s: NodeId, t: NodeId) -> Option<Dist> {
-        self.search(idx, s, t)
+        self.search
+            .distance(&AhRule::new(idx, self.cfg, s, t), s, t)
     }
 
     /// Shortest path from `s` to `t` in the original network.
     pub fn path(&mut self, idx: &AhIndex, s: NodeId, t: NodeId) -> Option<Path> {
-        let dist = self.search(idx, s, t)?;
-        let m = self.meeting.expect("finite distance implies meeting");
-        // Forward half: hierarchy/elevating arcs s → … → m.
-        let mut fwd: Vec<(NodeId, NodeId, ParentArc)> = Vec::new();
-        let mut cur = m;
-        while let Some((p, arc)) = self.fwd.parent(cur) {
-            fwd.push((p, cur, arc));
-            cur = p;
-        }
-        fwd.reverse();
-        let mut nodes = vec![s];
-        for (tail, head, arc) in fwd {
-            unpack(idx, &idx.elevating.forward, tail, head, arc, &mut nodes);
-        }
-        // Backward half: m → … → t, each parent the next node toward t.
-        let mut cur = m;
-        while let Some((next, arc)) = self.bwd.parent(cur) {
-            unpack(idx, &idx.elevating.backward, cur, next, arc, &mut nodes);
-            cur = next;
-        }
-        debug_assert_eq!(*nodes.last().unwrap(), t);
-        Some(Path { nodes, dist })
+        self.search.path(&AhRule::new(idx, self.cfg, s, t), s, t)
     }
+}
 
-    fn search(&mut self, idx: &AhIndex, s: NodeId, t: NodeId) -> Option<Dist> {
-        let n = idx.num_nodes();
-        self.fwd.reset(n);
-        self.bwd.reset(n);
-        self.heap_f.clear();
-        self.heap_b.clear();
-        self.meeting = None;
+/// AH's rule for one query `s → t`.
+struct AhRule<'a> {
+    idx: &'a AhIndex,
+    cfg: QueryConfig,
+    /// The `R_1` cells of `s` (forward side) and `t` (backward side).
+    ends: [Cell; 2],
+    /// Lemma 3: the shortest path must climb to the separation level of
+    /// `s` and `t`, so elevating jumps may target it directly.
+    sep: u8,
+}
 
-        if s == t {
-            self.meeting = Some(s);
-            return Some(Dist::ZERO);
-        }
-
-        let cell_s = idx.level_cells[s as usize].cell;
-        let cell_t = idx.level_cells[t as usize].cell;
-        // Lemma 3: the shortest path must climb to the separation level, so
-        // elevating jumps may target it directly.
+impl<'a> AhRule<'a> {
+    fn new(idx: &'a AhIndex, cfg: QueryConfig, s: NodeId, t: NodeId) -> Self {
+        let ends = [
+            idx.level_cells[s as usize].cell,
+            idx.level_cells[t as usize].cell,
+        ];
         let sep = idx
             .grid
-            .separation_level_of_cells(cell_s, cell_t)
+            .separation_level_of_cells(ends[0], ends[1])
             .unwrap_or(0) as u8;
-
-        self.fwd.set_origin(s);
-        self.bwd.set_origin(t);
-        self.heap_f.push(Reverse((Dist::ZERO, s)));
-        self.heap_b.push(Reverse((Dist::ZERO, t)));
-
-        let mut best = INFINITY;
-        loop {
-            let top_f = self
-                .heap_f
-                .peek()
-                .map(|Reverse((d, _))| *d)
-                .unwrap_or(INFINITY);
-            let top_b = self
-                .heap_b
-                .peek()
-                .map(|Reverse((d, _))| *d)
-                .unwrap_or(INFINITY);
-            let go_f = top_f < best;
-            let go_b = top_b < best;
-            if !go_f && !go_b {
-                break;
-            }
-            let forward = if go_f && go_b { top_f <= top_b } else { go_f };
-            let (heap, this, other, endpoint) = if forward {
-                (&mut self.heap_f, &mut self.fwd, &self.bwd, cell_s)
-            } else {
-                (&mut self.heap_b, &mut self.bwd, &self.fwd, cell_t)
-            };
-
-            let Reverse((d, u)) = heap.pop().expect("peeked");
-            self.cost.heap_pops += 1;
-            if !this.settle(u) {
-                continue;
-            }
-            self.cost.nodes_settled += 1;
-            // An unreached node reads INFINITY, which `concat` keeps.
-            let through = d.concat(other.dist(u));
-            if through < best {
-                best = through;
-                self.meeting = Some(u);
-            }
-            if self.cfg.stall_on_demand && stalled(idx, u, d, this, forward) {
-                continue;
-            }
-            expand(
-                idx,
-                &self.cfg,
-                u,
-                d,
-                endpoint,
-                sep,
-                forward,
-                this,
-                heap,
-                &mut self.cost,
-            );
+        AhRule {
+            idx,
+            cfg,
+            ends,
+            sep,
         }
+    }
 
-        (!best.is_infinite()).then_some(best)
+    /// The elevating sets of one search side.
+    fn side(&self, forward: bool) -> &'a ElevatingSide {
+        if forward {
+            &self.idx.elevating.forward
+        } else {
+            &self.idx.elevating.backward
+        }
+    }
+}
+
+impl UpwardRule for AhRule<'_> {
+    type Jump = ElevArc;
+
+    fn hierarchy(&self) -> &Hierarchy {
+        &self.idx.hierarchy
+    }
+
+    /// A node below the separation level jumps through its best complete
+    /// elevating set, skipping its hierarchy arcs.
+    #[inline]
+    fn jumps(&self, u: NodeId, forward: bool) -> Option<&[ElevArc]> {
+        let own_level = self.idx.level[u as usize];
+        if !self.cfg.elevating || own_level >= self.sep {
+            return None;
+        }
+        let (_lvl, arcs) = self.side(forward).best_set(u, own_level, self.sep)?;
+        Some(arcs)
+    }
+
+    #[inline]
+    fn admits(&self, forward: bool, x: NodeId) -> bool {
+        !self.cfg.proximity || proximity_ok(self.idx, self.ends[!forward as usize], x)
+    }
+
+    /// An elevating arc's interior nodes live in the elevating sets of
+    /// the side that took it, in forward path order; each hop `tail →
+    /// interior… → head` is one hierarchy arc.
+    fn unpack(
+        &self,
+        forward: bool,
+        tail: NodeId,
+        head: NodeId,
+        arc: ParentArc,
+        nodes: &mut Vec<NodeId>,
+    ) {
+        let h = &self.idx.hierarchy;
+        match arc.chain() {
+            Some(range) => {
+                for (a, b) in hops(tail, self.side(forward).chain(range), head) {
+                    let hop = h
+                        .arc_between(a, b)
+                        .expect("elevating chains are checked at build and load");
+                    h.unpack_arc(a, b, hop.middle, nodes);
+                }
+            }
+            None => h.unpack_arc(tail, head, arc.middle(), nodes),
+        }
+    }
+
+    #[inline]
+    fn stall_on_demand(&self) -> bool {
+        self.cfg.stall_on_demand
     }
 }
 
@@ -198,96 +167,6 @@ fn proximity_ok(idx: &AhIndex, endpoint: Cell, x: NodeId) -> bool {
             .shares_3x3_region(&endpoint.coarsened(lx))
 }
 
-/// Relaxes the out-arcs of `u` on one side, applying the elevating-edge
-/// rule (jump when a complete set toward the separation level exists) and
-/// the proximity constraint.
-#[allow(clippy::too_many_arguments)]
-fn expand(
-    idx: &AhIndex,
-    cfg: &QueryConfig,
-    u: NodeId,
-    d: Dist,
-    endpoint: Cell,
-    sep: u8,
-    forward: bool,
-    slots: &mut SearchSlots,
-    heap: &mut BinaryHeap<Reverse<(Dist, NodeId)>>,
-    cost: &mut CostCounters,
-) {
-    // Asked only about arcs that would improve their head.
-    let admits = |x: NodeId| !cfg.proximity || proximity_ok(idx, endpoint, x);
-    let own_level = idx.level[u as usize];
-    if cfg.elevating && own_level < sep {
-        let side = if forward {
-            &idx.elevating.forward
-        } else {
-            &idx.elevating.backward
-        };
-        if let Some((_lvl, arcs)) = side.best_set(u, own_level, sep) {
-            cost.edges_relaxed += arcs.len() as u64;
-            for a in arcs {
-                let nd = d.concat(a.dist);
-                if slots.improves(a.to, nd) && admits(a.to) {
-                    let (start, len) = a.chain_range();
-                    slots.update(a.to, nd, u, ParentArc::elevating(start, len));
-                    heap.push(Reverse((nd, a.to)));
-                }
-            }
-            return; // pure jump: normal arcs are skipped entirely
-        }
-    }
-    let arcs = if forward {
-        idx.hierarchy.up_out(u)
-    } else {
-        idx.hierarchy.up_in(u)
-    };
-    cost.edges_relaxed += arcs.len() as u64;
-    for a in arcs {
-        let nd = d.concat(a.dist);
-        if slots.improves(a.to, nd) && admits(a.to) {
-            // Backward parents point toward t: the real arc is a.to → u.
-            slots.update(a.to, nd, u, ParentArc::hierarchy(a.middle));
-            heap.push(Reverse((nd, a.to)));
-        }
-    }
-}
-
-/// Stall-on-demand (identical to the CH variant, on the AH hierarchy).
-fn stalled(idx: &AhIndex, u: NodeId, d: Dist, slots: &SearchSlots, forward: bool) -> bool {
-    let arcs = if forward {
-        idx.hierarchy.up_in(u)
-    } else {
-        idx.hierarchy.up_out(u)
-    };
-    arcs.iter().any(|a| slots.dist(a.to).concat(a.dist) < d)
-}
-
-/// Appends the original-edge expansion of the parent arc `tail → head` to
-/// `nodes`. An elevating arc's interior nodes live in `side`, the
-/// elevating sets of the search side that took the arc, already in forward
-/// path order; each hop `tail → interior… → head` is one hierarchy arc.
-fn unpack(
-    idx: &AhIndex,
-    side: &ElevatingSide,
-    tail: NodeId,
-    head: NodeId,
-    arc: ParentArc,
-    nodes: &mut Vec<NodeId>,
-) {
-    let h = &idx.hierarchy;
-    match arc.chain() {
-        Some(range) => {
-            for (a, b) in hops(tail, side.chain(range), head) {
-                let hop = h
-                    .arc_between(a, b)
-                    .expect("elevating chains are checked at build and load");
-                h.unpack_arc(a, b, hop.middle, nodes);
-            }
-        }
-        None => h.unpack_arc(tail, head, arc.middle(), nodes),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,10 +180,7 @@ mod tests {
             for t in (0..n).step_by(stride) {
                 let want = dijkstra_distance(g, s, t);
                 let got = q.distance_full(idx, s, t);
-                assert_eq!(
-                    got, want,
-                    "distance ({s},{t}) with cfg {cfg:?}"
-                );
+                assert_eq!(got, want, "distance ({s},{t}) with cfg {cfg:?}");
                 if let Some(want_path) = dijkstra_path(g, s, t) {
                     let p = q.path(idx, s, t).expect("path exists");
                     p.verify(g).unwrap();

@@ -8,10 +8,11 @@
 //! 2. add shortcuts that bypass lower-level nodes (realized as contraction
 //!    in `(level, tie-break)` order — the same construction AH uses, minus
 //!    AH's in-level vertex-cover refinement),
-//! 3. answer queries with a bidirectional Dijkstra under the **level
-//!    constraint** (only climb) and the **proximity constraint** (a
-//!    level-`i` node is visited only inside the (5×5)-cell window of
-//!    `R_(i+1)` around the query endpoint).
+//! 3. answer queries with the bidirectional upward search shared with CH
+//!    and AH ([`ah_contraction::BidirUpwardQuery`]): the **level
+//!    constraint** (only climb) is its upward arcs, and FC's rule adds the
+//!    **proximity constraint** (a level-`i` node is visited only inside
+//!    the (5×5)-cell window of `R_(i+1)` around the query endpoint).
 //!
 //! Compared to AH (the `ah-core` crate), FC lacks the in-level ordering,
 //! the downgrading optimization, elevating edges and O(k) path unpacking
@@ -32,9 +33,12 @@
 //! ```
 
 use ah_arterial::{assign_levels, SelectionConfig};
-use ah_contraction::{contract_with_order, BidirUpwardQuery, ContractionConfig, Hierarchy};
+use ah_contraction::{
+    contract_with_order, BidirUpwardQuery, ContractionConfig, HArc, Hierarchy, UpwardRule,
+};
 use ah_graph::{Dist, Graph, NodeId, Path, Point};
 use ah_grid::GridHierarchy;
+use ah_obs::CostCounters;
 
 /// Build-time options for FC.
 #[derive(Debug, Clone, Copy)]
@@ -107,6 +111,13 @@ impl FcIndex {
             + self.coords.len() * std::mem::size_of::<Point>()
     }
 
+    fn rule(&self, s: NodeId, t: NodeId) -> FcRule<'_> {
+        FcRule {
+            idx: self,
+            ends: [self.coords[s as usize], self.coords[t as usize]],
+        }
+    }
+
     /// Proximity predicate for one query endpoint (see crate docs).
     fn proximity_ok(&self, endpoint: Point, x: NodeId) -> bool {
         let lx = self.level[x as usize] as u32;
@@ -125,21 +136,38 @@ fn hash_id(v: NodeId) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FC's rule for the shared upward search: CH's arcs and unpacking, with
+/// each side admitting only heads that pass the proximity test against
+/// its own query endpoint.
+struct FcRule<'a> {
+    idx: &'a FcIndex,
+    /// Coordinates of `s` (forward side) and `t` (backward side).
+    ends: [Point; 2],
+}
+
+impl UpwardRule for FcRule<'_> {
+    type Jump = HArc;
+
+    fn hierarchy(&self) -> &Hierarchy {
+        &self.idx.hierarchy
+    }
+
+    #[inline]
+    fn admits(&self, forward: bool, x: NodeId) -> bool {
+        self.idx.proximity_ok(self.ends[!forward as usize], x)
+    }
+}
+
 /// Reusable FC query state.
 #[derive(Default)]
 pub struct FcQuery {
-    inner: BidirUpwardQuery,
-    /// Apply the proximity constraint (disable for ablation).
-    pub proximity: bool,
+    search: BidirUpwardQuery,
 }
 
 impl FcQuery {
-    /// Creates a query engine with the proximity constraint enabled.
+    /// Creates a query engine.
     pub fn new() -> FcQuery {
-        FcQuery {
-            inner: BidirUpwardQuery::new(),
-            proximity: true,
-        }
+        FcQuery::default()
     }
 
     /// Network distance from `s` to `t`.
@@ -149,33 +177,18 @@ impl FcQuery {
 
     /// Distance with the nuance component.
     pub fn distance_full(&mut self, idx: &FcIndex, s: NodeId, t: NodeId) -> Option<Dist> {
-        let (cs, ct) = (idx.coords[s as usize], idx.coords[t as usize]);
-        let prox = self.proximity;
-        self.inner.distance(
-            &idx.hierarchy,
-            s,
-            t,
-            |x| !prox || idx.proximity_ok(cs, x),
-            |x| !prox || idx.proximity_ok(ct, x),
-        )
+        self.search.distance(&idx.rule(s, t), s, t)
     }
 
     /// Shortest path from `s` to `t` in the original network.
     pub fn path(&mut self, idx: &FcIndex, s: NodeId, t: NodeId) -> Option<Path> {
-        let (cs, ct) = (idx.coords[s as usize], idx.coords[t as usize]);
-        let prox = self.proximity;
-        self.inner.path(
-            &idx.hierarchy,
-            s,
-            t,
-            |x| !prox || idx.proximity_ok(cs, x),
-            |x| !prox || idx.proximity_ok(ct, x),
-        )
+        self.search.path(&idx.rule(s, t), s, t)
     }
 
-    /// Nodes settled by the last query.
-    pub fn settled_count(&self) -> usize {
-        self.inner.settled_count
+    /// Drains the cost accumulated since the last drain (possibly
+    /// several queries).
+    pub fn take_cost(&mut self) -> CostCounters {
+        self.search.take_cost()
     }
 }
 
@@ -186,22 +199,19 @@ mod tests {
 
     fn check(g: &Graph, stride: usize) {
         let idx = FcIndex::build(g);
-        for proximity in [false, true] {
-            let mut q = FcQuery::new();
-            q.proximity = proximity;
-            let n = g.num_nodes() as NodeId;
-            for s in (0..n).step_by(stride) {
-                for t in (0..n).step_by(stride) {
-                    assert_eq!(
-                        q.distance_full(&idx, s, t),
-                        dijkstra_distance(g, s, t),
-                        "({s},{t}) proximity={proximity}"
-                    );
-                    if let Some(want) = dijkstra_path(g, s, t) {
-                        let p = q.path(&idx, s, t).unwrap();
-                        p.verify(g).unwrap();
-                        assert_eq!(p.dist, want.dist);
-                    }
+        let mut q = FcQuery::new();
+        let n = g.num_nodes() as NodeId;
+        for s in (0..n).step_by(stride) {
+            for t in (0..n).step_by(stride) {
+                assert_eq!(
+                    q.distance_full(&idx, s, t),
+                    dijkstra_distance(g, s, t),
+                    "({s},{t})"
+                );
+                if let Some(want) = dijkstra_path(g, s, t) {
+                    let p = q.path(&idx, s, t).unwrap();
+                    p.verify(g).unwrap();
+                    assert_eq!(p.dist, want.dist);
                 }
             }
         }

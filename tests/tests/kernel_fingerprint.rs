@@ -1,6 +1,6 @@
-//! Pinned work fingerprints of the AH and CH query kernels.
+//! Pinned work fingerprints of the AH, CH and FC query kernels.
 //!
-//! Both kernels run every pair (fixed stride) of a small road network
+//! Each kernel runs every pair (fixed stride) of a small road network
 //! with one-way streets. The summed `CostCounters` and an FNV-1a hash of
 //! every answer and every path node sequence must match values recorded
 //! before the search state was packed into one record per node: a change
@@ -9,12 +9,13 @@
 
 use ah_ch::{ChIndex, ChQuery};
 use ah_core::{AhIndex, AhQuery, BuildConfig};
+use ah_fc::{FcIndex, FcQuery};
 use ah_graph::{Dist, Graph, NodeId, Path};
 
 const STRIDE: usize = 3;
 
-/// The answer hash. Nuance makes every shortest path unique, so AH and
-/// CH must agree on it too.
+/// The answer hash. Nuance makes every shortest path unique, so AH, CH
+/// and FC must agree on it too.
 const ANSWERS: u64 = 0x1f87_3bff_46b4_96a6;
 
 fn one_way_grid() -> Graph {
@@ -114,4 +115,23 @@ fn ch_query_work_matches_the_pinned_fingerprint() {
         },
     );
     assert_eq!(got, (377_226, 768_900, 406_962, ANSWERS), "{got:#x?}");
+}
+
+/// FC's settled count was recorded before the three kernels shared one
+/// search loop; its relaxed arcs and heap pops were recorded after.
+#[test]
+fn fc_query_work_matches_the_pinned_fingerprint() {
+    let g = one_way_grid();
+    let idx = FcIndex::build(&g);
+    let q = std::cell::RefCell::new(FcQuery::new());
+    let got = fingerprint(
+        &g,
+        |s, t| q.borrow_mut().distance_full(&idx, s, t),
+        |s, t| q.borrow_mut().path(&idx, s, t),
+        || {
+            let c = q.borrow_mut().take_cost();
+            (c.nodes_settled, c.edges_relaxed, c.heap_pops)
+        },
+    );
+    assert_eq!(got, (393_820, 1_006_144, 441_848, ANSWERS), "{got:#x?}");
 }

@@ -205,6 +205,8 @@ pub(crate) struct EpollPoller {
 #[cfg(target_os = "linux")]
 impl EpollPoller {
     fn new() -> io::Result<Self> {
+        // SAFETY: no pointer is passed. A non-negative result is a new fd
+        // that this poller owns and closes exactly once, in `Drop`.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -220,6 +222,9 @@ impl EpollPoller {
             events: if r { EPOLLIN } else { 0 } | if w { EPOLLOUT } else { 0 },
             data: token,
         };
+        // SAFETY: `self.epfd` is owned by this poller and stays open until
+        // `Drop`; `ev` is a live, initialised `EpollEvent` for the whole
+        // call. A stale or foreign `fd` is an error return, not UB.
         let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -228,6 +233,9 @@ impl EpollPoller {
     }
 
     fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        // SAFETY: the kernel writes at most `maxevents` = `self.buf.len()`
+        // (256, fits `c_int`) entries into `self.buf`, which holds that
+        // many initialised `EpollEvent`s; `self.epfd` is owned and open.
         let n = unsafe {
             epoll_wait(
                 self.epfd,
@@ -261,6 +269,8 @@ impl EpollPoller {
 #[cfg(target_os = "linux")]
 impl Drop for EpollPoller {
     fn drop(&mut self) {
+        // SAFETY: this poller owns `epfd` alone and `Drop` runs once, so
+        // the fd is closed exactly once and never used afterwards.
         unsafe { close(self.epfd) };
     }
 }
@@ -307,6 +317,10 @@ impl PollPoller {
             });
             self.tokens.push(token);
         }
+        // SAFETY: `self.scratch` holds `nfds` = `self.scratch.len()`
+        // initialised `#[repr(C)]` `PollFd`s (the `pollfd` layout), and
+        // `poll(2)` reads and writes only those. The fds are the caller's
+        // registrations; one closed since is reported as POLLNVAL.
         let n = unsafe {
             poll(
                 self.scratch.as_mut_ptr(),
@@ -350,20 +364,34 @@ pub(crate) struct WakePipe {
     write_fd: RawFd,
 }
 
-// Raw fds are plain integers; concurrent one-byte writes are atomic.
+// SAFETY: a `WakePipe` is two integer fds it owns until `Drop`, which
+// needs exclusive access; moving it to another thread moves that
+// ownership and nothing else.
 unsafe impl Send for WakePipe {}
+// SAFETY: every `&self` method is one `read(2)` or `write(2)` call on fds
+// that stay open while any reference exists; concurrent one-byte pipe
+// writes are atomic, and each `drain` reads into its own stack buffer.
 unsafe impl Sync for WakePipe {}
 
 impl WakePipe {
     pub fn new() -> io::Result<Self> {
         let mut fds = [0 as c_int; 2];
+        // SAFETY: `fds` is a two-element `c_int` array, exactly what
+        // `pipe(2)` writes.
         if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
             return Err(io::Error::last_os_error());
         }
         for fd in fds {
+            // SAFETY: `fd` came from the `pipe(2)` call above and is owned
+            // here; F_GETFL passes no pointer.
             let flags = unsafe { fcntl(fd, F_GETFL, 0) };
+            // SAFETY: the same owned `fd`; F_SETFL passes an integer flag
+            // word, no pointer.
             if flags < 0 || unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
                 let err = io::Error::last_os_error();
+                // SAFETY: both fds came from the successful `pipe(2)` above
+                // and no `WakePipe` owns them yet, so this is their only
+                // close.
                 unsafe {
                     close(fds[0]);
                     close(fds[1]);
@@ -385,6 +413,8 @@ impl WakePipe {
     /// Wakes the poller (callable from any thread; never blocks).
     pub fn wake(&self) {
         let byte = 1u8;
+        // SAFETY: `byte` is one readable byte on the stack and `count` is
+        // 1; `write_fd` is owned and open until `Drop`.
         unsafe { write(self.write_fd, &byte as *const u8 as *const c_void, 1) };
     }
 
@@ -392,6 +422,8 @@ impl WakePipe {
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
+            // SAFETY: `buf` is a writable 64-byte stack array and `count` is
+            // `buf.len()`; `read_fd` is owned and open until `Drop`.
             let n = unsafe { read(self.read_fd, buf.as_mut_ptr() as *mut c_void, buf.len()) };
             if n <= 0 {
                 break;
@@ -402,6 +434,8 @@ impl WakePipe {
 
 impl Drop for WakePipe {
     fn drop(&mut self) {
+        // SAFETY: the pipe owns both fds and `Drop` runs once, so each is
+        // closed exactly once and never used afterwards.
         unsafe {
             close(self.read_fd);
             close(self.write_fd);

@@ -8,57 +8,34 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ah_graph::{Dist, NodeId, Path, INFINITY, INVALID_NODE};
+use ah_graph::{Dist, NodeId, Path, INFINITY};
 use ah_obs::CostCounters;
 
+use crate::driver::{tree_path, Direction, EDGE};
 use crate::search_graph::SearchGraph;
-use crate::stamped::StampedVec;
+use crate::slots::SearchSlots;
 
-/// Reusable bidirectional-Dijkstra state.
-#[derive(Debug)]
+/// The adjacency each side follows, by side index.
+const SIDES: [Direction; 2] = [Direction::Forward, Direction::Backward];
+
+/// Reusable bidirectional-Dijkstra state: one record array and one heap
+/// per side, side 0 searching forward from the source and side 1
+/// backward from the target.
+#[derive(Debug, Default)]
 pub struct BidirectionalDijkstra {
-    dist_f: StampedVec<Dist>,
-    dist_b: StampedVec<Dist>,
-    parent_f: StampedVec<NodeId>,
-    parent_b: StampedVec<NodeId>,
-    settled_f: StampedVec<bool>,
-    settled_b: StampedVec<bool>,
-    heap_f: BinaryHeap<Reverse<(Dist, NodeId)>>,
-    heap_b: BinaryHeap<Reverse<(Dist, NodeId)>>,
+    slots: [SearchSlots; 2],
+    heaps: [BinaryHeap<Reverse<(Dist, NodeId)>>; 2],
     meeting: Option<NodeId>,
     cost: CostCounters,
-}
-
-impl Default for BidirectionalDijkstra {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl BidirectionalDijkstra {
     /// Creates an empty engine; buffers grow on first use.
     pub fn new() -> Self {
-        BidirectionalDijkstra {
-            dist_f: StampedVec::new(0, INFINITY),
-            dist_b: StampedVec::new(0, INFINITY),
-            parent_f: StampedVec::new(0, INVALID_NODE),
-            parent_b: StampedVec::new(0, INVALID_NODE),
-            settled_f: StampedVec::new(0, false),
-            settled_b: StampedVec::new(0, false),
-            heap_f: BinaryHeap::new(),
-            heap_b: BinaryHeap::new(),
-            meeting: None,
-            cost: CostCounters::default(),
-        }
+        Self::default()
     }
 
-    /// Algorithmic cost accumulated since the last
-    /// [`take_cost`](Self::take_cost) drain (both search sides).
-    pub fn cost(&self) -> &CostCounters {
-        &self.cost
-    }
-
-    /// Drains and returns the accumulated cost tally.
+    /// Drains and returns the accumulated cost tally (both search sides).
     pub fn take_cost(&mut self) -> CostCounters {
         self.cost.take()
     }
@@ -71,70 +48,38 @@ impl BidirectionalDijkstra {
     /// Shortest path from `s` to `t`.
     pub fn path<G: SearchGraph>(&mut self, g: &G, s: NodeId, t: NodeId) -> Option<Path> {
         let dist = self.search(g, s, t)?;
-        let meet = self.meeting.expect("finite distance implies a meeting node");
-        let mut nodes = Vec::new();
-        // Forward half: s … meet.
-        let mut cur = meet;
-        loop {
-            nodes.push(cur);
-            let p = self.parent_f.get(cur as usize);
-            if p == INVALID_NODE {
-                break;
-            }
-            cur = p;
-        }
+        let meet = self
+            .meeting
+            .expect("finite distance implies a meeting node");
+        // s … meet from the forward tree, then meet … t from the backward
+        // tree, whose parents point toward t.
+        let mut nodes: Vec<NodeId> = tree_path(&self.slots[0], meet).collect();
         nodes.reverse();
-        // Backward half: meet … t (parents in the backward tree point
-        // toward t).
-        let mut cur = meet;
-        loop {
-            let p = self.parent_b.get(cur as usize);
-            if p == INVALID_NODE {
-                break;
-            }
-            nodes.push(p);
-            cur = p;
-        }
+        nodes.extend(tree_path(&self.slots[1], meet).skip(1));
         Some(Path { nodes, dist })
     }
 
     fn search<G: SearchGraph>(&mut self, g: &G, s: NodeId, t: NodeId) -> Option<Dist> {
-        let n = g.num_nodes();
-        for v in [
-            &mut self.dist_f,
-            &mut self.dist_b,
-        ] {
-            v.ensure_len(n);
-            v.reset();
+        for (slots, heap) in self.slots.iter_mut().zip(&mut self.heaps) {
+            slots.reset(g.num_nodes());
+            heap.clear();
         }
-        for v in [&mut self.parent_f, &mut self.parent_b] {
-            v.ensure_len(n);
-            v.reset();
-        }
-        for v in [&mut self.settled_f, &mut self.settled_b] {
-            v.ensure_len(n);
-            v.reset();
-        }
-        self.heap_f.clear();
-        self.heap_b.clear();
-        self.meeting = None;
-
+        self.meeting = (s == t).then_some(s);
         if s == t {
-            self.meeting = Some(s);
             return Some(Dist::ZERO);
         }
-
-        self.dist_f.set(s as usize, Dist::ZERO);
-        self.dist_b.set(t as usize, Dist::ZERO);
-        self.heap_f.push(Reverse((Dist::ZERO, s)));
-        self.heap_b.push(Reverse((Dist::ZERO, t)));
+        for (side, origin) in [s, t].into_iter().enumerate() {
+            self.slots[side].set_origin(origin);
+            self.heaps[side].push(Reverse((Dist::ZERO, origin)));
+        }
 
         let mut best = INFINITY;
-        let mut buf: Vec<(NodeId, u64, u64)> = Vec::with_capacity(16);
-
+        let mut buf = Vec::with_capacity(16);
         loop {
-            let top_f = self.heap_f.peek().map(|Reverse((d, _))| *d).unwrap_or(INFINITY);
-            let top_b = self.heap_b.peek().map(|Reverse((d, _))| *d).unwrap_or(INFINITY);
+            let [top_f, top_b] = self
+                .heaps
+                .each_ref()
+                .map(|h| h.peek().map_or(INFINITY, |Reverse((d, _))| *d));
             if top_f.is_infinite() && top_b.is_infinite() {
                 break;
             }
@@ -144,96 +89,33 @@ impl BidirectionalDijkstra {
                 break;
             }
 
-            let forward = top_f <= top_b;
-            let Some(Reverse((d, u))) = (if forward {
-                self.heap_f.pop()
-            } else {
-                self.heap_b.pop()
-            }) else {
+            // Ties go to the forward side.
+            let side = usize::from(top_f > top_b);
+            let Some(Reverse((d, u))) = self.heaps[side].pop() else {
                 break;
             };
             self.cost.heap_pops += 1;
-
-            if forward {
-                if self.settled_f.get(u as usize) {
-                    continue;
+            if !self.slots[side].settle(u) {
+                continue;
+            }
+            self.cost.nodes_settled += 1;
+            let other = self.slots[1 - side].dist(u);
+            if !other.is_infinite() && d.concat(other) < best {
+                best = d.concat(other);
+                self.meeting = Some(u);
+            }
+            SIDES[side].arcs(g, u, &mut buf);
+            self.cost.edges_relaxed += buf.len() as u64;
+            for &(v, w, nu) in &buf {
+                let nd = d.step(w, nu);
+                if self.slots[side].improves(v, nd) {
+                    self.slots[side].update(v, nd, u, EDGE);
+                    self.heaps[side].push(Reverse((nd, v)));
                 }
-                self.settled_f.set(u as usize, true);
-                self.cost.nodes_settled += 1;
-                let other = self.dist_b.get(u as usize);
-                if !other.is_infinite() {
-                    let through = d.concat(other);
-                    if through < best {
-                        best = through;
-                        self.meeting = Some(u);
-                    }
-                }
-                buf.clear();
-                g.for_each_out(u, |v, w, nu| buf.push((v, w, nu)));
-                self.cost.edges_relaxed += buf.len() as u64;
-                expand(
-                    u,
-                    d,
-                    &buf,
-                    &mut self.settled_f,
-                    &mut self.dist_f,
-                    &mut self.parent_f,
-                    &mut self.heap_f,
-                );
-            } else {
-                if self.settled_b.get(u as usize) {
-                    continue;
-                }
-                self.settled_b.set(u as usize, true);
-                self.cost.nodes_settled += 1;
-                let other = self.dist_f.get(u as usize);
-                if !other.is_infinite() {
-                    let through = d.concat(other);
-                    if through < best {
-                        best = through;
-                        self.meeting = Some(u);
-                    }
-                }
-                buf.clear();
-                g.for_each_in(u, |v, w, nu| buf.push((v, w, nu)));
-                self.cost.edges_relaxed += buf.len() as u64;
-                expand(
-                    u,
-                    d,
-                    &buf,
-                    &mut self.settled_b,
-                    &mut self.dist_b,
-                    &mut self.parent_b,
-                    &mut self.heap_b,
-                );
             }
         }
 
         (!best.is_infinite()).then_some(best)
-    }
-}
-
-/// Relaxes the buffered arcs of one settled node for one search side.
-#[allow(clippy::too_many_arguments)]
-fn expand(
-    u: NodeId,
-    d: Dist,
-    arcs: &[(NodeId, u64, u64)],
-    settled: &mut StampedVec<bool>,
-    dist: &mut StampedVec<Dist>,
-    parent: &mut StampedVec<NodeId>,
-    heap: &mut BinaryHeap<Reverse<(Dist, NodeId)>>,
-) {
-    for &(v, w, nu) in arcs {
-        if settled.get(v as usize) {
-            continue;
-        }
-        let nd = d.step(w, nu);
-        if nd < dist.get(v as usize) {
-            dist.set(v as usize, nd);
-            parent.set(v as usize, u);
-            heap.push(Reverse((nd, v)));
-        }
     }
 }
 

@@ -7,7 +7,7 @@ use ah_graph::{Dist, NodeId, INFINITY, INVALID_NODE};
 use ah_obs::CostCounters;
 
 use crate::search_graph::SearchGraph;
-use crate::stamped::StampedVec;
+use crate::slots::{ParentArc, SearchSlots};
 
 /// Which adjacency a search follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -17,6 +17,18 @@ pub enum Direction {
     Forward,
     /// Follow in-edges: computes distances *to* the source.
     Backward,
+}
+
+impl Direction {
+    /// Replaces `buf`'s contents with the `(neighbour, weight, nuance)`
+    /// arcs of `u` this direction follows.
+    pub(crate) fn arcs<G: SearchGraph>(self, g: &G, u: NodeId, buf: &mut Vec<(NodeId, u64, u64)>) {
+        buf.clear();
+        match self {
+            Direction::Forward => g.for_each_out(u, |v, w, nu| buf.push((v, w, nu))),
+            Direction::Backward => g.for_each_in(u, |v, w, nu| buf.push((v, w, nu))),
+        }
+    }
 }
 
 /// Knobs for a [`DijkstraDriver::run`] invocation.
@@ -58,53 +70,31 @@ pub enum SearchOutcome {
 }
 
 /// Reusable Dijkstra state. Construct once, call [`run`](Self::run) many
-/// times; buffers reset in O(1) between runs thanks to [`StampedVec`].
-#[derive(Debug)]
+/// times; the per-node records reset in O(1) between runs.
+#[derive(Debug, Default)]
 pub struct DijkstraDriver {
-    dist: StampedVec<Dist>,
-    parent: StampedVec<NodeId>,
-    settled_mark: StampedVec<bool>,
+    slots: SearchSlots,
     settled_order: Vec<NodeId>,
     heap: BinaryHeap<Reverse<(Dist, NodeId)>>,
+    /// The arcs of the node being settled, copied out of the graph; kept
+    /// across runs so the many tiny witness searches allocate nothing.
+    arcs: Vec<(NodeId, u64, u64)>,
     cost: CostCounters,
-}
-
-impl Default for DijkstraDriver {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DijkstraDriver {
     /// Creates an empty driver; buffers grow to fit the first graph it runs
     /// on.
     pub fn new() -> Self {
-        DijkstraDriver {
-            dist: StampedVec::new(0, INFINITY),
-            parent: StampedVec::new(0, INVALID_NODE),
-            settled_mark: StampedVec::new(0, false),
-            settled_order: Vec::new(),
-            heap: BinaryHeap::new(),
-            cost: CostCounters::default(),
-        }
+        Self::default()
     }
 
     /// Runs Dijkstra from `source`, relaxing only edges whose far endpoint
     /// satisfies `allow`. See [`SearchOptions`] for termination knobs.
-    pub fn run<G, F>(&mut self, g: &G, source: NodeId, opts: &SearchOptions, allow: F) -> SearchOutcome
-    where
-        G: SearchGraph,
-        F: FnMut(NodeId) -> bool,
-    {
-        self.run_multi(g, &[(source, Dist::ZERO)], opts, allow)
-    }
-
-    /// Multi-source variant: each source starts at the given offset
-    /// distance.
-    pub fn run_multi<G, F>(
+    pub fn run<G, F>(
         &mut self,
         g: &G,
-        sources: &[(NodeId, Dist)],
+        source: NodeId,
         opts: &SearchOptions,
         mut allow: F,
     ) -> SearchOutcome
@@ -112,36 +102,22 @@ impl DijkstraDriver {
         G: SearchGraph,
         F: FnMut(NodeId) -> bool,
     {
-        let n = g.num_nodes();
-        self.dist.ensure_len(n);
-        self.parent.ensure_len(n);
-        self.settled_mark.ensure_len(n);
-        self.dist.reset();
-        self.parent.reset();
-        self.settled_mark.reset();
+        self.slots.reset(g.num_nodes());
         self.settled_order.clear();
         self.heap.clear();
+        self.slots.set_origin(source);
+        self.heap.push(Reverse((Dist::ZERO, source)));
 
-        for &(s, d0) in sources {
-            if d0 < self.dist.get(s as usize) {
-                self.dist.set(s as usize, d0);
-                self.heap.push(Reverse((d0, s)));
-            }
-        }
-
-        // Reused arc buffer: lets us mutate `self` while iterating the
-        // borrowed adjacency of `g`, without a per-node allocation.
-        let mut buf: Vec<(NodeId, u64, u64)> = Vec::with_capacity(16);
         while let Some(Reverse((d, u))) = self.heap.pop() {
             self.cost.heap_pops += 1;
-            if self.settled_mark.get(u as usize) {
+            if self.slots.is_settled(u) {
                 continue; // stale heap entry
             }
             if d > opts.bound {
                 self.heap.clear();
                 return SearchOutcome::BoundExceeded;
             }
-            self.settled_mark.set(u as usize, true);
+            self.slots.settle(u);
             self.settled_order.push(u);
             self.cost.nodes_settled += 1;
             if opts.target == Some(u) {
@@ -150,49 +126,36 @@ impl DijkstraDriver {
             if self.settled_order.len() >= opts.max_settled {
                 return SearchOutcome::SettleLimit;
             }
-
-            let relax = |driver: &mut Self, v: NodeId, w: u64, nu: u64, allow: &mut F| {
-                if driver.settled_mark.get(v as usize) || !allow(v) {
-                    return;
-                }
+            opts.direction.arcs(g, u, &mut self.arcs);
+            self.cost.edges_relaxed += self.arcs.len() as u64;
+            for &(v, w, nu) in &self.arcs {
                 let nd = d.step(w, nu);
-                if nd < driver.dist.get(v as usize) {
-                    driver.dist.set(v as usize, nd);
-                    driver.parent.set(v as usize, u);
-                    driver.heap.push(Reverse((nd, v)));
+                if self.slots.improves(v, nd) && allow(v) {
+                    self.slots.update(v, nd, u, EDGE);
+                    self.heap.push(Reverse((nd, v)));
                 }
-            };
-            buf.clear();
-            match opts.direction {
-                Direction::Forward => g.for_each_out(u, |v, w, nu| buf.push((v, w, nu))),
-                Direction::Backward => g.for_each_in(u, |v, w, nu| buf.push((v, w, nu))),
-            }
-            self.cost.edges_relaxed += buf.len() as u64;
-            for &(v, w, nu) in &buf {
-                relax(self, v, w, nu, &mut allow);
             }
         }
         SearchOutcome::Exhausted
     }
 
-    /// Distance of `v` from the source(s) of the last run ([`INFINITY`] if
+    /// Distance of `v` from the source of the last run ([`INFINITY`] if
     /// unreached).
     #[inline]
     pub fn dist(&self, v: NodeId) -> Dist {
-        self.dist.get(v as usize)
+        self.slots.dist(v)
     }
 
     /// True if `v` was settled (its distance is final).
     #[inline]
     pub fn is_settled(&self, v: NodeId) -> bool {
-        self.settled_mark.get(v as usize)
+        self.slots.is_settled(v)
     }
 
     /// Predecessor of `v` in the search tree, if any.
     #[inline]
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        let p = self.parent.get(v as usize);
-        (p != INVALID_NODE).then_some(p)
+        self.slots.parent(v).map(|(p, _)| p)
     }
 
     /// Nodes in the order they were settled.
@@ -200,15 +163,10 @@ impl DijkstraDriver {
         &self.settled_order
     }
 
-    /// Algorithmic cost accumulated since the last
-    /// [`take_cost`](Self::take_cost) drain. Unlike the per-run
-    /// buffers this tally spans runs, so a query composed of several
-    /// driver runs (scenario sweeps, boundary probes) drains one total.
-    pub fn cost(&self) -> &CostCounters {
-        &self.cost
-    }
-
-    /// Drains and returns the accumulated cost tally.
+    /// Drains and returns the algorithmic cost accumulated since the last
+    /// drain. Unlike the per-run buffers this tally spans runs, so a query
+    /// composed of several driver runs (scenario sweeps, boundary probes)
+    /// drains one total.
     pub fn take_cost(&mut self) -> CostCounters {
         self.cost.take()
     }
@@ -217,20 +175,24 @@ impl DijkstraDriver {
     /// sequence goes source → … → `v`; for a backward run it goes
     /// `v` → … → source (i.e. it is already in forward edge orientation).
     pub fn path_to(&self, v: NodeId, direction: Direction) -> Option<Vec<NodeId>> {
-        if self.dist.get(v as usize).is_infinite() {
+        if self.dist(v).is_infinite() {
             return None;
         }
-        let mut nodes = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent(cur) {
-            nodes.push(p);
-            cur = p;
-        }
-        if matches!(direction, Direction::Forward) {
+        let mut nodes: Vec<NodeId> = tree_path(&self.slots, v).collect();
+        if direction == Direction::Forward {
             nodes.reverse();
         }
         Some(nodes)
     }
+}
+
+/// The arc a plain-graph search records for every node it reaches.
+pub(crate) const EDGE: ParentArc = ParentArc::hierarchy(INVALID_NODE);
+
+/// `v` and its ancestors in the search tree held by `slots`, up to the
+/// origin.
+pub(crate) fn tree_path(slots: &SearchSlots, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    std::iter::successors(Some(v), |&u| slots.parent(u).map(|(p, _)| p))
 }
 
 #[cfg(test)]
@@ -342,20 +304,6 @@ mod tests {
         d.run(&g, 0, &SearchOptions::default(), |v| v != 1);
         assert_eq!(d.dist(3).length, 5);
         assert!(d.dist(1).is_infinite());
-    }
-
-    #[test]
-    fn multi_source() {
-        let g = chain_with_shortcut();
-        let mut d = DijkstraDriver::new();
-        d.run_multi(
-            &g,
-            &[(0, Dist::new(10, 0)), (2, Dist::ZERO)],
-            &SearchOptions::default(),
-            |_| true,
-        );
-        assert_eq!(d.dist(3).length, 1); // via source 2
-        assert_eq!(d.dist(1).length, 11); // via source 0 with offset
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! * [`SearchGraph`] — the minimal adjacency abstraction, implemented by
 //!   [`ah_graph::Graph`] and by the dynamic overlay graphs used during
 //!   preprocessing;
-//! * [`DijkstraDriver`] — a reusable single-source engine with timestamped
-//!   buffers (no per-query clearing), supporting early termination, distance
-//!   bounds, settle limits, node filters and both search directions;
-//! * [`BidirectionalDijkstra`] — the exact bidirectional baseline;
 //! * [`SearchSlots`] — one 32-byte record per node (distance, parent,
-//!   [`ParentArc`], settled) for the CH and AH hierarchy searches;
+//!   [`ParentArc`], settled), reset in O(1) between searches: the per-node
+//!   state of every search here and of the CH, FC and AH hierarchy
+//!   searches;
+//! * [`DijkstraDriver`] — a reusable single-source engine on one
+//!   [`SearchSlots`], supporting early termination, distance bounds, settle
+//!   limits, node filters and both search directions;
+//! * [`BidirectionalDijkstra`] — the exact bidirectional baseline, one
+//!   [`SearchSlots`] and one heap per side;
 //! * one-shot convenience functions ([`dijkstra_distance`],
 //!   [`dijkstra_path`], [`shortest_path_tree`]).
 //!
@@ -43,7 +46,6 @@ mod oneshot;
 pub mod scenario;
 mod search_graph;
 mod slots;
-mod stamped;
 
 pub use bidirectional::BidirectionalDijkstra;
 pub use driver::{DijkstraDriver, Direction, SearchOptions, SearchOutcome};
@@ -51,6 +53,5 @@ pub use oneshot::{dijkstra_distance, dijkstra_path, shortest_path_tree, Shortest
 pub use scenario::{PoiSet, ScenarioEngine, ViaAnswer, POI_CATEGORIES, POI_SEED};
 pub use search_graph::SearchGraph;
 pub use slots::{ParentArc, SearchSlots};
-pub use stamped::StampedVec;
 
 pub use ah_graph::{Dist, NodeId, Weight, INFINITY};

@@ -1,11 +1,15 @@
-//! One 32-byte record per node for the hierarchy searches.
+//! One 32-byte record per node for every search.
 //!
-//! The upward searches of CH and AH, and AH's elevating-set search, keep
-//! four facts per node: tentative distance, parent, the arc it was reached
-//! over, and whether it is settled. Kept in one record, relaxing an arc
-//! touches one cache line instead of one per fact. The record's stamp
-//! tells the current search from earlier ones, so a reset is O(1) as with
-//! [`crate::StampedVec`], and its low bit says whether the node is settled.
+//! The plain-graph searches ([`crate::DijkstraDriver`],
+//! [`crate::BidirectionalDijkstra`]), the upward searches of CH, FC and AH,
+//! and AH's elevating-set search keep four facts per node: tentative
+//! distance, parent, the arc it was reached over, and whether it is
+//! settled. Kept in one record, relaxing an arc touches one cache line
+//! instead of one per fact. The record's stamp tells the current search
+//! from earlier ones, so a reset is O(1) however many searches run (the
+//! preprocessing runs millions of tiny ones), and its low bit says whether
+//! the node is settled. Plain-graph searches record every arc as an
+//! original edge.
 
 use ah_graph::{Dist, NodeId, INFINITY, INVALID_NODE};
 
@@ -129,6 +133,12 @@ impl SearchSlots {
         }
     }
 
+    /// True if the current search has settled `v`.
+    #[inline]
+    pub fn is_settled(&self, v: NodeId) -> bool {
+        self.slots[v as usize].stamp == self.generation | 1
+    }
+
     /// Settles `v`, which must have been reached. Returns false if it was
     /// settled already (a stale heap entry).
     #[inline]
@@ -191,7 +201,9 @@ mod tests {
         assert!(s.improves(1, Dist::new(4, 0)));
         assert!(!s.improves(1, Dist::new(4, 1)));
         assert_eq!(s.parent(1), Some((0, arc)));
+        assert!(!s.is_settled(1));
         assert!(s.settle(1));
+        assert!(s.is_settled(1));
         assert!(!s.settle(1), "second settle is a stale entry");
         assert!(!s.improves(1, Dist::ZERO), "settled nodes never improve");
         assert_eq!(s.dist(1), Dist::new(4, 1));
@@ -216,6 +228,7 @@ mod tests {
         s.reset(4);
         for v in 0..4 {
             assert_eq!(s.dist(v), INFINITY);
+            assert!(!s.is_settled(v));
             assert!(s.improves(v, Dist::ZERO), "not settled");
             assert_eq!(s.parent(v), None);
         }

@@ -20,7 +20,8 @@
 //!
 //! The within-shard border fan-outs `d_A(s, ·)` and `d_B(·, t)` are one
 //! forward and one backward Dijkstra sweep over the (small) shard
-//! subgraph, reusing [`ah_search::DijkstraDriver`]'s stamped state.
+//! subgraph, reusing one [`ah_search::DijkstraDriver`] per direction
+//! (its per-node records reset in O(1) between sweeps).
 
 use ah_core::AhQuery;
 use ah_graph::{NodeId, Path};

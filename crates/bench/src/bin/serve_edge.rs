@@ -177,7 +177,7 @@ fn main() {
         .allow_reload
         .then(|| Arc::new(DeltaReloader::new(Arc::clone(&snap), g.clone(), Default::default())));
     if let Some(r) = &reloader {
-        r.register_into(server.registry(), &[]);
+        r.register_into(server.registry());
     }
 
     // Pick the backend: hub labels under --backend labels, sharded

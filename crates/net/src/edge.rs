@@ -91,7 +91,7 @@ impl ReloadHandler for Arc<ah_server::DeltaReloader> {
         match self.start_from_file(path) {
             Ok(()) => Ok(format!(
                 "{{\"status\":\"reloading\",\"path\":{}}}",
-                http::json_string(path)
+                ah_obs::json_string(path)
             )),
             Err(ReloadError::Busy) => Err((409, "a reload is already in progress".to_string())),
             Err(ReloadError::Delta(e)) => Err((409, e.to_string())),
@@ -977,7 +977,7 @@ impl EventLoop<'_> {
             match handler.reload(p) {
                 Ok(body) => self.respond_now(token, 202, keep, body.into_bytes()),
                 Err((status, detail)) => {
-                    let body = format!("{{\"error\":{}}}", http::json_string(&detail));
+                    let body = format!("{{\"error\":{}}}", ah_obs::json_string(&detail));
                     self.respond_now(token, status, keep, body.into_bytes());
                 }
             }

@@ -311,27 +311,6 @@ pub fn json_error(detail: &str) -> Vec<u8> {
     format!("{{\"error\":\"{detail}\"}}").into_bytes()
 }
 
-/// `s` as a quoted JSON string, escaping quotes, backslashes, and
-/// control characters — for values that come from the wire (file
-/// paths, error details) rather than static literals.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

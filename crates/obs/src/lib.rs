@@ -1,16 +1,17 @@
 //! `ah_obs` — the observability substrate for the serving stack.
 //!
 //! Dependency-free tracing + metrics, shared by the HTTP edge
-//! (`ah_net`), the worker pool (`ah_server`), and the sharded lanes:
+//! (`ah_net`) and the worker pool (`ah_server`):
 //!
 //! - [`Counter`] / [`Gauge`] / [`Histogram`]: lock-free primitives
 //!   (relaxed atomics, no per-observation allocation). The histogram is
 //!   the log₂-bucket latency histogram the serving layer has always
 //!   used, now with *documented, property-tested* bucket boundaries
 //!   ([`Histogram::bucket_of`] / [`Histogram::bucket_le_ns`]) so
-//!   per-lane instances can be merged and rendered without guessing.
-//! - [`Registry`]: named metric families with static labels
-//!   (`backend`, `shard`, `endpoint`, `status`, …), rendered once as
+//!   per-run and per-worker instances can be merged and rendered
+//!   without guessing.
+//! - [`Registry`]: named metric families with per-series labels
+//!   (`kind`, `stage`, `code`, …), rendered once as
 //!   Prometheus text — including real `_bucket`/`le` series derived
 //!   from the histogram buckets.
 //! - [`Tracer`] / [`Span`]: deterministic 1-in-N sampled request
@@ -32,12 +33,15 @@
 //!   evaluated with multi-window burn rates against latency and
 //!   error-budget objectives, feeding `/debug/slo` and the `/readyz`
 //!   degradation decision.
+//! - [`json_string`]: the one JSON string escaper the hand-rolled
+//!   documents (`/debug/slo`, the edge's admin replies) share.
 //!
 //! See `docs/OBSERVABILITY.md` for the metric-name catalog, label
 //! schema, trace record layout, and sampling/overhead guidance.
 
 mod clock;
 mod cost;
+mod json;
 mod metrics;
 mod registry;
 mod slo;
@@ -45,6 +49,7 @@ mod trace;
 
 pub use clock::now_ns;
 pub use cost::{CostCounters, COST_FIELD_NAMES, NUM_COST_FIELDS};
+pub use json::json_string;
 pub use metrics::{Counter, Gauge, Histogram, BUCKETS};
 pub use registry::{Metric, Registry};
 pub use slo::{SloPolicy, SloStatus, SloWindows, WindowStats};

@@ -6,7 +6,7 @@
 //! is a *documented contract* (see [`Histogram::bucket_of`] /
 //! [`Histogram::bucket_le_ns`]), property-tested in
 //! `tests/properties.rs`, because the Prometheus `_bucket` series and
-//! cross-lane merges both depend on every instance agreeing on it.
+//! per-run merges both depend on every instance agreeing on it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -209,7 +209,7 @@ impl Histogram {
 
     /// Merges another histogram's counts into this one, bucket by
     /// bucket — lossless because every instance shares the same fixed
-    /// bucket layout (this is what lets per-lane/per-worker histograms
+    /// bucket layout (this is what lets per-run/per-worker histograms
     /// aggregate without losing fidelity).
     pub fn merge(&self, other: &Histogram) {
         for (a, b) in self.counts.iter().zip(other.counts.iter()) {

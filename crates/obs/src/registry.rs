@@ -290,7 +290,7 @@ mod tests {
         // The invariant the Prometheus exposition format demands: a
         // family registered under many label sets — by *different call
         // sites, interleaved with other families* (exactly how the
-        // edge, the lanes, and the tracer all land in one registry) —
+        // edge, the server, and the tracer all land in one registry) —
         // renders one # HELP and one # TYPE line, with every series of
         // the family grouped contiguously under them.
         let r = Registry::new();

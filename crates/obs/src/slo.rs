@@ -289,13 +289,13 @@ impl SloStatus {
     /// Renders the full evaluation as the `/debug/slo` JSON document.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"ready\":{},\"reason\":\"{}\",\
+            "{{\"ready\":{},\"reason\":{},\
              \"policy\":{{\"p99_target_ns\":{},\"error_budget\":{:.6},\
              \"fast_window_secs\":{},\"slow_window_secs\":{},\
              \"fast_burn_threshold\":{:.2},\"min_requests\":{}}},\
              \"fast\":{},\"slow\":{}}}",
             self.ready,
-            escape_json(&self.reason),
+            crate::json_string(&self.reason),
             self.policy.p99_target_ns,
             self.policy.error_budget,
             self.policy.fast_window_secs,
@@ -306,22 +306,6 @@ impl SloStatus {
             self.slow.to_json(self.policy.error_budget),
         )
     }
-}
-
-/// Escapes the characters that would break a JSON string literal (the
-/// reason strings are ASCII by construction, but stay safe).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -456,10 +440,5 @@ mod tests {
         assert!(j.contains("\"slow\":{"), "{j}");
         assert!(j.contains("\"burn_rate\""), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
-    }
-
-    #[test]
-    fn json_escapes_reason_strings() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

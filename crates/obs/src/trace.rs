@@ -406,26 +406,24 @@ impl Tracer {
 
     /// Registers the tracer's metrics (`ah_trace_spans_total`,
     /// `ah_trace_slow_total`, and one `ah_stage_duration_seconds`
-    /// histogram per stage interval) under the given static labels.
-    pub fn register_into(&self, reg: &Registry, labels: &[(&str, &str)]) {
+    /// histogram per stage interval, under a `stage` label).
+    pub fn register_into(&self, reg: &Registry) {
         reg.register(
             "ah_trace_spans_total",
-            labels,
+            &[],
             "Sampled request spans finished",
             Metric::Counter(Arc::clone(&self.spans_total)),
         );
         reg.register(
             "ah_trace_slow_total",
-            labels,
+            &[],
             "Sampled spans at or above the slow-query threshold",
             Metric::Counter(Arc::clone(&self.slow_total)),
         );
         for (i, name) in INTERVAL_NAMES.iter().enumerate() {
-            let mut lv: Vec<(&str, &str)> = labels.to_vec();
-            lv.push(("stage", name));
             reg.register(
                 "ah_stage_duration_seconds",
-                &lv,
+                &[("stage", name)],
                 "Per-stage duration of sampled request spans",
                 Metric::Histogram(Arc::clone(&self.stage_ns[i])),
             );
@@ -661,12 +659,12 @@ mod tests {
         t.finish(s, 200);
         assert_eq!(t.spans_finished(), 1);
         let r = Registry::new();
-        t.register_into(&r, &[("backend", "AH")]);
+        t.register_into(&r);
         let text = r.render();
-        assert!(text.contains("ah_trace_slow_total{backend=\"AH\"} 1"), "{text}");
-        assert!(text.contains("ah_trace_spans_total{backend=\"AH\"} 1"), "{text}");
+        assert!(text.contains("ah_trace_slow_total 1"), "{text}");
+        assert!(text.contains("ah_trace_spans_total 1"), "{text}");
         assert!(
-            text.contains("ah_stage_duration_seconds_bucket{backend=\"AH\",stage=\"flush\""),
+            text.contains("ah_stage_duration_seconds_bucket{stage=\"flush\""),
             "{text}"
         );
     }

@@ -161,8 +161,6 @@ impl Shard {
 /// A sharded, exact-LRU `(source, target) → distance` cache.
 pub struct DistanceCache {
     shards: Vec<Mutex<Shard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     /// Bumped by [`DistanceCache::clear`] *before* the shards are wiped,
     /// so an epoch captured earlier can never stamp an entry that
     /// survives the wipe (see [`DistanceCache::put_at`]).
@@ -176,8 +174,6 @@ impl DistanceCache {
         let per_shard = capacity.div_ceil(NUM_SHARDS).max(1);
         DistanceCache {
             shards: (0..NUM_SHARDS).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
         }
     }
@@ -198,15 +194,10 @@ impl DistanceCache {
         &self.shards[(h >> (64 - SHARD_BITS)) as usize]
     }
 
-    /// Raw keyed lookup with hit/miss accounting.
+    /// Raw keyed lookup (hits and misses are counted by the server's
+    /// metrics, not here).
     fn get_raw(&self, key: (u64, u64)) -> Option<(u64, u32)> {
-        let got = self.shard_for(key).lock().unwrap().get(key);
-        if got.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        got
+        self.shard_for(key).lock().unwrap().get(key)
     }
 
     /// Raw keyed insert honoring the clear-epoch protocol (see
@@ -284,29 +275,7 @@ impl DistanceCache {
         self.put_raw_at(pack(KIND_DISTANCE, s, t, 0), value, 0, epoch)
     }
 
-    /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// `hits / (hits + misses)`, or 0 when idle.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-
-    /// Drops every cached entry (hit/miss counters are kept — they
-    /// describe traffic, not contents). Used when the index underneath
+    /// Drops every cached entry. Used when the index underneath
     /// the cache is swapped: answers computed against the old index must
     /// not leak into the new serving generation.
     ///
@@ -344,9 +313,6 @@ mod tests {
         assert_eq!(c.get(1, 2), None);
         c.put(1, 2, Some(99));
         assert_eq!(c.get(1, 2), Some(Some(99)));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -485,6 +451,5 @@ mod tests {
             }
         });
         assert!(c.len() <= 256 + NUM_SHARDS);
-        assert!(c.hits() + c.misses() >= 800);
     }
 }

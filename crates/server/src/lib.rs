@@ -30,11 +30,11 @@
 //!   [`Server::from_snapshot`] restarts a server from a persisted index
 //!   without paying the build, and an atomic index swap (with cache
 //!   invalidation) reindexes under live traffic with zero downtime.
-//! * [`ShardedServer`] — the scale-out layer over `ah_shard`: one
-//!   worker pool (queue + LRU + metrics) *per region shard*, requests
-//!   routed by the source node's grid region key, cross-shard answers
-//!   composed exactly through boundary nodes. `docs/SHARDING.md` is the
-//!   operator's guide.
+//! * [`ShardedServer`] — one [`Server`] over the [`ShardedBackend`]
+//!   (`ah_shard`): each pair is routed inside its session, same-shard
+//!   pairs answered from that shard's index and cross-shard answers
+//!   composed exactly through boundary nodes; the pool is fed in
+//!   source-shard order. `docs/SHARDING.md` is the operator's guide.
 //!
 //! ```
 //! use ah_core::{AhIndex, BuildConfig};
@@ -84,8 +84,6 @@ pub use ah_obs::{
     now_ns, CostCounters, Registry, SloPolicy, SloStatus, SloWindows, Span, SpanRecord, Stage,
     TraceConfig, Tracer, WindowStats, COST_FIELD_NAMES, NUM_COST_FIELDS,
 };
-pub use sharded::{
-    ShardLaneReport, ShardedBackend, ShardedRunReport, ShardedServer, ShardedServerConfig,
-};
+pub use sharded::{ShardedBackend, ShardedRunReport, ShardedServer, ShardedServerConfig};
 pub use reload::{DeltaReloader, ReloadError, ReloadOutcome};
 pub use snapshot::{SnapshotBackend, SnapshotServer};

@@ -22,7 +22,7 @@ pub use ah_obs::Histogram as LatencyHistogram;
 /// Shared serving counters, updated by all workers.
 ///
 /// Every field is an `Arc` so the identical objects can be registered
-/// in an [`ah_obs::Registry`] (shared with the edge and other lanes)
+/// in an [`ah_obs::Registry`] (shared with the edge)
 /// while remaining plain lock-free metrics on the worker hot path.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
@@ -33,11 +33,12 @@ pub struct ServerMetrics {
     /// with [`crate::BoundedQueue::set_wait_histogram`] attached —
     /// queue saturation as a *latency*, not just a depth gauge.
     pub queue_wait: Arc<LatencyHistogram>,
-    /// Distance queries answered from the cache. Path requests never
-    /// probe the cache and are excluded from both counters, so the
-    /// hit-rate here agrees with the cache's own accounting.
+    /// Distance and via queries answered from the cache — the one
+    /// ledger of cache outcomes ([`crate::Server::cache_hit_rate`]
+    /// reads it). Path, knn and matrix requests never probe the cache
+    /// and are excluded from both counters.
     pub cache_hits: Arc<Counter>,
-    /// Distance queries that went to the backend.
+    /// Distance and via queries that went to the backend.
     pub cache_misses: Arc<Counter>,
     /// Requests refused at admission because the bounded queue was full
     /// (the edge answers these with 429). Always 0 for closed-loop runs,
@@ -137,18 +138,15 @@ impl CostMetrics {
     }
 
     /// Registers one `ah_query_<field>` counter family per cost field,
-    /// each with one series per request kind (a `kind` label on top of
-    /// the caller's static labels).
-    pub fn register_into(&self, reg: &Registry, labels: &[(&str, &str)]) {
+    /// each with one series per request kind (a `kind` label).
+    pub fn register_into(&self, reg: &Registry) {
         for (field, name) in COST_FIELD_NAMES.iter().enumerate() {
             let family = format!("ah_query_{name}");
             let help = format!("Per-query algorithmic cost: {name}, by request kind");
             for (kind, kind_name) in COST_KIND_NAMES.iter().enumerate() {
-                let mut with_kind: Vec<(&str, &str)> = labels.to_vec();
-                with_kind.push(("kind", kind_name));
                 reg.register(
                     &family,
-                    &with_kind,
+                    &[("kind", kind_name)],
                     &help,
                     Metric::Counter(Arc::clone(&self.counters[kind][field])),
                 );
@@ -195,53 +193,51 @@ impl ServerMetrics {
     }
 
     /// Registers the metrics under their stable names (see
-    /// `docs/OBSERVABILITY.md`) with the given static labels:
+    /// `docs/OBSERVABILITY.md`):
     /// `ah_server_query_latency_seconds` and `ah_queue_wait_seconds`
     /// as real Prometheus histograms, the cache outcomes as counters.
     /// Re-registering (e.g. a fresh per-run `ServerMetrics`) replaces
     /// the previous series instead of double-counting.
-    pub fn register_into(&self, reg: &Registry, labels: &[(&str, &str)]) {
+    pub fn register_into(&self, reg: &Registry) {
         reg.register(
             "ah_server_query_latency_seconds",
-            labels,
+            &[],
             "Per-query service time (cache hits included)",
             Metric::Histogram(Arc::clone(&self.latency)),
         );
         reg.register(
             "ah_queue_wait_seconds",
-            labels,
+            &[],
             "Enqueue-to-dequeue wait in the bounded worker queue",
             Metric::Histogram(Arc::clone(&self.queue_wait)),
         );
         reg.register(
             "ah_server_cache_hits_total",
-            labels,
+            &[],
             "Distance queries answered from the cache",
             Metric::Counter(Arc::clone(&self.cache_hits)),
         );
         reg.register(
             "ah_server_cache_misses_total",
-            labels,
+            &[],
             "Distance queries computed by the backend",
             Metric::Counter(Arc::clone(&self.cache_misses)),
         );
         // One series per scenario kind, distinguished by a `scenario`
-        // label on top of the caller's static labels.
+        // label.
         for (scenario, counter) in [
             ("via", &self.via_requests),
             ("knn", &self.knn_requests),
             ("matrix", &self.matrix_requests),
         ] {
-            let mut with_scenario: Vec<(&str, &str)> = labels.to_vec();
-            with_scenario.push(("scenario", scenario));
             reg.register(
                 "ah_server_scenario_requests_total",
-                &with_scenario,
+                &[("scenario", scenario)],
                 "Scenario queries served, by kind",
                 Metric::Counter(Arc::clone(counter)),
             );
         }
-        self.cost.register_into(reg, labels);
+        self.cost.register_into(reg);
     }
 
     /// Immutable snapshot for reporting.
@@ -415,18 +411,18 @@ mod tests {
         m.queue_wait.record_ns(800);
         m.cache_hits.inc();
         let reg = ah_obs::Registry::new();
-        m.register_into(&reg, &[("backend", "AH")]);
+        m.register_into(&reg);
         let text = reg.render();
         assert!(
             text.contains("# TYPE ah_server_query_latency_seconds histogram"),
             "{text}"
         );
         assert!(
-            text.contains("ah_server_query_latency_seconds_bucket{backend=\"AH\",le="),
+            text.contains("ah_server_query_latency_seconds_bucket{le="),
             "{text}"
         );
-        assert!(text.contains("ah_server_query_latency_seconds_count{backend=\"AH\"} 1"), "{text}");
-        assert!(text.contains("ah_queue_wait_seconds_bucket{backend=\"AH\",le="), "{text}");
-        assert!(text.contains("ah_server_cache_hits_total{backend=\"AH\"} 1"), "{text}");
+        assert!(text.contains("ah_server_query_latency_seconds_count 1"), "{text}");
+        assert!(text.contains("ah_queue_wait_seconds_bucket{le="), "{text}");
+        assert!(text.contains("ah_server_cache_hits_total 1"), "{text}");
     }
 }

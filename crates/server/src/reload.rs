@@ -135,42 +135,42 @@ impl DeltaReloader {
         }
     }
 
-    /// Registers the reload metrics into `reg` under `labels`, alongside
+    /// Registers the reload metrics into `reg`, alongside
     /// the serving metrics the underlying server already reports.
-    pub fn register_into(&self, reg: &Registry, labels: &[(&str, &str)]) {
+    pub fn register_into(&self, reg: &Registry) {
         reg.register(
             "ah_reload_swaps_total",
-            labels,
+            &[],
             "Index swaps published by delta reloads",
             Metric::Counter(Arc::clone(&self.swaps_total)),
         );
         reg.register(
             "ah_reload_failures_total",
-            labels,
+            &[],
             "Delta reloads rejected or failed before publishing",
             Metric::Counter(Arc::clone(&self.failures_total)),
         );
         reg.register(
             "ah_reload_duration_seconds",
-            labels,
+            &[],
             "Apply + rebuild + swap wall time per published reload",
             Metric::Histogram(Arc::clone(&self.duration)),
         );
         reg.register(
             "ah_reload_in_progress",
-            labels,
+            &[],
             "1 while a delta reload is rebuilding, else 0",
             Metric::Gauge(Arc::clone(&self.in_progress)),
         );
         reg.register(
             "ah_reload_staleness_ns",
-            labels,
+            &[],
             "Staleness window closed by the last swap (delta arrival to publish)",
             Metric::Gauge(Arc::clone(&self.staleness_ns)),
         );
         reg.register(
             "ah_index_generation",
-            labels,
+            &[],
             "Serving index generation (swaps since startup)",
             Metric::Gauge(Arc::clone(&self.generation)),
         );
@@ -454,15 +454,15 @@ mod tests {
     fn metrics_flow_into_a_shared_registry() {
         let (g, _server, reloader) = setup(5);
         let reg = Registry::new();
-        reloader.register_into(&reg, &[("role", "edge")]);
+        reloader.register_into(&reg);
         let delta = WeightDelta::new(&g, [WeightChange::new(0, 1, 77)]).unwrap();
         reloader.reload(delta).unwrap();
         let text = reg.render();
-        assert!(text.contains("ah_reload_swaps_total{role=\"edge\"} 1"), "{text}");
-        assert!(text.contains("ah_index_generation{role=\"edge\"} 1"), "{text}");
-        assert!(text.contains("ah_reload_in_progress{role=\"edge\"} 0"), "{text}");
+        assert!(text.contains("ah_reload_swaps_total 1"), "{text}");
+        assert!(text.contains("ah_index_generation 1"), "{text}");
+        assert!(text.contains("ah_reload_in_progress 0"), "{text}");
         assert!(
-            text.contains("ah_reload_duration_seconds_count{role=\"edge\"} 1"),
+            text.contains("ah_reload_duration_seconds_count 1"),
             "{text}"
         );
     }

@@ -241,27 +241,16 @@ pub struct Server {
 
 impl Server {
     /// Creates a cold server (empty cache, zeroed metrics) with its own
-    /// private metric registry.
+    /// metric registry, into which its lifetime metrics and its
+    /// tracer's stage histograms are registered at once. The edge adds
+    /// its own families to the same registry ([`Server::registry`]).
     pub fn new(cfg: ServerConfig) -> Self {
-        Self::with_observability(cfg, Arc::new(Registry::new()), &[])
-    }
-
-    /// Creates a cold server wired into a *shared* metric registry
-    /// under the given static labels — how the edge and the sharded
-    /// lanes all land in one `/metrics` document. The server's
-    /// lifetime metrics and its tracer's stage histograms are
-    /// registered immediately; re-registering the same name+labels
-    /// replaces the series (fresh server, fresh counters).
-    pub fn with_observability(
-        cfg: ServerConfig,
-        registry: Arc<Registry>,
-        labels: &[(&str, &str)],
-    ) -> Self {
         let cache = (cfg.cache_capacity > 0).then(|| DistanceCache::new(cfg.cache_capacity));
+        let registry = Arc::new(Registry::new());
         let metrics = ServerMetrics::new();
-        metrics.register_into(&registry, labels);
+        metrics.register_into(&registry);
         let tracer = Arc::new(Tracer::new(cfg.trace.clone()));
-        tracer.register_into(&registry, labels);
+        tracer.register_into(&registry);
         Server {
             cfg,
             cache,
@@ -277,8 +266,7 @@ impl Server {
         &self.metrics
     }
 
-    /// The metric registry this server reports into (shared when built
-    /// via [`Server::with_observability`]).
+    /// The metric registry this server reports into.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -295,9 +283,13 @@ impl Server {
         &self.slo
     }
 
-    /// Lifetime cache hit rate (0 when caching is disabled).
+    /// Lifetime cache hit rate over the distance and via requests
+    /// served (0 when caching is disabled).
     pub fn cache_hit_rate(&self) -> f64 {
-        self.cache.as_ref().map_or(0.0, DistanceCache::hit_rate)
+        match self.cache {
+            Some(_) => self.metrics.snapshot(0.0).cache_hit_rate,
+            None => 0.0,
+        }
     }
 
     /// Drops every cached distance. Must be called whenever the backend's
@@ -612,8 +604,8 @@ fn timed_serve(
         s.add_cost(&cost);
     }
     // Only the kinds that probe the cache (distance, via) enter the
-    // hit/miss ratio, so the snapshot agrees with the cache's own
-    // counters; scenario kinds additionally tick their own counter.
+    // hit/miss ratio, the only ledger of cache outcomes; scenario
+    // kinds additionally tick their own counter.
     match req.kind {
         QueryKind::Distance => {
             if resp.cache_hit {

@@ -1,37 +1,25 @@
-//! Region-sharded serving: route each query to its shard's worker pool.
+//! Region-sharded serving: one worker pool over a [`ShardedIndex`].
 //!
-//! Where [`crate::Server`] multiplexes one worker pool over one index,
-//! a [`ShardedServer`] owns one pool *per region shard* — each with its
-//! own bounded queue, sharded LRU distance cache, and metrics — and
-//! routes every request to the pool of its **source node's shard** (the
-//! grid-keyed region key, two integer divisions via
-//! [`ah_shard::ShardMap`]). Same-shard traffic, the bulk of an
-//! interactive workload over a spatially contiguous partition, is
-//! served entirely from that shard's small AH index; cross-shard
-//! requests compose through the boundary graph inside the same lane
-//! (see [`ah_shard::ShardedQuery`]), staying exact.
-//!
-//! Per-shard pools are what the ROADMAP's scale-out story needs: each
-//! lane's cache holds only its region's popular pairs, queue depths
-//! give per-region admission control, and the per-lane
-//! [`crate::MetricsSnapshot`]s show which regions are hot — all
-//! stepping stones to running each shard on its own machine.
+//! A [`ShardedServer`] is the plain [`crate::Server`] pipeline (queue,
+//! cache, workers, metrics, tracing) running the [`ShardedBackend`].
+//! Every pair is routed inside its session by [`ShardedQuery`]:
+//! same-shard pairs are answered from that shard's small AH index,
+//! cross-shard pairs compose exactly through the boundary graph. The
+//! server adds two things on top: it counts the run's same-shard and
+//! cross-shard requests, and it feeds the pool in source-shard order.
 
-use std::sync::{Arc, RwLock};
-use std::time::Instant;
+use std::sync::Arc;
 
-use ah_graph::{Graph, NodeId, Path, WeightDelta};
-use ah_obs::{Counter, Registry};
-use ah_shard::{RefreshReport, ShardConfig, ShardedIndex, ShardedQuery};
-use ah_store::{Snapshot, SnapshotError};
+use ah_graph::{NodeId, Path};
+use ah_shard::{ShardedIndex, ShardedQuery};
 
 use crate::backend::{BackendSession, DistanceBackend};
 use crate::metrics::MetricsSnapshot;
 use crate::server::{Request, Response, Server, ServerConfig};
 
 /// A [`DistanceBackend`] over a [`ShardedIndex`]: exact composed
-/// distances, global-index paths. Usable with a plain [`Server`] too —
-/// [`ShardedServer`] is the per-shard-pool layer on top.
+/// distances, global-index paths. [`ShardedServer`] runs it on one
+/// [`Server`]; `serve_edge --shards` serves it over HTTP.
 pub struct ShardedBackend<'a> {
     idx: &'a ShardedIndex,
 }
@@ -82,30 +70,20 @@ impl BackendSession for ShardedSession<'_> {
 /// Serving parameters for a [`ShardedServer`].
 #[derive(Debug, Clone, Default)]
 pub struct ShardedServerConfig {
-    /// Configuration applied to every per-shard pool (workers per
-    /// lane, queue depth, cache entries per lane, batch size).
+    /// One shard's share of the pool. [`ShardedServer::new`] gives the
+    /// pool `workers × K` worker threads and `cache_capacity × K` cache
+    /// entries for K shards; queue depth, batch size and tracing are
+    /// taken as given.
     pub per_shard: ServerConfig,
 }
 
 impl ShardedServerConfig {
-    /// `workers` worker threads in every per-shard pool, defaults
-    /// elsewhere.
+    /// `workers` worker threads per shard, defaults elsewhere.
     pub fn with_workers_per_shard(workers: usize) -> Self {
         ShardedServerConfig {
             per_shard: ServerConfig::with_workers(workers),
         }
     }
-}
-
-/// Per-lane slice of a [`ShardedRunReport`].
-#[derive(Debug, Clone)]
-pub struct ShardLaneReport {
-    /// The shard this lane serves.
-    pub shard: usize,
-    /// Requests routed to this lane (by source-node region key).
-    pub requests: usize,
-    /// The lane pool's telemetry for this run.
-    pub snapshot: MetricsSnapshot,
 }
 
 /// Outcome of one [`ShardedServer::run`] call.
@@ -114,11 +92,10 @@ pub struct ShardedRunReport {
     /// One response per request, sorted by request id — bit-equal to
     /// what the unsharded AH backend answers.
     pub responses: Vec<Response>,
-    /// Wall-clock seconds from routing start to the last lane
-    /// finishing.
+    /// Wall-clock seconds of the serving run (see [`Server::run`]).
     pub wall_secs: f64,
-    /// Per-lane telemetry, one entry per shard that received traffic.
-    pub lanes: Vec<ShardLaneReport>,
+    /// The pool's telemetry for this run.
+    pub snapshot: MetricsSnapshot,
     /// Requests whose endpoints share a shard (served locally).
     /// `same_shard + cross_shard` can be less than the response count:
     /// requests naming out-of-range nodes have no region and are
@@ -130,7 +107,7 @@ pub struct ShardedRunReport {
 }
 
 impl ShardedRunReport {
-    /// Aggregate throughput across all lanes.
+    /// Requests served per wall-clock second.
     pub fn qps(&self) -> f64 {
         if self.wall_secs > 0.0 {
             self.responses.len() as f64 / self.wall_secs
@@ -150,219 +127,66 @@ impl ShardedRunReport {
     }
 }
 
-/// A query server with one worker pool per region shard.
-///
-/// The pools (and their caches and metrics) persist across
-/// [`ShardedServer::run`] calls, modelling a warmed-up service per
-/// region.
+/// A query server over a [`ShardedIndex`]: one [`Server`] running the
+/// [`ShardedBackend`]. Its cache and metrics persist across
+/// [`ShardedServer::run`] calls, modelling a warmed-up service.
 pub struct ShardedServer {
-    index: RwLock<Arc<ShardedIndex>>,
-    pools: Vec<Server>,
-    registry: Arc<Registry>,
-    /// Published index swaps (whole-generation, all lanes at once).
-    swaps_total: Arc<Counter>,
-    /// Per-lane index rebuilds caused by refreshes, indexed by shard.
-    lane_rebuilds: Vec<Arc<Counter>>,
+    index: Arc<ShardedIndex>,
+    server: Server,
 }
 
 impl ShardedServer {
-    /// Builds one pool per shard of `index`. Every lane reports into
-    /// one shared metric [`Registry`] under its own `shard="k"` label,
-    /// so a single `/metrics` render shows per-lane latency
-    /// histograms, cache counters and stage durations side by side.
+    /// Builds the pool for `index`, sized as [`ShardedServerConfig`]
+    /// documents.
     pub fn new(index: Arc<ShardedIndex>, cfg: ShardedServerConfig) -> Self {
-        let registry = Arc::new(Registry::new());
-        let pools = (0..index.num_shards())
-            .map(|k| {
-                let shard = k.to_string();
-                Server::with_observability(
-                    cfg.per_shard.clone(),
-                    Arc::clone(&registry),
-                    &[("shard", shard.as_str())],
-                )
-            })
-            .collect();
-        let swaps_total = registry.counter(
-            "ah_sharded_swaps_total",
-            &[],
-            "Sharded index generations published by refreshes",
-        );
-        let lane_rebuilds = (0..index.num_shards())
-            .map(|k| {
-                registry.counter(
-                    "ah_shard_lane_rebuilds_total",
-                    &[("shard", k.to_string().as_str())],
-                    "Per-lane index rebuilds caused by weight-delta refreshes",
-                )
-            })
-            .collect();
-        ShardedServer {
-            index: RwLock::new(index),
-            pools,
-            registry,
-            swaps_total,
-            lane_rebuilds,
-        }
+        let k = index.num_shards();
+        let per = cfg.per_shard;
+        let server = Server::new(ServerConfig {
+            workers: per.workers.max(1) * k,
+            cache_capacity: per.cache_capacity * k,
+            ..per
+        });
+        ShardedServer { index, server }
     }
 
-    /// Restarts a sharded server from the snapshot at `path` (written
-    /// with [`ah_store::SnapshotContents::sharded`]): the partition,
-    /// per-shard indexes and boundary matrix all load instead of
-    /// rebuilding. Fails with a typed [`SnapshotError`] — never panics
-    /// — on missing files, corruption, version skew or missing
-    /// sections.
-    pub fn from_snapshot(
-        path: impl AsRef<std::path::Path>,
-        cfg: ShardedServerConfig,
-    ) -> Result<ShardedServer, SnapshotError> {
-        let index = Snapshot::load_sharded(path)?;
-        Ok(ShardedServer::new(Arc::new(index), cfg))
-    }
-
-    /// The sharded index generation currently serving.
-    pub fn index(&self) -> Arc<ShardedIndex> {
-        self.index.read().unwrap().clone()
-    }
-
-    /// Atomically replaces the serving sharded index and clears every
-    /// lane's distance cache under the same write lock — answers
-    /// computed against the old generation can never be served from a
-    /// lane cache after the swap (each lane's `serve_one` stamps its
-    /// cache inserts with the pre-compute epoch, so even a mid-flight
-    /// old-generation worker cannot re-poison a cleared cache). Returns
-    /// the previous generation.
-    ///
-    /// The new index must have the same shard count (weight deltas
-    /// preserve topology, so the partition — and the lane layout — is
-    /// stable).
-    pub fn swap_index(&self, new: Arc<ShardedIndex>) -> Arc<ShardedIndex> {
-        assert_eq!(
-            new.num_shards(),
-            self.pools.len(),
-            "lane layout is fixed; the new index must keep the shard count"
-        );
-        let mut slot = self.index.write().unwrap();
-        let old = std::mem::replace(&mut *slot, new);
-        for pool in &self.pools {
-            pool.reset_cache();
-        }
-        self.swaps_total.inc();
-        old
-    }
-
-    /// Staggered zero-downtime refresh after a weight delta: applies
-    /// `delta` to `base` (which must be the graph the serving index was
-    /// built from), rebuilds only the invalidated shards — one at a
-    /// time, off the serving path, every lane still answering from the
-    /// old generation — recomputes the boundary matrix last, and
-    /// publishes the whole new generation atomically via
-    /// [`ShardedServer::swap_index`]. Returns the patched graph (the
-    /// base for the *next* delta) and what was rebuilt.
-    ///
-    /// On a delta error (wrong base generation, unknown edge) nothing
-    /// is rebuilt and the serving index is untouched.
-    pub fn reload_delta(
-        &self,
-        base: &Graph,
-        delta: &WeightDelta,
-        cfg: &ShardConfig,
-    ) -> Result<(Graph, RefreshReport), ah_graph::DeltaError> {
-        let applied = delta.apply(base)?;
-        let old = self.index();
-        let (fresh, report) = old.refresh(&applied.graph, &applied.touched, cfg);
-        for &s in &report.rebuilt_shards {
-            self.lane_rebuilds[s].inc();
-        }
-        self.swap_index(Arc::new(fresh));
-        Ok((applied.graph, report))
-    }
-
-    /// The per-shard pools (metrics, cache statistics), indexed by
-    /// shard.
+    /// The serving pool (metrics, cache statistics) as a one-element
+    /// slice.
     pub fn pools(&self) -> &[Server] {
-        &self.pools
+        std::slice::from_ref(&self.server)
     }
 
-    /// The shared registry every lane reports into (series are
-    /// distinguished by their `shard` label).
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    /// Serves every request, routed by source-node region key to the
-    /// per-shard pools, which run concurrently (each with its own
-    /// worker threads, queue and cache). Returns the merged responses
-    /// sorted by request id plus per-lane and cross-shard telemetry.
+    /// Serves every request and returns the responses sorted by
+    /// request id, the run's telemetry and its traffic mix.
     ///
-    /// Requests naming an out-of-range source node cannot be routed by
-    /// region and are handed to lane 0, whose bounds check answers them
-    /// with `distance: None` as [`Server::run`] documents.
+    /// Requests naming an out-of-range node are answered with
+    /// `distance: None` as [`Server::run`] documents.
     pub fn run(&self, requests: &[Request]) -> ShardedRunReport {
-        // One generation per run: routing and serving read the same
-        // index, and a concurrent swap only affects later runs.
-        let index = self.index();
-        let n = index.num_nodes();
-        let mut lanes: Vec<Vec<Request>> = vec![Vec::new(); self.pools.len()];
-        let mut same_shard = 0usize;
-        let mut cross_shard = 0usize;
+        let idx = &*self.index;
+        let shard = |v: NodeId| ((v as usize) < idx.num_nodes()).then(|| idx.shard_of(v));
+        let (mut same_shard, mut cross_shard) = (0, 0);
         for req in requests {
-            let lane = if (req.s as usize) < n {
-                index.shard_of(req.s) as usize
-            } else {
-                0
-            };
             // Requests naming out-of-range nodes have no region and are
             // counted in neither bucket, so the published cross-shard
             // fraction describes only genuinely routed traffic.
-            if (req.s as usize) < n && (req.t as usize) < n {
-                if index.shard_of(req.s) != index.shard_of(req.t) {
-                    cross_shard += 1;
-                } else {
+            if let (Some(a), Some(b)) = (shard(req.s), shard(req.t)) {
+                if a == b {
                     same_shard += 1;
+                } else {
+                    cross_shard += 1;
                 }
             }
-            lanes[lane].push(*req);
         }
-
-        let backend = ShardedBackend::new(&index);
-        let start = Instant::now();
-        let reports: Vec<Option<crate::server::RunReport>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = lanes
-                .iter()
-                .zip(&self.pools)
-                .map(|(reqs, pool)| {
-                    if reqs.is_empty() {
-                        None
-                    } else {
-                        let backend = &backend;
-                        Some(scope.spawn(move || pool.run(backend, reqs)))
-                    }
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.map(|h| h.join().expect("a lane pool panicked")))
-                .collect()
-        });
-        let wall_secs = start.elapsed().as_secs_f64();
-
-        let mut responses = Vec::with_capacity(requests.len());
-        let mut lane_reports = Vec::new();
-        for (shard, report) in reports.into_iter().enumerate() {
-            if let Some(mut r) = report {
-                responses.append(&mut r.responses);
-                lane_reports.push(ShardLaneReport {
-                    shard,
-                    requests: lanes[shard].len(),
-                    snapshot: r.snapshot,
-                });
-            }
-        }
-        responses.sort_unstable_by_key(|r| r.id);
+        // Feed the pool one source shard at a time (out-of-range
+        // sources sort with shard 0): each worker's batches then stay
+        // in one shard's index and sweep state instead of mixing
+        // shards (mixing them read ~5 % lower `sharded_qps` on 2 vCPUs).
+        let mut ordered = requests.to_vec();
+        ordered.sort_by_key(|r| shard(r.s).unwrap_or(0));
+        let report = self.server.run(&ShardedBackend::new(idx), &ordered);
         ShardedRunReport {
-            responses,
-            wall_secs,
-            lanes: lane_reports,
+            responses: report.responses,
+            wall_secs: report.wall_secs,
+            snapshot: report.snapshot,
             same_shard,
             cross_shard,
         }
@@ -376,7 +200,6 @@ mod tests {
     use ah_core::{AhIndex, BuildConfig};
     use ah_search::dijkstra_distance;
     use ah_shard::ShardConfig;
-    use ah_store::SnapshotContents;
 
     fn sharded_fixture() -> (ah_graph::Graph, Arc<ShardedIndex>) {
         let g = ah_data::fixtures::lattice(8, 8, 12);
@@ -417,11 +240,7 @@ mod tests {
         assert_eq!(report.responses.len(), reqs.len());
         assert!(report.cross_shard > 0, "workload must straddle shards");
         assert!(report.same_shard > 0);
-        assert!(!report.lanes.is_empty());
-        assert_eq!(
-            report.lanes.iter().map(|l| l.requests).sum::<usize>(),
-            reqs.len()
-        );
+        assert_eq!(report.snapshot.queries, reqs.len() as u64);
 
         let unsharded_idx = AhIndex::build(&g, &BuildConfig::default());
         let unsharded = Server::new(ServerConfig::with_workers(2));
@@ -459,154 +278,6 @@ mod tests {
         assert_eq!(report.responses[2].distance, None);
         // Only the routable request is counted in the traffic mix.
         assert_eq!(report.same_shard + report.cross_shard, 1);
-    }
-
-    #[test]
-    fn lanes_share_one_registry_with_shard_labels() {
-        let (g, idx) = sharded_fixture();
-        let server = ShardedServer::new(idx, ShardedServerConfig::with_workers_per_shard(1));
-        let reqs = mixed_requests(g.num_nodes() as u32, 100);
-        let report = server.run(&reqs);
-        assert!(report.lanes.len() >= 2);
-        let text = server.registry().render();
-        // Every lane that served traffic rendered its own labelled
-        // histogram series out of the one shared registry…
-        for lane in &report.lanes {
-            let needle = format!(
-                "ah_server_query_latency_seconds_count{{shard=\"{}\"}} {}",
-                lane.shard, lane.snapshot.queries
-            );
-            assert!(text.contains(&needle), "missing {needle} in:\n{text}");
-        }
-        assert!(
-            text.contains("ah_server_query_latency_seconds_bucket{shard=\"0\",le="),
-            "{text}"
-        );
-        // …under a single TYPE header per family.
-        assert_eq!(
-            text.matches("# TYPE ah_server_query_latency_seconds histogram").count(),
-            1,
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn snapshot_roundtrip_serves_identically() {
-        let (g, idx) = sharded_fixture();
-        let path = std::env::temp_dir().join(format!(
-            "ah_server_sharded_{}.snap",
-            std::process::id()
-        ));
-        Snapshot::write(&path, SnapshotContents::new().graph(&g).sharded(&idx)).unwrap();
-
-        let restored =
-            ShardedServer::from_snapshot(&path, ShardedServerConfig::with_workers_per_shard(2))
-                .unwrap();
-        assert_eq!(restored.index().num_shards(), idx.num_shards());
-        let reqs = mixed_requests(g.num_nodes() as u32, 150);
-        let live = ShardedServer::new(
-            idx.clone(),
-            ShardedServerConfig::with_workers_per_shard(2),
-        )
-        .run(&reqs);
-        let loaded = restored.run(&reqs);
-        for (a, b) in live.responses.iter().zip(&loaded.responses) {
-            assert_eq!((a.id, a.distance), (b.id, b.distance));
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn from_snapshot_errors_are_typed() {
-        assert!(matches!(
-            ShardedServer::from_snapshot("/no/such/file.snap", Default::default()),
-            Err(SnapshotError::Io(_))
-        ));
-        // A graph+AH-only snapshot has no shards section.
-        let g = ah_data::fixtures::lattice(4, 4, 10);
-        let ah = AhIndex::build(&g, &BuildConfig::default());
-        let path = std::env::temp_dir().join(format!(
-            "ah_server_sharded_missing_{}.snap",
-            std::process::id()
-        ));
-        Snapshot::write(&path, SnapshotContents::new().graph(&g).ah(&ah)).unwrap();
-        assert!(matches!(
-            ShardedServer::from_snapshot(&path, Default::default()),
-            Err(SnapshotError::MissingSection { .. })
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn reload_delta_swaps_all_lanes_and_matches_scratch_build() {
-        use ah_graph::{WeightChange, WeightDelta};
-        let (g, idx) = sharded_fixture();
-        let cfg = ShardConfig {
-            shards: 4,
-            ..Default::default()
-        };
-        let server = ShardedServer::new(idx, ShardedServerConfig::with_workers_per_shard(2));
-        let reqs = mixed_requests(g.num_nodes() as u32, 200);
-        // Warm the lane caches on the old generation so the swap has
-        // something to invalidate.
-        let before = server.run(&reqs);
-
-        // Close the row-3↔row-4 cut except at column 0: every
-        // top↔bottom route must now detour through the west edge, so
-        // plenty of answers move (a unit lattice shrugs off single-edge
-        // changes — Manhattan alternatives everywhere).
-        let id = |x: u32, y: u32| y * 8 + x;
-        let changes: Vec<WeightChange> = (1..8u32)
-            .flat_map(|x| {
-                [
-                    WeightChange::close(id(x, 3), id(x, 4)),
-                    WeightChange::close(id(x, 4), id(x, 3)),
-                ]
-            })
-            .collect();
-        let delta = WeightDelta::new(&g, changes).unwrap();
-        let (patched, report) = server.reload_delta(&g, &delta, &cfg).unwrap();
-        assert!(!report.rebuilt_shards.is_empty());
-        assert!(report.reused_shards + report.rebuilt_shards.len() == 4);
-
-        // Post-swap answers are bit-equal to a scratch sharded build on
-        // the patched graph — across the same warmed pools.
-        let scratch = Arc::new(ShardedIndex::build(&patched, &cfg));
-        let scratch_server =
-            ShardedServer::new(scratch, ShardedServerConfig::with_workers_per_shard(2));
-        let after = server.run(&reqs);
-        let want = scratch_server.run(&reqs);
-        let mut moved = 0;
-        for ((a, b), c) in after.responses.iter().zip(&want.responses).zip(&before.responses) {
-            assert_eq!((a.id, a.distance), (b.id, b.distance), "req {}", a.id);
-            if a.distance != c.distance {
-                moved += 1;
-            }
-        }
-        assert!(moved > 0, "the delta must actually change some answers");
-
-        let text = server.registry().render();
-        assert!(text.contains("ah_sharded_swaps_total 1"), "{text}");
-        assert!(text.contains("ah_shard_lane_rebuilds_total{shard="), "{text}");
-    }
-
-    #[test]
-    fn reload_delta_with_stale_base_leaves_serving_untouched() {
-        use ah_graph::{WeightChange, WeightDelta};
-        let (g, idx) = sharded_fixture();
-        let cfg = ShardConfig {
-            shards: 4,
-            ..Default::default()
-        };
-        let server = ShardedServer::new(idx, ShardedServerConfig::with_workers_per_shard(1));
-        let delta = WeightDelta::new(&g, [WeightChange::new(0, 1, 77)]).unwrap();
-        let (patched, _) = server.reload_delta(&g, &delta, &cfg).unwrap();
-        // Replaying against the pre-delta graph: the serving index was
-        // built from `patched`, so the same delta no longer applies.
-        let err = server.reload_delta(&patched, &delta, &cfg).unwrap_err();
-        assert!(matches!(err, ah_graph::DeltaError::BaseMismatch { .. }));
-        let text = server.registry().render();
-        assert!(text.contains("ah_sharded_swaps_total 1"), "{text}");
     }
 
     #[test]

@@ -68,9 +68,9 @@ impl SnapshotServer {
         Self::with_server(index, Server::new(cfg))
     }
 
-    /// Serves from `index` through an already-built engine — how the
-    /// edge wires a snapshot server into a shared metric registry
-    /// (build the [`Server`] with [`Server::with_observability`] first).
+    /// Serves from `index` through an already-built engine, whose
+    /// [`Server::registry`] the edge and a [`crate::DeltaReloader`]
+    /// then register into.
     pub fn with_server(index: Arc<AhIndex>, server: Server) -> Self {
         SnapshotServer {
             server,

@@ -212,11 +212,10 @@ impl ShardedIndex {
     /// matrix and reentry pairs are recomputed **last**, from the new
     /// global index, so the returned index is internally consistent.
     ///
-    /// Nothing about `self` changes; the caller publishes the returned
-    /// index atomically (e.g. `ShardedServer::swap_index` in
-    /// `ah_server`), which is what keeps service up for every region
-    /// throughout: old generation serves until the new one — matrix
-    /// included — is complete.
+    /// Nothing about `self` changes: the old generation can keep
+    /// serving until the new one — matrix included — is complete and
+    /// the caller swaps it in. No serving path calls this today; only
+    /// the tests do.
     ///
     /// # Panics
     /// Panics if `g`'s node count differs from this index's.

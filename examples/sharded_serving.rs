@@ -1,12 +1,13 @@
-//! Region-sharded serving: one worker pool per spatial shard.
+//! Region-sharded serving: one worker pool over four spatial shards.
 //!
 //! Builds a synthetic road network, partitions it into four grid-keyed
 //! regions (`ah_shard`), and serves an interactive traffic mix through
-//! `ShardedServer` — each region with its own queue, cache, and
-//! workers, cross-shard queries composed exactly through boundary
-//! nodes. The same stream is then served unsharded to show the answers
-//! are bit-equal. Mirrors `server_traffic.rs`; see `docs/SHARDING.md`
-//! for the operator's guide.
+//! `ShardedServer` — one pool fed in source-shard order, same-shard
+//! queries answered from their region's index, cross-shard queries
+//! composed exactly through boundary nodes. The same stream is then
+//! served unsharded to show the answers are bit-equal. Mirrors
+//! `server_traffic.rs`; see `docs/SHARDING.md` for the operator's
+//! guide.
 //!
 //! ```sh
 //! cargo run --release --example sharded_serving
@@ -63,14 +64,11 @@ fn main() {
         report.qps(),
         100.0 * report.cross_shard_fraction()
     );
-    println!("shard  requests  qps        p50_us  p99_us  hit_rate");
-    for lane in &report.lanes {
-        let s = &lane.snapshot;
-        println!(
-            "{:<6} {:<9} {:<10.0} {:<7.1} {:<7.1} {:.2}",
-            lane.shard, lane.requests, s.qps, s.p50_us, s.p99_us, s.cache_hit_rate
-        );
-    }
+    let s = &report.snapshot;
+    println!(
+        "p50 {:.1} us, p99 {:.1} us, cache hit rate {:.2}",
+        s.p50_us, s.p99_us, s.cache_hit_rate
+    );
 
     // Same stream, one unsharded pool: the answers must be identical.
     let unsharded = Server::new(ServerConfig::with_workers(8));

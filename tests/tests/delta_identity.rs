@@ -1,7 +1,7 @@
 //! Delta exactness: a graph patched by [`ah_graph::WeightDelta`]s must
 //! be **bit-identical** to an independently rebuilt graph at the final
 //! weights, and every backend rebuilt on it — AH, CH, hub labels, the
-//! sharded composition (refreshed incrementally, lane by lane) — must
+//! sharded composition (refreshed incrementally, shard by shard) — must
 //! answer randomized Q1–Q10 workloads bit-equal to the shared
 //! brute-force oracle (`ah_tests::oracle`). This is the campaign that
 //! pins the live-update pipeline: if apply ever drifts from

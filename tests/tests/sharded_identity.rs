@@ -11,7 +11,7 @@ use ah_tests::oracle;
 
 use ah_core::{AhIndex, AhQuery, BuildConfig};
 use ah_server::{
-    AhBackend, Request, Server, ServerConfig, ShardedServer, ShardedServerConfig,
+    AhBackend, CostCounters, Request, Server, ServerConfig, ShardedServer, ShardedServerConfig,
 };
 use ah_shard::{ShardConfig, ShardedIndex, ShardedQuery};
 use ah_workload::{generate_query_sets, TrafficSchedule};
@@ -124,12 +124,49 @@ fn sharded_server_traffic_identity() {
     for (a, b) in got.responses.iter().zip(&want.responses) {
         assert_eq!((a.id, a.distance), (b.id, b.distance), "req {}", a.id);
     }
-    // Lane accounting covers the whole stream.
-    assert_eq!(
-        got.lanes.iter().map(|l| l.requests).sum::<usize>(),
-        requests.len()
-    );
     assert_eq!(got.same_shard + got.cross_shard, requests.len());
+}
+
+/// The sharded serving path's cost ledger is exactly the kernel's: with
+/// the cache off, the summed `pools()` cost totals equal what a direct
+/// `ShardedQuery` reports for the same requests, field by field. The
+/// benchmark's `ah_shard.hops_per_query` and
+/// `ah_shard.boundary_lookups_per_query` read this sum.
+#[test]
+fn sharded_server_cost_equals_direct_query_cost() {
+    let g = network();
+    let sets = generate_query_sets(&g, 40, 99);
+    let stream = TrafficSchedule::interactive(1200, 0.3, 99).generate(&sets);
+    let requests: Vec<Request> = stream
+        .iter()
+        .enumerate()
+        .map(|(i, &(s, t))| Request::distance(i as u64, s, t))
+        .collect();
+
+    let (_, idx) = sharded(&g, 4);
+    let server = ShardedServer::new(
+        idx.clone(),
+        ShardedServerConfig {
+            per_shard: ServerConfig {
+                cache_capacity: 0,
+                ..ServerConfig::with_workers(2)
+            },
+        },
+    );
+    server.run(&requests);
+    let mut served = CostCounters::default();
+    for pool in server.pools() {
+        served.merge(&pool.metrics().cost.total());
+    }
+
+    let mut q = ShardedQuery::new();
+    let mut direct = CostCounters::default();
+    for r in &requests {
+        q.distance(&idx, r.s, r.t);
+        direct.merge(&q.take_cost());
+    }
+    assert!(direct.shard_hops > 0 && direct.boundary_lookups > 0);
+    assert_eq!(served.as_array(), direct.as_array());
 }
 
 /// Snapshot round trip preserves answers: save the sharded index, load

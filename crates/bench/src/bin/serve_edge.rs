@@ -53,7 +53,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ah_bench::{flag_value, obtain_indices, HarnessArgs};
-use ah_net::{EdgeConfig, EdgeServer, ReloadHandler};
+use ah_net::{EdgeConfig, EdgeServer};
 use ah_server::{
     AhBackend, DelayBackend, DeltaReloader, DistanceBackend, LabelBackend, Server, ServerConfig,
     ShardedBackend, SnapshotBackend, SnapshotServer, TraceConfig,
@@ -176,9 +176,6 @@ fn main() {
     let reloader = args
         .allow_reload
         .then(|| Arc::new(DeltaReloader::new(Arc::clone(&snap), g.clone(), Default::default())));
-    if let Some(r) = &reloader {
-        r.register_into(server.registry());
-    }
 
     // Pick the backend: hub labels under --backend labels, sharded
     // composition when requested, the swap-following snapshot backend
@@ -215,10 +212,8 @@ fn main() {
         args.edge.queue_capacity,
     );
 
-    let handler: Option<&dyn ReloadHandler> =
-        reloader.as_ref().map(|r| r as &dyn ReloadHandler);
     let report = edge
-        .serve_with_admin(server, backend, handler)
+        .serve_with_admin(server, backend, reloader.as_ref())
         .expect("edge event loop");
 
     let responses = report

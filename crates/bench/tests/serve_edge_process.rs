@@ -276,7 +276,14 @@ fn check_metrics(edge: &Edge, backend: &str, pairs: usize) -> String {
         assert!(m.contains(family), "{family} missing from /metrics:\n{m}");
     }
     assert_eq!(metric(&m, &format!("ah_edge_backend{{name=\"{backend}\"}}")), 1);
-    assert_eq!(metric(&m, "ah_server_cache_misses_total"), pairs as u64 + 8, "distance + via");
+    let misses: u64 = ["distance", "via"]
+        .iter()
+        .map(|kind| {
+            metric(&m, &format!("ah_query_cache_probes{{kind=\"{kind}\"}}"))
+                - metric(&m, &format!("ah_query_cache_hits{{kind=\"{kind}\"}}"))
+        })
+        .sum();
+    assert_eq!(misses, pairs as u64 + 8, "distance + via");
     for (scenario, served) in [("via", 8), ("knn", 8), ("matrix", 2)] {
         let series = format!("ah_server_scenario_requests_total{{scenario=\"{scenario}\"}}");
         assert_eq!(metric(&m, &series), served);
@@ -284,7 +291,7 @@ fn check_metrics(edge: &Edge, backend: &str, pairs: usize) -> String {
     for kind in ["distance", "path", "via", "knn", "matrix"] {
         assert!(metric(&m, &format!("ah_query_bytes_out{{kind=\"{kind}\"}}")) > 0, "{kind}");
     }
-    assert_eq!(metric(&m, "ah_queue_rejected_total"), 0);
+    assert_eq!(metric(&m, "ah_edge_responses_total{code=\"429\"}"), 0);
     m
 }
 
@@ -408,7 +415,6 @@ fn small_queue_sheds_a_pipelined_burst_as_429() {
     }
     assert!(served >= 2 && shed > 0, "served {served}, shed {shed}");
     let m = edge.metrics();
-    assert_eq!(metric(&m, "ah_queue_rejected_total"), shed);
     assert_eq!(metric(&m, "ah_edge_responses_total{code=\"429\"}"), shed);
     assert!(metric(&m, "ah_queue_high_water") <= 2);
     assert!(edge.shutdown().contains(&format!("{shed} rejected, queue high-water")));

@@ -38,10 +38,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ah_obs::{now_ns, CostCounters, Counter, Gauge, Metric, Registry, SloPolicy};
+use ah_obs::{now_ns, CostCounters, Counter, Gauge, Registry, SloPolicy};
 use ah_server::{
-    trace_kind, BoundedQueue, DistanceBackend, Job, MatrixRequest, Request, Response,
-    ScenarioResult, Server, Span, Stage, Tracer, TryPushError,
+    trace_kind, BoundedQueue, DeltaReloader, DistanceBackend, Job, MatrixRequest, QueryKind,
+    ReloadError, Request, Response, ScenarioResult, Server, Span, Stage, Tracer, TryPushError,
 };
 
 use crate::http::{self, HttpError, HttpLimits, ParseOutcome};
@@ -72,33 +72,6 @@ pub const MAX_MATRIX_DIM: usize = 64;
 
 /// Statuses the edge emits, in reporting order.
 pub const STATUSES: [u16; 11] = [200, 202, 400, 404, 405, 408, 409, 413, 429, 431, 503];
-
-/// Admin hook behind `POST /admin/reload-delta`: kick off a delta
-/// reload of the serving index. Implementations must not block — the
-/// event loop calls this inline, so a slow reload belongs on a
-/// background thread (the [`ah_server::DeltaReloader`] impl spawns one
-/// and answers `202 Accepted` immediately).
-pub trait ReloadHandler: Sync {
-    /// Start reloading from the delta snapshot at `path`. `Ok` carries
-    /// a JSON body answered with `202`; `Err` carries the HTTP status
-    /// and a human-readable detail string.
-    fn reload(&self, path: &str) -> Result<String, (u16, String)>;
-}
-
-impl ReloadHandler for Arc<ah_server::DeltaReloader> {
-    fn reload(&self, path: &str) -> Result<String, (u16, String)> {
-        use ah_server::ReloadError;
-        match self.start_from_file(path) {
-            Ok(()) => Ok(format!(
-                "{{\"status\":\"reloading\",\"path\":{}}}",
-                ah_obs::json_string(path)
-            )),
-            Err(ReloadError::Busy) => Err((409, "a reload is already in progress".to_string())),
-            Err(ReloadError::Delta(e)) => Err((409, e.to_string())),
-            Err(ReloadError::Snapshot(e)) => Err((400, e.to_string())),
-        }
-    }
-}
 
 /// Tuning knobs for the edge.
 #[derive(Debug, Clone)]
@@ -176,12 +149,10 @@ impl Default for EdgeConfig {
 }
 
 /// Edge-level counters (connection and response accounting; query-level
-/// latency lives in [`ah_server::ServerMetrics`]). Every field is an
-/// `Arc<ah_obs::Counter>` so the identical objects live in the server's
-/// [`Registry`] (see [`EdgeMetrics::register_into`]) while the event
-/// loop keeps bumping them lock-free; readable from any thread via
-/// [`EdgeHandle::metrics`].
-#[derive(Debug, Default)]
+/// latency lives in [`ah_server::ServerMetrics`]), created in the
+/// edge's own [`Registry`] when it binds, bumped lock-free by the event
+/// loop, and readable from any thread via [`EdgeHandle::metrics`].
+#[derive(Debug)]
 pub struct EdgeMetrics {
     connections: Arc<Counter>,
     connections_closed: Arc<Counter>,
@@ -193,62 +164,49 @@ pub struct EdgeMetrics {
 }
 
 impl EdgeMetrics {
-    fn count_response(&self, status: u16) {
-        if let Some(i) = STATUSES.iter().position(|&s| s == status) {
-            self.responses[i].inc();
+    /// Creates every edge counter in `reg` under its stable name (the
+    /// per-status response counters carry a `code` label).
+    fn new(reg: &Registry) -> Self {
+        EdgeMetrics {
+            connections: reg.counter(
+                "ah_edge_connections_total",
+                &[],
+                "Connections accepted over the edge's lifetime",
+            ),
+            connections_closed: reg.counter(
+                "ah_edge_connections_closed_total",
+                &[],
+                "Connections closed (any reason)",
+            ),
+            shed_connections: reg.counter(
+                "ah_edge_shed_connections_total",
+                &[],
+                "Connections shed at accept time (connection cap)",
+            ),
+            timeouts: reg.counter(
+                "ah_edge_timeouts_total",
+                &[],
+                "Connections reaped by read/write/idle timeout",
+            ),
+            bytes_in: reg.counter("ah_edge_bytes_in_total", &[], "Request bytes read off sockets"),
+            bytes_out: reg.counter(
+                "ah_edge_bytes_out_total",
+                &[],
+                "Response bytes written to sockets",
+            ),
+            responses: STATUSES.map(|status| {
+                reg.counter(
+                    "ah_edge_responses_total",
+                    &[("code", &status.to_string())],
+                    "Responses sent, by status code",
+                )
+            }),
         }
     }
 
-    /// Registers every edge counter under its stable name (the
-    /// per-status response counters carry a `code` label), so one
-    /// [`Registry::render`] emits the whole edge block alongside the
-    /// serving engine's histograms. Re-registration replaces the
-    /// series, never double-counts.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register(
-            "ah_edge_connections_total",
-            &[],
-            "Connections accepted over the edge's lifetime",
-            Metric::Counter(Arc::clone(&self.connections)),
-        );
-        reg.register(
-            "ah_edge_connections_closed_total",
-            &[],
-            "Connections closed (any reason)",
-            Metric::Counter(Arc::clone(&self.connections_closed)),
-        );
-        reg.register(
-            "ah_edge_shed_connections_total",
-            &[],
-            "Connections shed at accept time (connection cap)",
-            Metric::Counter(Arc::clone(&self.shed_connections)),
-        );
-        reg.register(
-            "ah_edge_timeouts_total",
-            &[],
-            "Connections reaped by read/write/idle timeout",
-            Metric::Counter(Arc::clone(&self.timeouts)),
-        );
-        reg.register(
-            "ah_edge_bytes_in_total",
-            &[],
-            "Request bytes read off sockets",
-            Metric::Counter(Arc::clone(&self.bytes_in)),
-        );
-        reg.register(
-            "ah_edge_bytes_out_total",
-            &[],
-            "Response bytes written to sockets",
-            Metric::Counter(Arc::clone(&self.bytes_out)),
-        );
-        for (i, &status) in STATUSES.iter().enumerate() {
-            let code = status.to_string();
-            reg.register(
-                "ah_edge_responses_total",
-                &[("code", &code)],
-                "Responses sent, by status code",
-                Metric::Counter(Arc::clone(&self.responses[i])),
-            );
+    fn count_response(&self, status: u16) {
+        if let Some(i) = STATUSES.iter().position(|&s| s == status) {
+            self.responses[i].inc();
         }
     }
 
@@ -286,14 +244,10 @@ impl EdgeMetrics {
     }
 }
 
-/// Gauges and mirror counters the event loop refreshes just before
-/// each [`Registry::render`]: point-in-time state (open connections,
-/// queue depth) plus totals owned by other subsystems (the queue's
-/// rejected count, the serving engine's query count) re-exposed under
-/// their historical `/metrics` names via [`Counter::store`].
-struct EdgeMirrors {
-    backend: Arc<Gauge>,
-    build_info: Arc<Gauge>,
+/// Point-in-time gauges the event loop samples just before each
+/// `/metrics` render (open connections, admission-queue state, uptime).
+/// The backend and build-identity gauges are constant 1 and set once.
+struct SampledGauges {
     uptime: Arc<Gauge>,
     /// When this edge began serving — drives `ah_uptime_seconds`.
     started: Instant,
@@ -302,20 +256,18 @@ struct EdgeMirrors {
     queue_capacity: Arc<Gauge>,
     queue_depth: Arc<Gauge>,
     queue_high_water: Arc<Gauge>,
-    queue_rejected: Arc<Counter>,
-    server_queries: Arc<Counter>,
 }
 
-impl EdgeMirrors {
+impl SampledGauges {
     fn new(reg: &Registry, backend_name: &str) -> Self {
-        let backend = reg.gauge(
+        reg.gauge(
             "ah_edge_backend",
             &[("name", backend_name)],
             "The distance backend serving this edge (always 1)",
-        );
-        backend.set(1);
+        )
+        .set(1);
         let format_version = ah_store::VERSION.to_string();
-        let build_info = reg.gauge(
+        reg.gauge(
             "ah_build_info",
             &[
                 ("version", env!("CARGO_PKG_VERSION")),
@@ -323,17 +275,10 @@ impl EdgeMirrors {
                 ("backend", backend_name),
             ],
             "Build and serving identity (value is always 1)",
-        );
-        build_info.set(1);
-        let uptime = reg.gauge(
-            "ah_uptime_seconds",
-            &[],
-            "Seconds since this edge began serving",
-        );
-        EdgeMirrors {
-            backend,
-            build_info,
-            uptime,
+        )
+        .set(1);
+        SampledGauges {
+            uptime: reg.gauge("ah_uptime_seconds", &[], "Seconds since this edge began serving"),
             started: Instant::now(),
             connections_open: reg.gauge("ah_edge_connections_open", &[], "Connections currently open"),
             in_flight: reg.gauge(
@@ -352,16 +297,6 @@ impl EdgeMirrors {
                 &[],
                 "Deepest the admission queue has been",
             ),
-            queue_rejected: reg.counter(
-                "ah_queue_rejected_total",
-                &[],
-                "Requests refused at admission (answered 429)",
-            ),
-            server_queries: reg.counter(
-                "ah_server_queries_total",
-                &[],
-                "Queries served by the engine over its lifetime",
-            ),
         }
     }
 }
@@ -370,6 +305,8 @@ impl EdgeMirrors {
 struct Shared {
     stop: AtomicBool,
     waker: WakePipe,
+    /// The edge's own series; `/metrics` renders it after the server's.
+    registry: Registry,
     metrics: EdgeMetrics,
 }
 
@@ -436,23 +373,14 @@ struct Slot {
 }
 
 enum SlotState {
-    /// Admitted to the backend; context to render the eventual response.
-    Waiting(PendingQuery),
+    /// Admitted to the backend: the request, and for a matrix request
+    /// its `(rows, cols)` — everything needed to render the response
+    /// body once the worker's completion arrives (the dimensions let
+    /// the renderer emit a fully-masked table should the worker return
+    /// no payload).
+    Waiting(Request, (usize, usize)),
     /// Response bytes ready to enter the write buffer.
     Ready(Vec<u8>),
-}
-
-/// What an admitted request asked for — everything the event loop
-/// needs to render its response body once the worker's completion
-/// arrives. The matrix dimensions are kept so the renderer can emit a
-/// fully-masked table even if the worker returned no payload.
-#[derive(Clone, Copy)]
-enum PendingQuery {
-    Distance { src: u32, dst: u32 },
-    Path { src: u32, dst: u32 },
-    Via { src: u32, dst: u32, cat: u32 },
-    Knn { src: u32, cat: u32, k: u32 },
-    Matrix { rows: usize, cols: usize },
 }
 
 /// Per-connection state machine.
@@ -553,13 +481,16 @@ impl EdgeServer {
     pub fn bind(addr: impl ToSocketAddrs, cfg: EdgeConfig) -> io::Result<EdgeServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
+        let registry = Registry::new();
+        let metrics = EdgeMetrics::new(&registry);
         Ok(EdgeServer {
             listener,
             cfg,
             shared: Arc::new(Shared {
                 stop: AtomicBool::new(false),
                 waker: WakePipe::new()?,
-                metrics: EdgeMetrics::default(),
+                registry,
+                metrics,
             }),
         })
     }
@@ -589,14 +520,18 @@ impl EdgeServer {
     }
 
     /// [`EdgeServer::serve`], additionally exposing
-    /// `POST /admin/reload-delta?path=...` wired to `reload`. Like
-    /// `/admin/shutdown`, the endpoint is for loopback process tests and
-    /// supervised deployments — leave it unwired on untrusted networks.
+    /// `POST /admin/reload-delta?path=...` wired to `reload`: the
+    /// endpoint starts [`DeltaReloader::start_from_file`] (which rebuilds
+    /// on a background thread) and answers `202`, or `409` while a
+    /// reload is in flight or the delta does not apply, or `400` when
+    /// the file cannot be loaded. Like `/admin/shutdown`, the endpoint
+    /// is for loopback process tests and supervised deployments — leave
+    /// it unwired on untrusted networks.
     pub fn serve_with_admin(
         self,
         server: &Server,
         backend: &dyn DistanceBackend,
-        reload: Option<&dyn ReloadHandler>,
+        reload: Option<&Arc<DeltaReloader>>,
     ) -> io::Result<EdgeReport> {
         let EdgeServer {
             listener,
@@ -608,10 +543,7 @@ impl EdgeServer {
         // Enqueue→dequeue waits land straight in the engine's lifetime
         // histogram (`ah_queue_wait_seconds`).
         jobs.set_wait_histogram(Arc::clone(&server.metrics().queue_wait));
-        // The edge reports into the server's registry: one render is the
-        // whole /metrics document.
-        shared.metrics.register_into(server.registry());
-        let mirrors = EdgeMirrors::new(server.registry(), backend.name());
+        let gauges = SampledGauges::new(&shared.registry, backend.name());
         let completions: Mutex<Completions> = Mutex::new(Vec::new());
 
         let result = std::thread::scope(|scope| {
@@ -649,7 +581,7 @@ impl EdgeServer {
                 next_req_id: 0,
                 num_nodes: backend.num_nodes(),
                 jobs_closed: false,
-                mirrors,
+                gauges,
                 reload,
             };
             let out = ev_loop.run();
@@ -657,10 +589,6 @@ impl EdgeServer {
             jobs.close();
             out
         });
-
-        // Fold final queue saturation into the serving metrics so
-        // whoever reads them after the run sees it.
-        server.metrics().record_queue(&jobs);
 
         result.map(|()| {
             let m = &shared.metrics;
@@ -698,8 +626,8 @@ struct EventLoop<'a> {
     next_req_id: u64,
     num_nodes: usize,
     jobs_closed: bool,
-    mirrors: EdgeMirrors,
-    reload: Option<&'a dyn ReloadHandler>,
+    gauges: SampledGauges,
+    reload: Option<&'a Arc<DeltaReloader>>,
 }
 
 impl EventLoop<'_> {
@@ -961,7 +889,7 @@ impl EventLoop<'_> {
         let path = http::path_of(&req.target);
 
         if req.method == "POST" && path == "/admin/reload-delta" {
-            let Some(handler) = self.reload else {
+            let Some(reloader) = self.reload else {
                 self.respond_now(token, 404, keep, http::json_error("unknown path"));
                 return;
             };
@@ -974,26 +902,26 @@ impl EventLoop<'_> {
                 );
                 return;
             };
-            match handler.reload(p) {
-                Ok(body) => self.respond_now(token, 202, keep, body.into_bytes()),
-                Err((status, detail)) => {
-                    let body = format!("{{\"error\":{}}}", ah_obs::json_string(&detail));
-                    self.respond_now(token, status, keep, body.into_bytes());
+            let (status, detail) = match reloader.start_from_file(p) {
+                Ok(()) => {
+                    let body = format!(
+                        "{{\"status\":\"reloading\",\"path\":{}}}",
+                        ah_obs::json_string(p)
+                    );
+                    self.respond_now(token, 202, keep, body.into_bytes());
+                    return;
                 }
-            }
+                Err(ReloadError::Busy) => (409, "a reload is already in progress".to_string()),
+                Err(ReloadError::Delta(e)) => (409, e.to_string()),
+                Err(ReloadError::Snapshot(e)) => (400, e.to_string()),
+            };
+            let body = format!("{{\"error\":{}}}", ah_obs::json_string(&detail));
+            self.respond_now(token, status, keep, body.into_bytes());
             return;
         }
         if req.method == "POST" && path == "/v1/matrix" {
             match parse_matrix_body(&req.body) {
-                Ok(m) => self.admit(
-                    token,
-                    PendingQuery::Matrix {
-                        rows: m.sources.len(),
-                        cols: m.targets.len(),
-                    },
-                    Some(Box::new(m)),
-                    keep,
-                ),
+                Ok(m) => self.admit(token, Request::matrix(0), Some(Box::new(m)), keep),
                 Err((status, detail)) => {
                     self.respond_now(token, status, keep, http::json_error(detail));
                 }
@@ -1069,12 +997,12 @@ impl EventLoop<'_> {
                         return;
                     }
                 };
-                let pending = if is_path {
-                    PendingQuery::Path { src, dst }
+                let req = if is_path {
+                    Request::path(0, src, dst)
                 } else {
-                    PendingQuery::Distance { src, dst }
+                    Request::distance(0, src, dst)
                 };
-                self.admit(token, pending, None, keep);
+                self.admit(token, req, None, keep);
             }
             "/v1/via" => {
                 let parsed = (
@@ -1091,7 +1019,7 @@ impl EventLoop<'_> {
                     );
                     return;
                 };
-                self.admit(token, PendingQuery::Via { src, dst, cat }, None, keep);
+                self.admit(token, Request::via(0, src, dst, cat), None, keep);
             }
             "/v1/knn" => {
                 let parsed = (
@@ -1117,7 +1045,7 @@ impl EventLoop<'_> {
                     );
                     return;
                 }
-                self.admit(token, PendingQuery::Knn { src, cat, k }, None, keep);
+                self.admit(token, Request::knn(0, src, cat, k), None, keep);
             }
             _ => {
                 self.respond_now(token, 404, keep, http::json_error("unknown path"));
@@ -1130,34 +1058,31 @@ impl EventLoop<'_> {
     /// requests get their trace span here — parse and enqueue stamped
     /// at the edge, the rest by whichever worker pops the job (a
     /// rejected request's span is finished immediately with its
-    /// rejection status, leaving an honest partial trace).
+    /// rejection status, leaving an honest partial trace). `req.id` is
+    /// overwritten with the edge's next request number.
     fn admit(
         &mut self,
         token: u64,
-        pending: PendingQuery,
+        mut req: Request,
         batch: Option<Box<MatrixRequest>>,
         keep: bool,
     ) {
-        let id = self.next_req_id;
+        req.id = self.next_req_id;
         self.next_req_id += 1;
-        let request = match pending {
-            PendingQuery::Distance { src, dst } => Request::distance(id, src, dst),
-            PendingQuery::Path { src, dst } => Request::path(id, src, dst),
-            PendingQuery::Via { src, dst, cat } => Request::via(id, src, dst, cat),
-            PendingQuery::Knn { src, cat, k } => Request::knn(id, src, cat, k),
-            PendingQuery::Matrix { .. } => Request::matrix(id),
-        };
+        let dims = batch
+            .as_deref()
+            .map_or((0, 0), |m| (m.sources.len(), m.targets.len()));
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         let slot_id = conn.next_slot;
         conn.next_slot += 1;
-        let mut span = self.server.tracer().start(trace_kind(request.kind));
+        let mut span = self.server.tracer().start(trace_kind(req.kind));
         if let Some(s) = span.as_deref_mut() {
             s.stamp(Stage::Enqueue);
         }
         match self.jobs.try_push(Job {
-            req: request,
+            req,
             batch,
             span,
             tag: (token, slot_id),
@@ -1167,7 +1092,7 @@ impl EventLoop<'_> {
                 conn.slots.push_back(Slot {
                     id: slot_id,
                     keep_alive: keep,
-                    state: SlotState::Waiting(pending),
+                    state: SlotState::Waiting(req, dims),
                     span: None,
                 });
             }
@@ -1261,32 +1186,29 @@ impl EventLoop<'_> {
             let Some(slot) = conn.slots.iter_mut().find(|s| s.id == slot_id) else {
                 continue;
             };
-            if let SlotState::Waiting(pending) = slot.state {
-                let body = match pending {
-                    PendingQuery::Distance { src, dst } => {
-                        render_query_json(src, dst, false, &resp)
-                    }
-                    PendingQuery::Path { src, dst } => render_query_json(src, dst, true, &resp),
-                    PendingQuery::Via { src, dst, cat } => {
+            if let SlotState::Waiting(req, (rows, cols)) = slot.state {
+                let (src, dst) = (req.s, req.t);
+                let body = match req.kind {
+                    QueryKind::Distance => render_query_json(src, dst, false, &resp),
+                    QueryKind::Path => render_query_json(src, dst, true, &resp),
+                    QueryKind::Via { cat } => {
                         render_via_json(src, dst, cat, &resp, payload.as_deref())
                     }
-                    PendingQuery::Knn { src, cat, k } => {
-                        render_knn_json(src, cat, k, payload.as_deref())
-                    }
-                    PendingQuery::Matrix { rows, cols } => {
-                        render_matrix_json(rows, cols, payload.as_deref())
-                    }
+                    QueryKind::Knn { cat, k } => render_knn_json(src, cat, k, payload.as_deref()),
+                    QueryKind::Matrix => render_matrix_json(rows, cols, payload.as_deref()),
                 };
                 // The worker drained the kernel-side cost in
                 // `timed_serve`; the response body size is only known
                 // here, so `bytes_out` joins the same per-kind families
                 // (and the sampled span) at serialize time.
-                let mut out_cost = CostCounters::default();
-                out_cost.bytes_out = body.len() as u64;
+                let out_cost = CostCounters {
+                    bytes_out: body.len() as u64,
+                    ..Default::default()
+                };
                 self.server
                     .metrics()
                     .cost
-                    .record(pending_cost_kind(pending), &out_cost);
+                    .record(trace_kind(req.kind) as usize, &out_cost);
                 slot.state = SlotState::Ready(http::response(
                     200,
                     "application/json",
@@ -1442,36 +1364,24 @@ impl EventLoop<'_> {
         Ok(())
     }
 
-    /// Prometheus text exposition: refresh the point-in-time gauges and
-    /// mirror counters, then render the server's registry — edge
-    /// counters, admission-queue saturation, the serving engine's
-    /// latency/queue-wait histograms (`_bucket`/`_sum`/`_count`) and
-    /// the tracer's per-stage durations, all in one document.
+    /// Prometheus text exposition: sample the point-in-time gauges,
+    /// then render the server's registry (the serving engine's
+    /// latency/queue-wait histograms as `_bucket`/`_sum`/`_count`, the
+    /// cost ledger, the tracer's per-stage durations, reload state)
+    /// followed by the edge's own (connection, byte and status
+    /// counters, admission-queue state). The two share no family name,
+    /// so the result is one valid exposition.
     fn render_metrics(&self) -> String {
-        let mi = &self.mirrors;
-        mi.backend.set(1);
-        mi.build_info.set(1);
-        mi.uptime.set(mi.started.elapsed().as_secs());
-        mi.connections_open.set(self.conns.len() as u64);
-        mi.in_flight.set(self.in_flight as u64);
-        mi.queue_capacity.set(self.jobs.capacity() as u64);
-        mi.queue_depth.set(self.jobs.len() as u64);
-        mi.queue_high_water.set(self.jobs.high_water() as u64);
-        mi.queue_rejected.store(self.jobs.rejected());
-        mi.server_queries.store(self.server.metrics().latency.count());
-        self.server.registry().render()
-    }
-}
-
-/// Maps a pending edge query onto the serving layer's cost-kind index
-/// (the same order [`trace_kind`] and `COST_KIND_NAMES` use).
-fn pending_cost_kind(pending: PendingQuery) -> usize {
-    match pending {
-        PendingQuery::Distance { .. } => 0,
-        PendingQuery::Path { .. } => 1,
-        PendingQuery::Via { .. } => 2,
-        PendingQuery::Knn { .. } => 3,
-        PendingQuery::Matrix { .. } => 4,
+        let g = &self.gauges;
+        g.uptime.set(g.started.elapsed().as_secs());
+        g.connections_open.set(self.conns.len() as u64);
+        g.in_flight.set(self.in_flight as u64);
+        g.queue_capacity.set(self.jobs.capacity() as u64);
+        g.queue_depth.set(self.jobs.len() as u64);
+        g.queue_high_water.set(self.jobs.high_water() as u64);
+        let mut out = self.server.registry().render();
+        out.push_str(&self.shared.registry.render());
+        out
     }
 }
 

@@ -59,6 +59,6 @@ pub mod http;
 mod sys;
 
 #[cfg(unix)]
-pub use edge::{EdgeConfig, EdgeHandle, EdgeMetrics, EdgeReport, EdgeServer, ReloadHandler, STATUSES};
+pub use edge::{EdgeConfig, EdgeHandle, EdgeMetrics, EdgeReport, EdgeServer, STATUSES};
 #[cfg(unix)]
 pub use sys::PollerKind;

@@ -72,7 +72,6 @@ fn reload_endpoint_publishes_the_patched_index_mid_connection() {
     let idx = Arc::new(AhIndex::build(&g, &cfg));
     let snap = Arc::new(SnapshotServer::new(idx, ServerConfig::with_workers(2)));
     let reloader = Arc::new(DeltaReloader::new(Arc::clone(&snap), g.clone(), cfg));
-    reloader.register_into(snap.server().registry());
 
     // Re-weight both arcs out of node 0 so every route from 0 changes.
     let delta = WeightDelta::new(

@@ -133,7 +133,14 @@ fn serves_distance_path_healthz_metrics_on_both_pollers() {
             assert!(headers["content-type"].starts_with("text/plain"));
             let text = String::from_utf8(body).unwrap();
             assert!(text.contains("ah_queue_capacity"), "{text}");
-            assert!(text.contains("ah_server_queries_total"), "{text}");
+            assert!(text.contains("ah_server_query_latency_seconds_count"), "{text}");
+            // The server's and the edge's registries render into one
+            // document: no family may be declared twice.
+            let mut types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+            let declared = types.len();
+            types.sort_unstable();
+            types.dedup();
+            assert_eq!(types.len(), declared, "a family rendered twice:\n{text}");
             assert!(
                 handle.metrics().total_responses() >= 5,
                 "live metrics visible through the handle"

@@ -11,9 +11,9 @@
 //!   per-run and per-worker instances can be merged and rendered
 //!   without guessing.
 //! - [`Registry`]: named metric families with per-series labels
-//!   (`kind`, `stage`, `code`, …), rendered once as
-//!   Prometheus text — including real `_bucket`/`le` series derived
-//!   from the histogram buckets.
+//!   (`kind`, `stage`, `code`, …), each created once by the part that
+//!   owns it, rendered as Prometheus text — including real
+//!   `_bucket`/`le` series derived from the histogram buckets.
 //! - [`Tracer`] / [`Span`]: deterministic 1-in-N sampled request
 //!   traces. Each sampled request carries a fixed-size [`SpanRecord`]
 //!   with monotonic stage timestamps (parse → enqueue → dequeue →
@@ -51,7 +51,7 @@ pub use clock::now_ns;
 pub use cost::{CostCounters, COST_FIELD_NAMES, NUM_COST_FIELDS};
 pub use json::json_string;
 pub use metrics::{Counter, Gauge, Histogram, BUCKETS};
-pub use registry::{Metric, Registry};
+pub use registry::Registry;
 pub use slo::{SloPolicy, SloStatus, SloWindows, WindowStats};
 pub use trace::{
     Span, SpanRecord, SpanRing, Stage, TraceConfig, Tracer, INTERVAL_NAMES, NUM_STAGES,

@@ -42,13 +42,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Overwrites the value. Exists for *mirror* counters that
-    /// re-expose a total owned by another subsystem (e.g. the queue's
-    /// own rejected count) — prefer [`Counter::add`] everywhere else.
-    pub fn store(&self, n: u64) {
-        self.value.store(n, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time gauge (set, not accumulated).
@@ -232,8 +225,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        c.store(2);
-        assert_eq!(c.get(), 2);
         let g = Gauge::new();
         g.set(7);
         g.set_max(3);

@@ -1,18 +1,17 @@
 //! A named-metric registry with one Prometheus-text renderer.
 //!
-//! Every serving layer registers its counters/gauges/histograms here
-//! under stable names with static labels (`backend`, `shard`,
-//! `endpoint`, `status`, …); `/metrics` becomes a single
-//! [`Registry::render`] call instead of each layer hand-formatting its
-//! own block. Histograms render as real cumulative `_bucket{le=…}`
-//! series (boundaries in **seconds**, from
-//! [`Histogram::bucket_le_ns`]) plus `_sum`/`_count`, so quantiles can
-//! be computed server-side by any Prometheus-compatible scraper.
+//! Each part of the serving stack creates its counters, gauges and
+//! histograms here, once, under stable names with static labels
+//! (`kind`, `stage`, `code`, …), and keeps the returned `Arc`s to
+//! update them; `/metrics` is then a [`Registry::render`] call instead
+//! of each layer hand-formatting its own block. Histograms render as
+//! real cumulative `_bucket{le=…}` series (boundaries in **seconds**,
+//! from [`Histogram::bucket_le_ns`]) plus `_sum`/`_count`, so quantiles
+//! can be computed server-side by any Prometheus-compatible scraper.
 //!
-//! Registration is rare (startup / run setup) and rendering is
-//! debug-path, so the registry itself is a plain `Mutex<Vec<…>>`;
-//! the *metrics* stay lock-free — the registry only holds `Arc`s to
-//! them.
+//! Creating a series is rare (startup) and rendering is debug-path, so
+//! the registry itself is a plain `Mutex<Vec<…>>`; the *metrics* stay
+//! lock-free — the registry only holds `Arc`s to them.
 
 use std::sync::{Arc, Mutex};
 
@@ -20,7 +19,7 @@ use crate::metrics::{Counter, Gauge, Histogram};
 
 /// A handle to one registered metric.
 #[derive(Debug, Clone)]
-pub enum Metric {
+enum Metric {
     /// Monotonic counter.
     Counter(Arc<Counter>),
     /// Point-in-time gauge.
@@ -43,13 +42,6 @@ pub struct Registry {
     families: Mutex<Vec<Family>>,
 }
 
-fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-    labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
-}
-
 impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Self {
@@ -57,7 +49,7 @@ impl Registry {
     }
 
     /// Returns the counter registered under `name` + `labels`,
-    /// creating (and registering) it on first use.
+    /// creating it on first use.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Counter> {
         match self.get_or_insert(name, labels, help, || Metric::Counter(Arc::default())) {
             Metric::Counter(c) => c,
@@ -83,30 +75,6 @@ impl Registry {
         }
     }
 
-    /// Attaches an *existing* metric under `name` + `labels`,
-    /// replacing any previous registration of the same series. This is
-    /// how a layer that owns its own `Arc<Counter>` (e.g. the edge
-    /// loop's byte counters, or a per-run `ServerMetrics`) exposes it
-    /// without double-counting across re-registrations.
-    pub fn register(&self, name: &str, labels: &[(&str, &str)], help: &str, metric: Metric) {
-        let labels = owned_labels(labels);
-        let mut fams = self.families.lock().unwrap();
-        if let Some(f) = fams
-            .iter_mut()
-            .find(|f| f.name == name && f.labels == labels)
-        {
-            f.metric = metric;
-            f.help = help.to_string();
-        } else {
-            fams.push(Family {
-                name: name.to_string(),
-                help: help.to_string(),
-                labels,
-                metric,
-            });
-        }
-    }
-
     fn get_or_insert(
         &self,
         name: &str,
@@ -114,7 +82,10 @@ impl Registry {
         help: &str,
         make: impl FnOnce() -> Metric,
     ) -> Metric {
-        let labels = owned_labels(labels);
+        let labels: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
         let mut fams = self.families.lock().unwrap();
         if let Some(f) = fams
             .iter()
@@ -247,20 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn register_replaces_same_series() {
-        let r = Registry::new();
-        let old = Arc::new(Counter::new());
-        old.add(5);
-        r.register("ah_x_total", &[], "x", Metric::Counter(old));
-        let new = Arc::new(Counter::new());
-        new.add(7);
-        r.register("ah_x_total", &[], "x", Metric::Counter(new));
-        let text = r.render();
-        assert!(text.contains("ah_x_total 7"), "{text}");
-        assert!(!text.contains("ah_x_total 5"), "{text}");
-    }
-
-    #[test]
     fn histogram_renders_cumulative_buckets_in_seconds() {
         let r = Registry::new();
         let h = r.histogram("ah_lat_seconds", &[("backend", "AH")], "latency");
@@ -290,7 +247,7 @@ mod tests {
         // The invariant the Prometheus exposition format demands: a
         // family registered under many label sets — by *different call
         // sites, interleaved with other families* (exactly how the
-        // edge, the server, and the tracer all land in one registry) —
+        // server's metrics, its tracer and a reloader share one registry) —
         // renders one # HELP and one # TYPE line, with every series of
         // the family grouped contiguously under them.
         let r = Registry::new();
@@ -300,14 +257,9 @@ mod tests {
         // Call site 2: an unrelated family lands in between.
         r.gauge("ah_other_gauge", &[], "other").set(3);
         // Call site 3: a "lane" registers more label sets of the same
-        // families, including via the replace path.
+        // families.
         r.counter("ah_multi_total", &[("shard", "1")], "multi help");
-        r.register(
-            "ah_multi_total",
-            &[("shard", "2"), ("backend", "AH")],
-            "multi help",
-            Metric::Counter(Arc::new(Counter::new())),
-        );
+        r.counter("ah_multi_total", &[("shard", "2"), ("backend", "AH")], "multi help");
         r.histogram("ah_multi_seconds", &[("shard", "1")], "hist help");
 
         let text = r.render();

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use crate::clock::now_ns;
 use crate::cost::{CostCounters, NUM_COST_FIELDS};
 use crate::metrics::{Counter, Histogram};
-use crate::registry::{Metric, Registry};
+use crate::registry::Registry;
 
 /// Number of stamped stages in a span.
 pub const NUM_STAGES: usize = 7;
@@ -326,16 +326,33 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Creates a tracer with the given knobs.
-    pub fn new(cfg: TraceConfig) -> Self {
+    /// Creates a tracer with the given knobs, and its metrics in `reg`:
+    /// `ah_trace_spans_total`, `ah_trace_slow_total`, and one
+    /// `ah_stage_duration_seconds` histogram per stage interval, under a
+    /// `stage` label.
+    pub fn new(cfg: TraceConfig, reg: &Registry) -> Self {
         let ring = SpanRing::new(cfg.ring_capacity);
         Tracer {
             cfg,
             next_id: AtomicU64::new(0),
             ring,
-            spans_total: Arc::default(),
-            slow_total: Arc::default(),
-            stage_ns: std::array::from_fn(|_| Arc::default()),
+            spans_total: reg.counter(
+                "ah_trace_spans_total",
+                &[],
+                "Sampled request spans finished",
+            ),
+            slow_total: reg.counter(
+                "ah_trace_slow_total",
+                &[],
+                "Sampled spans at or above the slow-query threshold",
+            ),
+            stage_ns: std::array::from_fn(|i| {
+                reg.histogram(
+                    "ah_stage_duration_seconds",
+                    &[("stage", INTERVAL_NAMES[i])],
+                    "Per-stage duration of sampled request spans",
+                )
+            }),
         }
     }
 
@@ -404,32 +421,6 @@ impl Tracer {
         &self.stage_ns[i]
     }
 
-    /// Registers the tracer's metrics (`ah_trace_spans_total`,
-    /// `ah_trace_slow_total`, and one `ah_stage_duration_seconds`
-    /// histogram per stage interval, under a `stage` label).
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register(
-            "ah_trace_spans_total",
-            &[],
-            "Sampled request spans finished",
-            Metric::Counter(Arc::clone(&self.spans_total)),
-        );
-        reg.register(
-            "ah_trace_slow_total",
-            &[],
-            "Sampled spans at or above the slow-query threshold",
-            Metric::Counter(Arc::clone(&self.slow_total)),
-        );
-        for (i, name) in INTERVAL_NAMES.iter().enumerate() {
-            reg.register(
-                "ah_stage_duration_seconds",
-                &[("stage", name)],
-                "Per-stage duration of sampled request spans",
-                Metric::Histogram(Arc::clone(&self.stage_ns[i])),
-            );
-        }
-    }
-
     /// Renders the recent-trace ring as the `/debug/traces` JSON
     /// document (hand-rolled: the workspace serde is an offline stub).
     pub fn traces_json(&self) -> String {
@@ -486,6 +477,11 @@ fn kind_name(kind: u8) -> &'static str {
 mod tests {
     use super::*;
 
+    /// A tracer whose metrics live in a registry of its own.
+    fn tracer(cfg: TraceConfig) -> Tracer {
+        Tracer::new(cfg, &Registry::new())
+    }
+
     fn full_span(tracer: &Tracer) -> Box<Span> {
         let mut s = tracer.start(0).expect("sampled");
         for st in [
@@ -503,20 +499,20 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_one_in_n() {
-        let t = Tracer::new(TraceConfig {
+        let t = tracer(TraceConfig {
             sample_every: 4,
             ..Default::default()
         });
         let sampled = (0..100).filter(|_| t.start(0).is_some()).count();
         assert_eq!(sampled, 25);
 
-        let off = Tracer::new(TraceConfig {
+        let off = tracer(TraceConfig {
             sample_every: 0,
             ..Default::default()
         });
         assert!(off.start(0).is_none());
 
-        let all = Tracer::new(TraceConfig {
+        let all = tracer(TraceConfig {
             sample_every: 1,
             ..Default::default()
         });
@@ -525,7 +521,7 @@ mod tests {
 
     #[test]
     fn finished_spans_are_complete_and_monotonic() {
-        let t = Tracer::new(TraceConfig {
+        let t = tracer(TraceConfig {
             sample_every: 1,
             ..Default::default()
         });
@@ -547,7 +543,7 @@ mod tests {
 
     #[test]
     fn partial_spans_survive_without_panicking() {
-        let t = Tracer::new(TraceConfig {
+        let t = tracer(TraceConfig {
             sample_every: 1,
             ..Default::default()
         });
@@ -632,7 +628,7 @@ mod tests {
 
     #[test]
     fn traces_json_shape() {
-        let t = Tracer::new(TraceConfig {
+        let t = tracer(TraceConfig {
             sample_every: 1,
             slow_threshold_ns: 0,
             ..Default::default()
@@ -648,18 +644,20 @@ mod tests {
 
     #[test]
     fn slow_log_counts_threshold_hits() {
-        let t = Tracer::new(TraceConfig {
-            sample_every: 1,
-            slow_threshold_ns: 1, // everything with ≥ 2 stamps is "slow"
-            ..Default::default()
-        });
+        let r = Registry::new();
+        let t = Tracer::new(
+            TraceConfig {
+                sample_every: 1,
+                slow_threshold_ns: 1, // everything with ≥ 2 stamps is "slow"
+                ..Default::default()
+            },
+            &r,
+        );
         let mut s = t.start(0).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(1));
         s.stamp(Stage::Flush);
         t.finish(s, 200);
         assert_eq!(t.spans_finished(), 1);
-        let r = Registry::new();
-        t.register_into(&r);
         let text = r.render();
         assert!(text.contains("ah_trace_slow_total 1"), "{text}");
         assert!(text.contains("ah_trace_spans_total 1"), "{text}");

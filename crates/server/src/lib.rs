@@ -21,11 +21,11 @@
 //!   queue fills, making every run closed-loop.
 //! * [`ServerMetrics`] — lock-free telemetry over the `ah_obs`
 //!   substrate: log₂-bucket latency and queue-wait histograms
-//!   (p50/p95/p99), cache hit rates, aggregate QPS — all `Arc`-shared
-//!   metrics registrable in an [`ah_obs::Registry`] for one unified
-//!   Prometheus render, with deterministic 1-in-N request tracing
-//!   ([`ah_obs::Tracer`]) threaded through the queue via [`Job`]
-//!   (see `docs/OBSERVABILITY.md`).
+//!   (p50/p95/p99), scenario counts and the per-kind cost ledger (which
+//!   also carries the cache probes and hits), each series created once
+//!   in the server's [`ah_obs::Registry`], with deterministic 1-in-N
+//!   request tracing ([`ah_obs::Tracer`]) threaded through the queue
+//!   via [`Job`] (see `docs/OBSERVABILITY.md`).
 //! * [`SnapshotServer`] — the lifecycle layer over `ah_store` snapshots:
 //!   [`Server::from_snapshot`] restarts a server from a persisted index
 //!   without paying the build, and an atomic index swap (with cache

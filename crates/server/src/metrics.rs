@@ -4,14 +4,14 @@
 //! [`LatencyHistogram`] (the log₂-bucket `ah_obs::Histogram` — relaxed
 //! atomic increments only, no locks on the hot path, bucket layout
 //! property-tested in `ah_obs`), and the queue records each job's
-//! enqueue→dequeue wait into a second one. All fields are `Arc`s so
-//! the same metric objects can live in a [`ah_obs::Registry`] and be
-//! rendered as Prometheus text (`_bucket`/`_sum`/`_count` series) by
-//! the edge while workers keep writing to them lock-free.
+//! enqueue→dequeue wait into a second one. [`ServerMetrics::new`]
+//! creates every series in the server's [`Registry`], so the edge
+//! renders them as Prometheus text (`_bucket`/`_sum`/`_count` series)
+//! while workers keep writing to them lock-free.
 
 use std::sync::Arc;
 
-use ah_obs::{CostCounters, Counter, Gauge, Metric, Registry, COST_FIELD_NAMES, NUM_COST_FIELDS};
+use ah_obs::{CostCounters, Counter, Registry, COST_FIELD_NAMES, NUM_COST_FIELDS};
 
 /// The serving layer's latency histogram — a re-export of
 /// [`ah_obs::Histogram`], kept under its historical name. Buckets are
@@ -21,9 +21,14 @@ pub use ah_obs::Histogram as LatencyHistogram;
 
 /// Shared serving counters, updated by all workers.
 ///
-/// Every field is an `Arc` so the identical objects can be registered
-/// in an [`ah_obs::Registry`] (shared with the edge)
-/// while remaining plain lock-free metrics on the worker hot path.
+/// Each quantity has one ledger: cache outcomes are the `cache_probes`
+/// / `cache_hits` rows of [`ServerMetrics::cost`], queries served are
+/// the latency histogram's count, and the queue's depth, high-water
+/// mark and rejections are read off the [`crate::BoundedQueue`] itself.
+/// [`ServerMetrics::new`] creates the series in a registry;
+/// `ServerMetrics::default()` builds an unregistered set (one run's
+/// measurement, folded into the lifetime set by
+/// [`ServerMetrics::merge_from`]).
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     /// Latency of every query (cache hits included — they are part of the
@@ -33,17 +38,6 @@ pub struct ServerMetrics {
     /// with [`crate::BoundedQueue::set_wait_histogram`] attached —
     /// queue saturation as a *latency*, not just a depth gauge.
     pub queue_wait: Arc<LatencyHistogram>,
-    /// Distance and via queries answered from the cache — the one
-    /// ledger of cache outcomes ([`crate::Server::cache_hit_rate`]
-    /// reads it). Path, knn and matrix requests never probe the cache
-    /// and are excluded from both counters.
-    pub cache_hits: Arc<Counter>,
-    /// Distance and via queries that went to the backend.
-    pub cache_misses: Arc<Counter>,
-    /// Requests refused at admission because the bounded queue was full
-    /// (the edge answers these with 429). Always 0 for closed-loop runs,
-    /// whose feeder blocks instead of rejecting.
-    pub rejected: Arc<Counter>,
     /// Via-detour scenario requests served (`QueryKind::Via`).
     pub via_requests: Arc<Counter>,
     /// k-nearest-POI scenario requests served (`QueryKind::Knn`).
@@ -51,16 +45,10 @@ pub struct ServerMetrics {
     /// Batched distance-table requests served (`QueryKind::Matrix`) —
     /// counted per request, not per cell.
     pub matrix_requests: Arc<Counter>,
-    /// Deepest the request queue has been — saturation headroom. A
-    /// high-water mark at the queue's capacity means admission control
-    /// engaged (or was one request away from engaging).
-    pub queue_high_water: Arc<Gauge>,
-    /// Queue depth when the metrics were last sampled (a gauge, not a
-    /// counter; 0 after a drained run).
-    pub queue_depth: Arc<Gauge>,
     /// Per-kind algorithmic cost totals (the `ah_query_*` families):
     /// what each request class *did* — nodes settled, edges relaxed,
-    /// label entries merged — not just how long it took.
+    /// label entries merged, cache probes and hits — not just how long
+    /// it took.
     pub cost: CostMetrics,
 }
 
@@ -72,26 +60,28 @@ pub const COST_KIND_NAMES: [&str; 5] = ["distance", "path", "via", "knn", "matri
 /// counter per `(request kind, cost field)` pair, rendered as one
 /// Prometheus family per field (`ah_query_settled_nodes`,
 /// `ah_query_relaxed_edges`, …) with a `kind` label on each series.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CostMetrics {
     /// `counters[kind][field]`, kinds indexed by [`COST_KIND_NAMES`],
     /// fields by [`ah_obs::COST_FIELD_NAMES`].
-    counters: Vec<[Arc<Counter>; NUM_COST_FIELDS]>,
-}
-
-impl Default for CostMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
+    counters: [[Arc<Counter>; NUM_COST_FIELDS]; COST_KIND_NAMES.len()],
 }
 
 impl CostMetrics {
-    /// Creates zeroed per-kind cost counters.
-    pub fn new() -> Self {
+    /// Creates one `ah_query_<field>` counter family per cost field in
+    /// `reg`, each with one series per request kind (a `kind` label).
+    pub fn new(reg: &Registry) -> Self {
         CostMetrics {
-            counters: (0..COST_KIND_NAMES.len())
-                .map(|_| std::array::from_fn(|_| Arc::new(Counter::new())))
-                .collect(),
+            counters: std::array::from_fn(|kind| {
+                std::array::from_fn(|field| {
+                    let name = COST_FIELD_NAMES[field];
+                    reg.counter(
+                        &format!("ah_query_{name}"),
+                        &[("kind", COST_KIND_NAMES[kind])],
+                        &format!("Per-query algorithmic cost: {name}, by request kind"),
+                    )
+                })
+            }),
         }
     }
 
@@ -136,115 +126,60 @@ impl CostMetrics {
             }
         }
     }
-
-    /// Registers one `ah_query_<field>` counter family per cost field,
-    /// each with one series per request kind (a `kind` label).
-    pub fn register_into(&self, reg: &Registry) {
-        for (field, name) in COST_FIELD_NAMES.iter().enumerate() {
-            let family = format!("ah_query_{name}");
-            let help = format!("Per-query algorithmic cost: {name}, by request kind");
-            for (kind, kind_name) in COST_KIND_NAMES.iter().enumerate() {
-                reg.register(
-                    &family,
-                    &[("kind", kind_name)],
-                    &help,
-                    Metric::Counter(Arc::clone(&self.counters[kind][field])),
-                );
-            }
-        }
-    }
 }
 
 impl ServerMetrics {
-    /// Creates zeroed metrics.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates the serving metrics in `reg` under their stable names
+    /// (see `docs/OBSERVABILITY.md`): `ah_server_query_latency_seconds`
+    /// and `ah_queue_wait_seconds` as Prometheus histograms, one
+    /// `ah_server_scenario_requests_total` series per scenario kind, and
+    /// the `ah_query_*` cost families.
+    pub fn new(reg: &Registry) -> Self {
+        let scenario = |name: &str| {
+            reg.counter(
+                "ah_server_scenario_requests_total",
+                &[("scenario", name)],
+                "Scenario queries served, by kind",
+            )
+        };
+        ServerMetrics {
+            latency: reg.histogram(
+                "ah_server_query_latency_seconds",
+                &[],
+                "Per-query service time (cache hits included)",
+            ),
+            queue_wait: reg.histogram(
+                "ah_queue_wait_seconds",
+                &[],
+                "Enqueue-to-dequeue wait in the bounded worker queue",
+            ),
+            via_requests: scenario("via"),
+            knn_requests: scenario("knn"),
+            matrix_requests: scenario("matrix"),
+            cost: CostMetrics::new(reg),
+        }
     }
 
     /// Folds another metrics object's counts into this one (used to roll a
     /// per-run measurement into the server's lifetime totals). Counters
-    /// add, histograms merge bucket-by-bucket (lossless — same layout),
-    /// the queue high-water takes the max of the two marks and the
-    /// depth gauge takes the other's (more recent) sample.
+    /// add, histograms merge bucket-by-bucket (lossless — same layout).
     pub fn merge_from(&self, other: &ServerMetrics) {
         self.latency.merge(&other.latency);
         self.queue_wait.merge(&other.queue_wait);
-        self.cache_hits.add(other.cache_hits.get());
-        self.cache_misses.add(other.cache_misses.get());
-        self.rejected.add(other.rejected.get());
         self.via_requests.add(other.via_requests.get());
         self.knn_requests.add(other.knn_requests.get());
         self.matrix_requests.add(other.matrix_requests.get());
-        self.queue_high_water.set_max(other.queue_high_water.get());
-        self.queue_depth.set(other.queue_depth.get());
         self.cost.merge_from(&other.cost);
     }
 
-    /// Folds a queue's saturation state into the metrics: the depth
-    /// gauge is overwritten, the high-water mark maxed, and the
-    /// rejected counter **added**. Call exactly once per queue, at the
-    /// end of its life (a closed-loop run, one edge `serve`): adding
-    /// rather than storing means a server reused across several queues
-    /// accumulates rejections instead of forgetting earlier runs'.
-    pub fn record_queue<T: Send>(&self, queue: &crate::BoundedQueue<T>) {
-        self.queue_depth.set(queue.len() as u64);
-        self.queue_high_water.set_max(queue.high_water() as u64);
-        self.rejected.add(queue.rejected());
-    }
-
-    /// Registers the metrics under their stable names (see
-    /// `docs/OBSERVABILITY.md`):
-    /// `ah_server_query_latency_seconds` and `ah_queue_wait_seconds`
-    /// as real Prometheus histograms, the cache outcomes as counters.
-    /// Re-registering (e.g. a fresh per-run `ServerMetrics`) replaces
-    /// the previous series instead of double-counting.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register(
-            "ah_server_query_latency_seconds",
-            &[],
-            "Per-query service time (cache hits included)",
-            Metric::Histogram(Arc::clone(&self.latency)),
-        );
-        reg.register(
-            "ah_queue_wait_seconds",
-            &[],
-            "Enqueue-to-dequeue wait in the bounded worker queue",
-            Metric::Histogram(Arc::clone(&self.queue_wait)),
-        );
-        reg.register(
-            "ah_server_cache_hits_total",
-            &[],
-            "Distance queries answered from the cache",
-            Metric::Counter(Arc::clone(&self.cache_hits)),
-        );
-        reg.register(
-            "ah_server_cache_misses_total",
-            &[],
-            "Distance queries computed by the backend",
-            Metric::Counter(Arc::clone(&self.cache_misses)),
-        );
-        // One series per scenario kind, distinguished by a `scenario`
-        // label.
-        for (scenario, counter) in [
-            ("via", &self.via_requests),
-            ("knn", &self.knn_requests),
-            ("matrix", &self.matrix_requests),
-        ] {
-            reg.register(
-                "ah_server_scenario_requests_total",
-                &[("scenario", scenario)],
-                "Scenario queries served, by kind",
-                Metric::Counter(Arc::clone(counter)),
-            );
-        }
-        self.cost.register_into(reg);
-    }
-
-    /// Immutable snapshot for reporting.
+    /// Immutable snapshot for reporting. `queue_high_water` reads 0
+    /// here: the queue is its ledger, and [`crate::Server::run`] fills
+    /// it in from the run's own queue.
     pub fn snapshot(&self, wall_secs: f64) -> MetricsSnapshot {
         let count = self.latency.count();
-        let hits = self.cache_hits.get();
-        let misses = self.cache_misses.get();
+        let cost = self.cost.total();
+        let hits = cost.cache_hits;
+        let probes = cost.cache_probes;
         MetricsSnapshot {
             queries: count,
             wall_secs,
@@ -256,18 +191,18 @@ impl ServerMetrics {
             p50_us: self.latency.quantile_ns(0.50) / 1e3,
             p99_us: self.latency.quantile_ns(0.99) / 1e3,
             cache_hits: hits,
-            cache_misses: misses,
-            cache_hit_rate: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
+            // Saturating: a snapshot racing a worker can count a hit
+            // whose probe it read before the worker recorded it.
+            cache_misses: probes.saturating_sub(hits),
+            cache_hit_rate: if probes > 0 {
+                hits as f64 / probes as f64
             } else {
                 0.0
             },
-            rejected: self.rejected.get(),
             scenario_via: self.via_requests.get(),
             scenario_knn: self.knn_requests.get(),
             scenario_matrix: self.matrix_requests.get(),
-            queue_high_water: self.queue_high_water.get(),
-            queue_depth: self.queue_depth.get(),
+            queue_high_water: 0,
             queue_wait_mean_us: self.queue_wait.mean_ns() / 1e3,
         }
     }
@@ -286,26 +221,25 @@ pub struct MetricsSnapshot {
     pub p50_us: f64,
     /// 99th-percentile latency, microseconds.
     pub p99_us: f64,
-    /// Distance queries answered from cache.
+    /// Distance and via queries answered from cache (Σ of the cost
+    /// ledger's `cache_hits`).
     pub cache_hits: u64,
-    /// Distance queries sent to the backend.
+    /// Distance and via queries that probed the cache and went to the
+    /// backend (`cache_probes − cache_hits`). 0 when the cache is off:
+    /// nothing probes it.
     pub cache_misses: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`, over distance queries
-    /// (the only kind that probes the cache).
+    /// `cache_hits / (cache_hits + cache_misses)`, over the distance and
+    /// via queries (the only kinds that probe the cache).
     pub cache_hit_rate: f64,
-    /// Requests refused at admission (bounded queue full → 429 at the
-    /// edge). 0 for closed-loop runs.
-    pub rejected: u64,
     /// Via-detour scenario requests served.
     pub scenario_via: u64,
     /// k-nearest-POI scenario requests served.
     pub scenario_knn: u64,
     /// Batched distance-table requests served.
     pub scenario_matrix: u64,
-    /// Deepest the request queue has been.
+    /// Deepest the run's request queue got (set by
+    /// [`crate::Server::run`]; 0 in a lifetime snapshot).
     pub queue_high_water: u64,
-    /// Queue depth at sampling time (0 after a drained run).
-    pub queue_depth: u64,
     /// Mean enqueue→dequeue wait, microseconds (0 when no wait
     /// histogram was attached to the queue).
     pub queue_wait_mean_us: f64,
@@ -369,49 +303,41 @@ mod tests {
 
     #[test]
     fn snapshot_derives_rates() {
-        let m = ServerMetrics::new();
+        let m = ServerMetrics::default();
         m.latency.record_ns(1_000);
         m.latency.record_ns(2_000);
-        m.cache_hits.inc();
-        m.cache_misses.inc();
+        m.cost.record(
+            0,
+            &CostCounters {
+                cache_probes: 2,
+                cache_hits: 1,
+                ..Default::default()
+            },
+        );
         m.queue_wait.record_ns(5_000);
         let s = m.snapshot(2.0);
         assert_eq!(s.queries, 2);
         assert!((s.qps - 1.0).abs() < 1e-12);
         assert!((s.cache_hit_rate - 0.5).abs() < 1e-12);
         assert!((s.queue_wait_mean_us - 5.0).abs() < 1e-12);
-        assert_eq!((s.rejected, s.queue_high_water), (0, 0));
-    }
-
-    #[test]
-    fn record_queue_samples_saturation() {
-        let q: crate::BoundedQueue<u8> = crate::BoundedQueue::new(2);
-        q.push(1);
-        q.push(2);
-        let _ = q.try_push(3); // rejected
-        let m = ServerMetrics::new();
-        m.record_queue(&q);
-        let s = m.snapshot(1.0);
-        assert_eq!(s.queue_depth, 2);
-        assert_eq!(s.queue_high_water, 2);
-        assert_eq!(s.rejected, 1);
-
-        // Merging keeps the deeper high-water mark and adds rejections.
-        let total = ServerMetrics::new();
-        total.queue_high_water.set(5);
-        total.merge_from(&m);
-        assert_eq!(total.queue_high_water.get(), 5);
-        assert_eq!(total.rejected.get(), 1);
+        assert_eq!((s.cache_hits, s.cache_misses), (1, 1));
+        assert_eq!(s.queue_high_water, 0);
     }
 
     #[test]
     fn registered_metrics_render_as_histograms() {
-        let m = ServerMetrics::new();
+        let reg = Registry::new();
+        let m = ServerMetrics::new(&reg);
         m.latency.record_ns(1_500);
         m.queue_wait.record_ns(800);
-        m.cache_hits.inc();
-        let reg = ah_obs::Registry::new();
-        m.register_into(&reg);
+        m.cost.record(
+            0,
+            &CostCounters {
+                cache_probes: 1,
+                cache_hits: 1,
+                ..Default::default()
+            },
+        );
         let text = reg.render();
         assert!(
             text.contains("# TYPE ah_server_query_latency_seconds histogram"),
@@ -423,6 +349,6 @@ mod tests {
         );
         assert!(text.contains("ah_server_query_latency_seconds_count 1"), "{text}");
         assert!(text.contains("ah_queue_wait_seconds_bucket{le="), "{text}");
-        assert!(text.contains("ah_server_cache_hits_total 1"), "{text}");
+        assert!(text.contains("ah_query_cache_hits{kind=\"distance\"} 1"), "{text}");
     }
 }

@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use ah_core::{AhIndex, BuildConfig};
 use ah_graph::{DeltaError, Graph, WeightDelta};
-use ah_obs::{Counter, Gauge, Histogram, Metric, Registry};
+use ah_obs::{Counter, Gauge, Histogram};
 use ah_store::{Snapshot, SnapshotError};
 
 use crate::snapshot::SnapshotServer;
@@ -117,8 +117,40 @@ impl DeltaReloader {
     /// Drives reloads for `server`, whose current index must have been
     /// built from `graph` with `build_cfg` — the reloader rebuilds with
     /// the same knobs so a delta-refreshed index is bit-identical to a
-    /// from-scratch build on the patched graph.
+    /// from-scratch build on the patched graph. The reload metrics are
+    /// created in the serving engine's registry, next to its own.
     pub fn new(server: Arc<SnapshotServer>, graph: Graph, build_cfg: BuildConfig) -> Self {
+        let reg = server.server().registry();
+        let swaps_total = reg.counter(
+            "ah_reload_swaps_total",
+            &[],
+            "Index swaps published by delta reloads",
+        );
+        let failures_total = reg.counter(
+            "ah_reload_failures_total",
+            &[],
+            "Delta reloads rejected or failed before publishing",
+        );
+        let duration = reg.histogram(
+            "ah_reload_duration_seconds",
+            &[],
+            "Apply + rebuild + swap wall time per published reload",
+        );
+        let in_progress = reg.gauge(
+            "ah_reload_in_progress",
+            &[],
+            "1 while a delta reload is rebuilding, else 0",
+        );
+        let staleness_ns = reg.gauge(
+            "ah_reload_staleness_ns",
+            &[],
+            "Staleness window closed by the last swap (delta arrival to publish)",
+        );
+        let generation = reg.gauge(
+            "ah_index_generation",
+            &[],
+            "Serving index generation (swaps since startup)",
+        );
         DeltaReloader {
             server,
             graph: Mutex::new(graph),
@@ -126,54 +158,13 @@ impl DeltaReloader {
             busy: AtomicBool::new(false),
             background: Mutex::new(None),
             last: Mutex::new(None),
-            swaps_total: Arc::new(Counter::new()),
-            failures_total: Arc::new(Counter::new()),
-            duration: Arc::new(Histogram::new()),
-            in_progress: Arc::new(Gauge::new()),
-            staleness_ns: Arc::new(Gauge::new()),
-            generation: Arc::new(Gauge::new()),
+            swaps_total,
+            failures_total,
+            duration,
+            in_progress,
+            staleness_ns,
+            generation,
         }
-    }
-
-    /// Registers the reload metrics into `reg`, alongside
-    /// the serving metrics the underlying server already reports.
-    pub fn register_into(&self, reg: &Registry) {
-        reg.register(
-            "ah_reload_swaps_total",
-            &[],
-            "Index swaps published by delta reloads",
-            Metric::Counter(Arc::clone(&self.swaps_total)),
-        );
-        reg.register(
-            "ah_reload_failures_total",
-            &[],
-            "Delta reloads rejected or failed before publishing",
-            Metric::Counter(Arc::clone(&self.failures_total)),
-        );
-        reg.register(
-            "ah_reload_duration_seconds",
-            &[],
-            "Apply + rebuild + swap wall time per published reload",
-            Metric::Histogram(Arc::clone(&self.duration)),
-        );
-        reg.register(
-            "ah_reload_in_progress",
-            &[],
-            "1 while a delta reload is rebuilding, else 0",
-            Metric::Gauge(Arc::clone(&self.in_progress)),
-        );
-        reg.register(
-            "ah_reload_staleness_ns",
-            &[],
-            "Staleness window closed by the last swap (delta arrival to publish)",
-            Metric::Gauge(Arc::clone(&self.staleness_ns)),
-        );
-        reg.register(
-            "ah_index_generation",
-            &[],
-            "Serving index generation (swaps since startup)",
-            Metric::Gauge(Arc::clone(&self.generation)),
-        );
     }
 
     /// The server this reloader publishes into.
@@ -452,12 +443,10 @@ mod tests {
 
     #[test]
     fn metrics_flow_into_a_shared_registry() {
-        let (g, _server, reloader) = setup(5);
-        let reg = Registry::new();
-        reloader.register_into(&reg);
+        let (g, server, reloader) = setup(5);
         let delta = WeightDelta::new(&g, [WeightChange::new(0, 1, 77)]).unwrap();
         reloader.reload(delta).unwrap();
-        let text = reg.render();
+        let text = server.server().registry().render();
         assert!(text.contains("ah_reload_swaps_total 1"), "{text}");
         assert!(text.contains("ah_index_generation 1"), "{text}");
         assert!(text.contains("ah_reload_in_progress 0"), "{text}");

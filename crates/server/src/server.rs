@@ -241,16 +241,14 @@ pub struct Server {
 
 impl Server {
     /// Creates a cold server (empty cache, zeroed metrics) with its own
-    /// metric registry, into which its lifetime metrics and its
-    /// tracer's stage histograms are registered at once. The edge adds
-    /// its own families to the same registry ([`Server::registry`]).
+    /// metric registry, in which its lifetime metrics and its tracer's
+    /// stage histograms are created. A [`crate::DeltaReloader`] adds its
+    /// series to the same registry ([`Server::registry`]).
     pub fn new(cfg: ServerConfig) -> Self {
         let cache = (cfg.cache_capacity > 0).then(|| DistanceCache::new(cfg.cache_capacity));
         let registry = Arc::new(Registry::new());
-        let metrics = ServerMetrics::new();
-        metrics.register_into(&registry);
-        let tracer = Arc::new(Tracer::new(cfg.trace.clone()));
-        tracer.register_into(&registry);
+        let metrics = ServerMetrics::new(&registry);
+        let tracer = Arc::new(Tracer::new(cfg.trace.clone(), &registry));
         Server {
             cfg,
             cache,
@@ -284,12 +282,9 @@ impl Server {
     }
 
     /// Lifetime cache hit rate over the distance and via requests
-    /// served (0 when caching is disabled).
+    /// served (0 when caching is disabled: nothing probes the cache).
     pub fn cache_hit_rate(&self) -> f64 {
-        match self.cache {
-            Some(_) => self.metrics.snapshot(0.0).cache_hit_rate,
-            None => 0.0,
-        }
+        self.metrics.snapshot(0.0).cache_hit_rate
     }
 
     /// Drops every cached distance. Must be called whenever the backend's
@@ -318,7 +313,7 @@ impl Server {
         // the deterministic wire contract every client can reproduce.
         let pois = PoiSet::default_for(num_nodes);
         let queue: BoundedQueue<Job<()>> = BoundedQueue::new(self.cfg.queue_capacity);
-        let run_metrics = ServerMetrics::new();
+        let run_metrics = ServerMetrics::default();
         // Queue-wait latency flows into this run's own histogram (and is
         // merged into the lifetime metrics below with everything else).
         queue.set_wait_histogram(Arc::clone(&run_metrics.queue_wait));
@@ -389,18 +384,16 @@ impl Server {
         });
         let wall_secs = start.elapsed().as_secs_f64();
 
-        // How saturated did the admission window get? (Closed-loop runs
-        // never reject, but the high-water mark shows how hard the
-        // feeder leaned on the back-pressure.)
-        run_metrics.record_queue(&queue);
-
         // Fold this run's telemetry into the server's lifetime metrics in
         // one step, keeping the per-query loop down to one histogram.
         self.metrics.merge_from(&run_metrics);
 
         let mut responses = results.into_inner().unwrap();
         responses.sort_unstable_by_key(|r| r.id);
-        let snapshot = run_metrics.snapshot(wall_secs);
+        let mut snapshot = run_metrics.snapshot(wall_secs);
+        // Closed-loop runs never reject, but the high-water mark shows
+        // how hard the feeder leaned on the back-pressure.
+        snapshot.queue_high_water = queue.high_water() as u64;
         RunReport {
             responses,
             wall_secs,
@@ -554,10 +547,10 @@ pub fn trace_kind(kind: QueryKind) -> u8 {
     }
 }
 
-/// Serves one request and records its latency, cache outcome and
-/// scenario kind into `metrics`, its latency into the `slo` window
-/// ring, and its drained algorithmic cost into the per-kind cost
-/// counters (and the sampled span, when present) — the per-query body
+/// Serves one request and records its latency and scenario kind into
+/// `metrics`, its latency into the `slo` window ring, and its drained
+/// algorithmic cost and cache outcome into the per-kind cost counters
+/// (and the sampled span, when present) — the per-query body
 /// of the worker loop ([`Server::drain`]). A sampled span gets its
 /// cache-probe and compute stages stamped inside [`serve_one`].
 #[allow(clippy::too_many_arguments)]
@@ -603,28 +596,11 @@ fn timed_serve(
     if let Some(s) = span.as_deref_mut() {
         s.add_cost(&cost);
     }
-    // Only the kinds that probe the cache (distance, via) enter the
-    // hit/miss ratio, the only ledger of cache outcomes; scenario
-    // kinds additionally tick their own counter.
     match req.kind {
-        QueryKind::Distance => {
-            if resp.cache_hit {
-                metrics.cache_hits.inc();
-            } else {
-                metrics.cache_misses.inc();
-            }
-        }
-        QueryKind::Via { .. } => {
-            metrics.via_requests.inc();
-            if resp.cache_hit {
-                metrics.cache_hits.inc();
-            } else {
-                metrics.cache_misses.inc();
-            }
-        }
+        QueryKind::Via { .. } => metrics.via_requests.inc(),
         QueryKind::Knn { .. } => metrics.knn_requests.inc(),
         QueryKind::Matrix => metrics.matrix_requests.inc(),
-        QueryKind::Path => {}
+        QueryKind::Distance | QueryKind::Path => {}
     }
     (resp, payload)
 }
@@ -923,6 +899,50 @@ mod tests {
     }
 
     #[test]
+    fn cache_outcomes_agree_with_the_cost_ledger() {
+        let g = ah_data::fixtures::lattice(6, 6, 10);
+        let idx = AhIndex::build(&g, &BuildConfig::default());
+        let backend = AhBackend::new(&idx);
+        // All five kinds over 7 repeating pairs, so distance and via
+        // requests hit within the one run.
+        let reqs: Vec<Request> = (0..200u64)
+            .map(|id| {
+                let pair = id % 7;
+                let (s, t) = ((pair * 5) as u32, (35 - pair * 3) as u32);
+                match id % 5 {
+                    0 => Request::distance(id, s, t),
+                    1 => Request::path(id, s, t),
+                    2 => Request::via(id, s, t, (pair % 4) as u32),
+                    3 => Request::knn(id, s, (pair % 4) as u32, 2),
+                    _ => Request::matrix(id),
+                }
+            })
+            .collect();
+        let probing = reqs
+            .iter()
+            .filter(|r| matches!(r.kind, QueryKind::Distance | QueryKind::Via { .. }))
+            .count() as u64;
+
+        let server = Server::new(ServerConfig::with_workers(2));
+        let report = server.run(&backend, &reqs);
+        let cost = server.metrics().cost.total();
+        let s = &report.snapshot;
+        assert!(s.cache_hits > 0, "repeated pairs must hit");
+        assert_eq!(s.cache_hits, cost.cache_hits);
+        assert_eq!(s.cache_hits + s.cache_misses, cost.cache_probes);
+        assert_eq!(cost.cache_probes, probing, "only distance and via probe");
+
+        let uncached = Server::new(ServerConfig {
+            workers: 2,
+            cache_capacity: 0,
+            ..Default::default()
+        });
+        uncached.run(&backend, &reqs);
+        assert_eq!(uncached.cache_hit_rate(), 0.0);
+        assert_eq!(uncached.metrics().cost.total().cache_probes, 0);
+    }
+
+    #[test]
     fn cache_disabled_still_serves() {
         let g = ah_data::fixtures::ring(12);
         let backend = DijkstraBackend::new(&g);
@@ -1155,8 +1175,6 @@ mod tests {
         let report = server.run(&backend, &reqs);
         assert!(report.snapshot.queue_high_water >= 1);
         assert!(report.snapshot.queue_high_water <= 4, "bounded by capacity");
-        assert_eq!(report.snapshot.queue_depth, 0, "drained at end of run");
-        assert_eq!(report.snapshot.rejected, 0, "closed-loop never rejects");
     }
 
     #[test]

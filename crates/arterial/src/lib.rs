@@ -4,9 +4,9 @@
 //! The crate implements the *incremental* construction that makes AH
 //! scalable (Section 4.2 / Appendix D):
 //!
-//! 1. Start from the original graph as an *overlay* ([`Overlay`]): arcs are
-//!    original edges, later augmented by shortcut arcs, each tagged with the
-//!    grid region that generated it (the *coverage* information).
+//! 1. Start from the original graph as an *overlay*: arcs are original
+//!    edges, later augmented by shortcut arcs, each tagged with the grid
+//!    region that generated it (the *coverage* information).
 //! 2. For each grid `R_1, …, R_h` (finest to coarsest), find the *spanning
 //!    paths* of every non-empty sliding (4×4)-cell region via region-local
 //!    Dijkstra searches from the region's *border nodes* (Definition 2),
@@ -18,9 +18,16 @@
 //!    nor border nodes of the next grid, and compact the overlay down to
 //!    the arcs between the nodes that remain.
 //!
-//! Step 2 only reads the overlay, so the regions of a stage are searched on
-//! every available core; step 3 inserts shortcuts in a fixed order and
-//! stays sequential. The result is the same for every thread count.
+//! Step 2 only reads the overlay. Each stage first copies, for every
+//! region, the part of the overlay its searches can reach into a compact
+//! *region graph* (the active members and the far ends of their covered
+//! arcs, renumbered in id order), then runs the searches on those graphs
+//! on every available core, a few border sources per work unit. Step 3
+//! inserts shortcuts in a fixed order and stays sequential, on the
+//! overlay. Both steps run one Dijkstra, with a decrease-key heap that
+//! pops each node once and breaks ties by node id, so a search settles
+//! the same nodes in the same order on a region graph as on the overlay.
+//! The result is the same for every thread count.
 //!
 //! At level 1 the overlay *is* the original graph, so pseudo-arterial edges
 //! coincide with the arterial edges of Definition 1; at coarser levels they
@@ -42,9 +49,8 @@
 mod dimension;
 mod local;
 mod overlay;
+mod region;
 mod selection;
 
 pub use dimension::{measure_arterial_dimension, ResolutionStats};
-pub use local::LocalSearch;
-pub use overlay::{OArc, Overlay, Span};
 pub use selection::{assign_levels, LevelAssignment, SelectionConfig};

@@ -3,11 +3,13 @@
 use ah_graph::{Dist, Graph, NodeId};
 use ah_grid::Region;
 
+use crate::local::{Dir, SearchArc};
+
 /// The rectangle of finest-grid (`R_1`) cells a shortcut's generating
 /// region covers, half-open on both axes. Original edges carry
 /// [`Span::ALWAYS`], which every region covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
+pub(crate) struct Span {
     pub x0: u32,
     pub y0: u32,
     pub x1: u32,
@@ -96,13 +98,25 @@ impl Span {
 
 /// An overlay arc: endpoint, nuance-tagged length, and coverage span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OArc {
+pub(crate) struct OArc {
     /// Head for out-arcs, tail for in-arcs.
     pub to: NodeId,
     /// Length of the (possibly contracted) underlying path.
     pub dist: Dist,
     /// Coverage span (see [`Span`]).
     pub span: Span,
+}
+
+impl SearchArc for OArc {
+    #[inline]
+    fn head(&self) -> NodeId {
+        self.to
+    }
+
+    #[inline]
+    fn dist(&self) -> Dist {
+        self.dist
+    }
 }
 
 /// The dynamic overlay graph used during level assignment: the original
@@ -114,7 +128,7 @@ pub struct OArc {
 /// stage 6). What keeps arc scans proportional to the live reduced graph
 /// is [`Overlay::compact`], run after every stage's reduction.
 #[derive(Debug, Clone)]
-pub struct Overlay {
+pub(crate) struct Overlay {
     out: Vec<Vec<OArc>>,
     inn: Vec<Vec<OArc>>,
     shortcuts: usize,
@@ -172,6 +186,15 @@ impl Overlay {
     #[inline]
     pub fn inn(&self, v: NodeId) -> &[OArc] {
         &self.inn[v as usize]
+    }
+
+    /// Arcs leaving `v` (forward) or entering it (backward).
+    #[inline]
+    pub fn arcs(&self, dir: Dir, v: NodeId) -> &[OArc] {
+        match dir {
+            Dir::Forward => self.out(v),
+            Dir::Backward => self.inn(v),
+        }
     }
 
     /// Adds the shortcut `u → v` unless an existing arc *dominates* it

@@ -1,12 +1,14 @@
 //! Incremental hierarchy-level assignment (Section 4.2 / Appendix D).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ah_graph::{Graph, NodeId};
-use ah_grid::{Axis, Cell, GridHierarchy, Region};
+use ah_grid::{Cell, GridHierarchy, Region};
 
 use crate::local::{Dir, LocalSearch};
 use crate::overlay::{OArc, Overlay, Span};
+use crate::region::{RegionGraph, BESIDE, BORDER, INSIDE, SIDES};
 
 /// Tunables for [`assign_levels`].
 #[derive(Debug, Clone, Copy)]
@@ -253,50 +255,102 @@ impl<'a> Reduction<'a> {
         let live_arcs = self.ov.num_arcs();
 
         // ---- selection: pseudo-arterial edges of every region -----------
-        // Regions only read the overlay here, so they are independent:
-        // workers pull region indices off a shared cursor. Both outputs
-        // are sorted below, so who searched which region leaves no trace.
-        // The region is the unit of work, so a one-region stage (every
-        // top grid) runs inline; anything larger is worth the spawn — the
-        // 25-region, 322-search first stage of a 6×6 lattice (0.6 ms)
-        // already takes a third less time on two cores.
-        let input = SelectionInput {
-            stage: &stage,
-            ov: &self.ov,
-            active: &self.active,
-            buckets: &buckets,
-        };
+        // Regions only read the overlay here, so they are independent.
+        // Workers first build every region's graph, pulling region indices
+        // off a shared cursor, then search it, pulling units of a few
+        // border sources each: a stage with one large region keeps every
+        // core busy too. Each worker dedups a region's edges when it moves
+        // on to the next region, and the merge sorts `(region, edge)`
+        // pairs, so who searched which unit leaves no trace.
+        let (ov, active) = (&self.ov, &self.active);
         let cursor = AtomicUsize::new(0);
-        let work = |sel: &mut Selector| {
+        let built = on_workers(&mut self.selectors, regions.len(), |sel| {
+            let mut built = Vec::new();
+            loop {
+                // Relaxed: the cursor publishes nothing but itself.
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(b) = regions.get(i) else {
+                    break built;
+                };
+                sel.members.clear();
+                sel.members.extend(buckets.members(b));
+                let rg = RegionGraph::build(
+                    ov,
+                    active,
+                    b,
+                    &sel.members,
+                    |v| stage.cell(v),
+                    |v| stage.is_border_of(b, v),
+                    &mut sel.local,
+                );
+                built.push((i, rg));
+            }
+        });
+        let mut graphs: Vec<(usize, RegionGraph)> = built.into_iter().flatten().collect();
+        graphs.sort_unstable_by_key(|&(i, _)| i);
+        let graphs: Vec<RegionGraph> = graphs.into_iter().map(|(_, rg)| rg).collect();
+        let units: Vec<(usize, Range<usize>)> = graphs
+            .iter()
+            .enumerate()
+            .flat_map(|(r, rg)| {
+                let k = rg.sources.len();
+                (0..k)
+                    .step_by(SOURCES_PER_UNIT)
+                    .map(move |lo| (r, lo..k.min(lo + SOURCES_PER_UNIT)))
+            })
+            .collect();
+        let cursor = AtomicUsize::new(0);
+        let found = on_workers(&mut self.selectors, units.len(), |sel| {
             let mut found = Selected::default();
-            // Relaxed: the cursor publishes nothing but itself.
-            while let Some(b) = regions.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                sel.select_region(&input, b, &mut found);
+            let mut current = None;
+            while let Some((r, range)) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                if current != Some(*r) {
+                    sel.finish_region(current, &mut found);
+                    current = Some(*r);
+                }
+                let rg = &graphs[*r];
+                for &u in &rg.sources[range.clone()] {
+                    for dir in [Dir::Forward, Dir::Backward] {
+                        #[cfg(test)]
+                        let first_new = sel.region_edges.len();
+                        sel.search(rg, u, dir, &mut found);
+                        #[cfg(test)]
+                        oracle::check(
+                            &sel.ls,
+                            rg,
+                            &stage,
+                            &regions[*r],
+                            u,
+                            dir,
+                            &sel.region_edges[first_new..],
+                        );
+                    }
+                }
             }
-            found
-        };
-        let workers = self.selectors.len().min(regions.len()).max(1);
-        let (first, rest) = self.selectors[..workers]
-            .split_first_mut()
-            .expect("at least one selector");
-        let mut found = std::thread::scope(|scope| {
-            let spawned: Vec<_> = rest
-                .iter_mut()
-                .map(|sel| scope.spawn(|| work(sel)))
-                .collect();
-            let mut found = work(first);
-            for handle in spawned {
-                found.merge(handle.join().expect("selection worker panicked"));
-            }
+            sel.finish_region(current, &mut found);
             found
         });
-        found.edges.sort_unstable();
-        found.edges.dedup();
-        found.counts.sort_unstable();
+        drop(graphs);
+        let (mut pairs, mut searches, mut settled) = (Vec::new(), 0, 0);
+        for f in found {
+            pairs.extend(f.pairs);
+            searches += f.searches;
+            settled += f.settled;
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut counts = vec![0u32; regions.len()];
+        for &(r, _) in &pairs {
+            counts[r as usize] += 1;
+        }
+        counts.sort_unstable();
+        let mut edges: Vec<(NodeId, NodeId)> = pairs.into_iter().map(|(_, e)| e).collect();
+        edges.sort_unstable();
+        edges.dedup();
 
         // ---- promote cores ----------------------------------------------
         let cur = s as u8;
-        for &(a, b) in &found.edges {
+        for &(a, b) in &edges {
             self.level[a as usize] = cur;
             self.level[b as usize] = cur;
         }
@@ -308,14 +362,14 @@ impl<'a> Reduction<'a> {
             0
         };
         StageOutput {
-            edges: found.edges,
-            counts: found.counts,
+            edges,
+            counts,
             stats: StageStats {
                 regions: regions.len(),
                 live_nodes,
                 live_arcs,
-                searches: found.searches,
-                settled: found.settled,
+                searches,
+                settled,
                 cores,
                 shortcuts,
             },
@@ -328,7 +382,7 @@ impl<'a> Reduction<'a> {
     ///
     /// Sequential: every shortcut changes what the next search of an
     /// overlapping region sees, so the order of insertion is part of the
-    /// result (and the phase is ~5 % of the stage).
+    /// result (the phase is ~11 % of `assign_levels` on two cores at S2).
     fn reduce(&mut self, s: u32, regions: &[Region], buckets: &CellBuckets) -> usize {
         let stage = Stage {
             g: self.g,
@@ -355,12 +409,21 @@ impl<'a> Reduction<'a> {
                 // search stops at retained nodes, so shortcuts only bridge
                 // maximal removed segments (paths through other retained
                 // nodes decompose there).
+                let ov = &self.ov;
+                let interior = |v: NodeId| {
+                    active[v as usize] && !retained(v) && b.contains_cell(stage.cell(v))
+                };
                 ls.run(
-                    &self.ov,
+                    ov.num_nodes(),
                     u,
-                    Dir::Forward,
-                    |v| active[v as usize] && !retained(v) && b.contains_cell(stage.cell(v)),
-                    |_, a: &OArc| {
+                    |v| {
+                        if v == u || interior(v) {
+                            ov.out(v)
+                        } else {
+                            &[]
+                        }
+                    },
+                    |a: &OArc| {
                         active[a.to as usize]
                             && a.span.covered_by(&bspan)
                             && b.contains_cell(stage.cell(a.to))
@@ -382,8 +445,9 @@ impl<'a> Reduction<'a> {
                         let mut span = Span::of_cell(r1[v as usize].x, r1[v as usize].y);
                         let mut cur_node = v;
                         while cur_node != u {
-                            span = span.union(ls.in_span(cur_node));
                             let p = ls.parent(cur_node).expect("chain reaches source");
+                            let arc = ls.in_arc(cur_node).expect("reached over an arc");
+                            span = span.union(ov.out(p)[arc].span);
                             span = span.union(Span::of_cell(r1[p as usize].x, r1[p as usize].y));
                             cur_node = p;
                         }
@@ -403,32 +467,47 @@ impl<'a> Reduction<'a> {
     }
 }
 
-/// What the selection workers of one stage read.
-struct SelectionInput<'a> {
-    stage: &'a Stage<'a>,
-    ov: &'a Overlay,
-    active: &'a [bool],
-    buckets: &'a CellBuckets,
+/// Border sources per work unit of the selection phase. A unit is
+/// 2 × this many searches of one region: a stage of one large region
+/// splits across every worker, and a stage of many small regions keeps
+/// about one unit per region.
+const SOURCES_PER_UNIT: usize = 4;
+
+/// Runs `work` once on each of the first `min(selectors, units)` selectors
+/// (at least one): the first on the calling thread, the others on scoped
+/// threads. Returns their results in selector order.
+fn on_workers<T: Send>(
+    selectors: &mut [Selector],
+    units: usize,
+    work: impl Fn(&mut Selector) -> T + Sync,
+) -> Vec<T> {
+    let workers = selectors.len().min(units).max(1);
+    let (first, rest) = selectors[..workers]
+        .split_first_mut()
+        .expect("at least one selector");
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = rest
+            .iter_mut()
+            .map(|sel| scope.spawn(|| work(sel)))
+            .collect();
+        let mut out = vec![work(first)];
+        out.extend(
+            spawned
+                .into_iter()
+                .map(|handle| handle.join().expect("selection worker panicked")),
+        );
+        out
+    })
 }
 
-/// What one selection worker found in the regions it searched.
+/// What one selection worker found in the units it searched.
 #[derive(Default)]
 struct Selected {
-    /// The regions' distinct pseudo-arterial edges, concatenated.
-    edges: Vec<(NodeId, NodeId)>,
-    /// Distinct pseudo-arterial edges per region.
-    counts: Vec<u32>,
+    /// Distinct pseudo-arterial edges per stint on a region, tagged with
+    /// the region's index.
+    pairs: Vec<(u32, (NodeId, NodeId))>,
     searches: u64,
     settled: u64,
-}
-
-impl Selected {
-    fn merge(&mut self, other: Selected) {
-        self.edges.extend(other.edges);
-        self.counts.extend(other.counts);
-        self.searches += other.searches;
-        self.settled += other.settled;
-    }
 }
 
 /// "No crossing arc between here and the source."
@@ -437,81 +516,54 @@ const NO_ARC: (NodeId, NodeId) = (ah_graph::INVALID_NODE, ah_graph::INVALID_NODE
 /// One worker's scratch for the selection phase.
 struct Selector {
     ls: LocalSearch,
-    /// Per node settled by the last search and per axis of [`Axis::BOTH`]:
-    /// the bisector-crossing arc of its tree path nearest to it, oriented
-    /// as a forward edge. Written in settle order before it is read, so
-    /// it needs no reset.
+    /// Per local node settled by the last search and per axis of
+    /// `Axis::BOTH`: the bisector-crossing arc of its tree path nearest
+    /// to it, as a forward edge of global ids. Written in settle order
+    /// before it is read, so it needs no reset.
     crossing: Vec<[(NodeId, NodeId); 2]>,
-    /// Border flag of the current region's members (false elsewhere).
-    border: Vec<bool>,
+    /// Global to local ids while a region graph is built, `NodeId::MAX`
+    /// otherwise.
+    local: Vec<NodeId>,
     members: Vec<NodeId>,
+    /// Edges found in the current region since this worker took it up.
     region_edges: Vec<(NodeId, NodeId)>,
 }
 
 impl Selector {
     fn new(n: usize) -> Self {
         Selector {
-            ls: LocalSearch::new(),
-            crossing: vec![[NO_ARC; 2]; n],
-            border: vec![false; n],
+            ls: LocalSearch::default(),
+            crossing: Vec::new(),
+            local: vec![NodeId::MAX; n],
             members: Vec::new(),
             region_edges: Vec::new(),
         }
     }
 
-    /// Searches region `b` from each of its border nodes, in both
-    /// directions, and appends its distinct pseudo-arterial edges and
-    /// their count to `found`.
-    fn select_region(&mut self, input: &SelectionInput<'_>, b: &Region, found: &mut Selected) {
-        let SelectionInput {
-            stage,
-            ov,
-            active,
-            buckets,
-        } = *input;
-        let bspan = Span::of_region(*b);
-        self.members.clear();
-        self.members.extend(buckets.members(b));
-        for &v in &self.members {
-            self.border[v as usize] = stage.is_border_of(b, v);
-        }
-        self.region_edges.clear();
-        for i in 0..self.members.len() {
-            let u = self.members[i];
-            if !self.border[u as usize] {
-                continue;
-            }
-            for dir in [Dir::Forward, Dir::Backward] {
-                // Interiors: any active node inside B. The paper
-                // restricts interiors to previous-level cores; we keep
-                // retained border nodes traversable as well, which
-                // finds a superset of the paper's spanning paths (safe
-                // for Lemma 3) and lets the shortcut phase decompose
-                // paths at retained nodes instead of building
-                // all-pairs cliques.
-                self.ls.run(
-                    ov,
-                    u,
-                    dir,
-                    |v| active[v as usize] && b.contains_cell(stage.cell(v)),
-                    |_, a: &OArc| active[a.to as usize] && a.span.covered_by(&bspan),
-                );
-                found.searches += 1;
-                found.settled += self.ls.settled_list().len() as u64;
-                #[cfg(test)]
-                let first_new = self.region_edges.len();
-                self.collect_spanning_crossings(stage, b, u, dir);
-                #[cfg(test)]
-                oracle::check(&self.ls, stage, b, u, dir, &self.region_edges[first_new..]);
-            }
-        }
-        for &v in &self.members {
-            self.border[v as usize] = false;
-        }
+    /// Moves the distinct edges found in `region` to `found`.
+    fn finish_region(&mut self, region: Option<usize>, found: &mut Selected) {
+        let Some(r) = region else {
+            return;
+        };
         self.region_edges.sort_unstable();
         self.region_edges.dedup();
-        found.counts.push(self.region_edges.len() as u32);
-        found.edges.extend_from_slice(&self.region_edges);
+        found
+            .pairs
+            .extend(self.region_edges.drain(..).map(|e| (r as u32, e)));
+    }
+
+    /// Searches a region's graph from local border node `u` in direction
+    /// `dir` and keeps the pseudo-arterial edges of the spanning paths
+    /// found.
+    fn search(&mut self, rg: &RegionGraph, u: NodeId, dir: Dir, found: &mut Selected) {
+        self.ls
+            .run(rg.num_nodes(), u, |v| rg.arcs(dir, v), |_| true);
+        found.searches += 1;
+        found.settled += self.ls.settled_list().len() as u64;
+        if self.crossing.len() < rg.num_nodes() {
+            self.crossing.resize(rg.num_nodes(), [NO_ARC; 2]);
+        }
+        self.collect_spanning_crossings(rg, u, dir);
     }
 
     /// Records, for every spanning-path endpoint the last search settled,
@@ -519,41 +571,45 @@ impl Selector {
     /// to it. A node's nearest crossing is the arc from its parent if that
     /// crosses, else its parent's nearest crossing — and parents settle
     /// first, so one pass in settle order does it.
-    fn collect_spanning_crossings(&mut self, stage: &Stage<'_>, b: &Region, u: NodeId, dir: Dir) {
-        let cu = stage.cell(u);
+    fn collect_spanning_crossings(&mut self, rg: &RegionGraph, u: NodeId, dir: Dir) {
+        let pu = rg.place[u as usize];
         self.crossing[u as usize] = [NO_ARC; 2];
         for &t in self.ls.settled_list() {
             if t == u {
                 continue;
             }
             let p = self.ls.parent(t).expect("settled non-source has a parent");
-            let (ct, cp) = (stage.cell(t), stage.cell(p));
-            // Forward run: the parent precedes the child on the path;
-            // backward run: it follows it.
-            let arc = match dir {
-                Dir::Forward => (p, t),
-                Dir::Backward => (t, p),
-            };
+            let pt = rg.place[t as usize];
             let mut nearest = self.crossing[p as usize];
-            for (slot, axis) in nearest.iter_mut().zip(Axis::BOTH) {
-                if b.edge_crosses_bisector(axis, ct, cp) {
-                    *slot = arc;
+            // Bit k: the arc between p and t crosses axis k's bisector.
+            let crosses = (pt ^ rg.place[p as usize]) & SIDES;
+            if crosses != 0 {
+                let (gt, gp) = (rg.global[t as usize], rg.global[p as usize]);
+                // Forward run: the parent precedes the child on the path;
+                // backward run: it follows it.
+                let arc = match dir {
+                    Dir::Forward => (gp, gt),
+                    Dir::Backward => (gt, gp),
+                };
+                for (k, slot) in nearest.iter_mut().enumerate() {
+                    if crosses & (1 << k) != 0 {
+                        *slot = arc;
+                    }
                 }
             }
             self.crossing[t as usize] = nearest;
 
             // Target eligibility: border of B (inside) or any retained node
             // reached through one crossing arc (outside, type-(b)).
-            if b.contains_cell(ct) && !self.border[t as usize] {
+            if pt & (INSIDE | BORDER) == INSIDE {
                 continue;
             }
-            // Orient endpoint cells in forward path order.
-            let (from_cell, to_cell) = match dir {
-                Dir::Forward => (cu, ct),
-                Dir::Backward => (ct, cu),
-            };
-            for (&edge, axis) in nearest.iter().zip(Axis::BOTH) {
-                if b.valid_spanning_endpoints(axis, from_cell, to_cell) {
+            // Valid spanning endpoints for axis k: on different sides of
+            // its bisector, and neither beside it.
+            let beside = ((pu | pt) & BESIDE) >> 2;
+            let valid = (pu ^ pt) & SIDES & !beside;
+            for (k, &edge) in nearest.iter().enumerate() {
+                if valid & (1 << k) != 0 {
                     debug_assert_ne!(edge, NO_ARC, "endpoints on both sides, no crossing");
                     self.region_edges.push(edge);
                 }
@@ -563,12 +619,15 @@ impl Selector {
 }
 
 /// The pre-propagation crossing collection: walks every endpoint's whole
-/// parent chain and re-runs the edge-scanning border test per settled
-/// node. Kept as the reference [`Selector::collect_spanning_crossings`]
-/// is checked against on every search of the tests that turn it on.
+/// parent chain, in global ids, and re-runs the edge-scanning border test
+/// per settled node. Kept as the reference
+/// [`Selector::collect_spanning_crossings`] is checked against on every
+/// search of the tests that turn it on.
 #[cfg(test)]
 mod oracle {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    use ah_grid::Axis;
 
     use super::*;
 
@@ -578,8 +637,10 @@ mod oracle {
     /// Searches checked so far.
     pub(super) static CHECKED: AtomicUsize = AtomicUsize::new(0);
 
+    /// Checks the edges the search of `rg` from local node `u` found.
     pub(super) fn check(
         ls: &LocalSearch,
+        rg: &RegionGraph,
         stage: &Stage<'_>,
         b: &Region,
         u: NodeId,
@@ -589,30 +650,33 @@ mod oracle {
         if !ENABLED.load(Ordering::Relaxed) {
             return;
         }
+        let global = |v: NodeId| rg.global[v as usize];
         assert_eq!(
             propagated,
-            chain_walk_crossings(ls, stage, b, u, dir),
-            "stage {} region {b:?} source {u} {dir:?}",
-            stage.s
+            chain_walk_crossings(ls, &global, stage, b, u, dir),
+            "stage {} region {b:?} source {} {dir:?}",
+            stage.s,
+            global(u)
         );
         CHECKED.fetch_add(1, Ordering::Relaxed);
     }
 
     fn chain_walk_crossings(
         ls: &LocalSearch,
+        global: &impl Fn(NodeId) -> NodeId,
         stage: &Stage<'_>,
         b: &Region,
         u: NodeId,
         dir: Dir,
     ) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::new();
-        let cu = stage.cell(u);
+        let cu = stage.cell(global(u));
         for &t in ls.settled_list() {
             if t == u {
                 continue;
             }
-            let ct = stage.cell(t);
-            if b.contains_cell(ct) && !stage.is_border_of(b, t) {
+            let ct = stage.cell(global(t));
+            if b.contains_cell(ct) && !stage.is_border_of(b, global(t)) {
                 continue;
             }
             let (from_cell, to_cell) = match dir {
@@ -624,7 +688,7 @@ mod oracle {
                     continue;
                 }
                 // Walk the parent chain and record the first crossing arc.
-                let chain: Vec<NodeId> = ls.walk_to_source(t).collect();
+                let chain: Vec<NodeId> = ls.walk_to_source(t).map(global).collect();
                 for w in chain.windows(2) {
                     // Forward run: parent precedes child on the path, so the
                     // forward edge is (w[1] → w[0]); backward run: (w[0] → w[1]).
@@ -742,6 +806,7 @@ fn compute_border_next(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::local::SearchArc;
     use ah_data::fixtures;
     use ah_search::dijkstra_path;
 
@@ -971,6 +1036,51 @@ mod tests {
         }
     }
 
+    /// Registry S2 (4 094 nodes, six stages) with the work of every
+    /// stage, recorded at the commit before the selection searches moved
+    /// onto per-region graphs: the same settles, in the same order, give
+    /// the same levels, edges, counts and shortcuts.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "S2 takes ~30 s unoptimised; the release CI step runs it in ~5 s"
+    )]
+    fn s2_assignment_and_stage_work_are_pinned() {
+        let g = ah_data::REGISTRY[2].build();
+        let la = assign_levels(&g, &SelectionConfig::default());
+        assert_eq!(la.overlay_shortcuts, 68_469);
+        assert_eq!(
+            fingerprint(&la),
+            0xaee6_2d75_2f51_b816,
+            "{:#018x}",
+            fingerprint(&la)
+        );
+        let row =
+            |regions, live_nodes, live_arcs, searches, settled, cores, shortcuts| StageStats {
+                regions,
+                live_nodes,
+                live_arcs,
+                searches,
+                settled,
+                cores,
+                shortcuts,
+            };
+        let want = [
+            row(15_625, 4_094, 14_120, 93_706, 991_863, 4_093, 0),
+            row(3_721, 4_094, 14_120, 89_184, 2_614_492, 3_954, 64),
+            row(841, 4_044, 14_018, 76_516, 6_880_170, 2_716, 6_396),
+            row(169, 3_063, 15_707, 38_112, 9_431_506, 682, 24_055),
+            row(25, 1_607, 28_715, 11_812, 6_230_795, 244, 37_954),
+            row(1, 476, 39_996, 656, 312_256, 17, 0),
+        ];
+        assert_eq!(la.stages, want);
+        assert_eq!(la.stages.iter().map(|st| st.searches).sum::<u64>(), 309_986);
+        assert_eq!(
+            la.stages.iter().map(|st| st.settled).sum::<u64>(),
+            26_461_082
+        );
+    }
+
     #[test]
     fn assignment_is_independent_of_the_thread_count() {
         for g in [ah_data::REGISTRY[0].build(), one_way_grid()] {
@@ -1019,20 +1129,136 @@ mod tests {
         assert!(active.iter().filter(|&&a| a).count() < g.num_nodes() / 2);
         assert!(compacted.num_arcs() < red.ov.num_arcs());
 
-        let (mut a, mut b) = (LocalSearch::new(), LocalSearch::new());
+        let (mut a, mut b) = (LocalSearch::default(), LocalSearch::default());
         let live = (0..g.num_nodes() as NodeId).filter(|&v| active[v as usize]);
         for u in live {
             for dir in [Dir::Forward, Dir::Backward] {
-                let arc_ok = |_: NodeId, arc: &OArc| active[arc.to as usize];
-                a.run(&red.ov, u, dir, |v| active[v as usize], arc_ok);
-                b.run(&compacted, u, dir, |v| active[v as usize], arc_ok);
+                let admit = |arc: &OArc| active[arc.to as usize];
+                for (ls, ov) in [(&mut a, &red.ov), (&mut b, &compacted)] {
+                    let arcs = |v: NodeId| {
+                        if active[v as usize] {
+                            ov.arcs(dir, v)
+                        } else {
+                            &[]
+                        }
+                    };
+                    ls.run(ov.num_nodes(), u, arcs, admit);
+                }
                 assert_eq!(a.settled_list(), b.settled_list());
                 for &v in a.settled_list() {
                     assert_eq!((a.dist(v), a.parent(v)), (b.dist(v), b.parent(v)));
-                    assert_eq!(a.in_span(v), b.in_span(v));
+                    // The arcs differ in position, not in value.
+                    let in_arc = |ls: &LocalSearch, ov: &Overlay| {
+                        Some(ov.arcs(dir, ls.parent(v)?)[ls.in_arc(v)?])
+                    };
+                    assert_eq!(in_arc(&a, &red.ov), in_arc(&b, &compacted));
                 }
             }
         }
+    }
+
+    /// Every search of the next stage, run on its region's graph, settles
+    /// the nodes a search on the whole overlay settles, with the
+    /// selection's expansion and admission rules as tests on the overlay:
+    /// same order, same distances, same parents. Checked on S0 after one,
+    /// two and three stages (the last leaves one region, the top grid's).
+    #[test]
+    fn region_graph_searches_equal_filtered_overlay_searches() {
+        let g = ah_data::REGISTRY[0].build();
+        let mut red = Reduction::new(&g, &SelectionConfig::default(), 1);
+        let mut local = vec![NodeId::MAX; g.num_nodes()];
+        let (mut on_region, mut on_overlay) = (LocalSearch::default(), LocalSearch::default());
+        let (mut regions_seen, mut searches) = (0, 0);
+        for s in 1..=3 {
+            red.run_stage(s);
+            let stage = Stage {
+                g: &g,
+                r1: &red.r1,
+                s: s + 1,
+            };
+            let (ov, active) = (&red.ov, &red.active);
+            let regions = non_empty_regions(&red.grid, stage.s, &red.r1, active);
+            let buckets = CellBuckets::build(stage.s, &red.r1, active);
+            regions_seen += regions.len();
+            for b in &regions {
+                let members: Vec<NodeId> = buckets.members(b).collect();
+                let rg = RegionGraph::build(
+                    ov,
+                    active,
+                    b,
+                    &members,
+                    |v| stage.cell(v),
+                    |v| stage.is_border_of(b, v),
+                    &mut local,
+                );
+                assert!(
+                    local.iter().all(|&l| l == NodeId::MAX),
+                    "scratch left clean"
+                );
+                let global = |v: NodeId| rg.global[v as usize];
+                let bspan = Span::of_region(*b);
+                let admit = |a: &OArc| active[a.to as usize] && a.span.covered_by(&bspan);
+                // A member keeps its admitted arcs in overlay order, an
+                // outside node none.
+                for v in 0..rg.num_nodes() as NodeId {
+                    for dir in [Dir::Forward, Dir::Backward] {
+                        let got: Vec<_> = rg
+                            .arcs(dir, v)
+                            .iter()
+                            .map(|a| (global(a.head()), a.dist()))
+                            .collect();
+                        let want: Vec<_> = if members.contains(&global(v)) {
+                            let arcs = ov.arcs(dir, global(v)).iter().filter(|a| admit(a));
+                            arcs.map(|a| (a.to, a.dist)).collect()
+                        } else {
+                            Vec::new()
+                        };
+                        assert_eq!(got, want, "{b:?} node {} {dir:?}", global(v));
+                    }
+                }
+                let mut want_sources: Vec<NodeId> = members
+                    .iter()
+                    .copied()
+                    .filter(|&v| stage.is_border_of(b, v))
+                    .collect();
+                want_sources.sort_unstable();
+                let sources: Vec<NodeId> = rg.sources.iter().map(|&v| global(v)).collect();
+                assert_eq!(sources, want_sources, "{b:?}");
+
+                let expand = |v: NodeId| active[v as usize] && b.contains_cell(stage.cell(v));
+                for &u in &rg.sources {
+                    for dir in [Dir::Forward, Dir::Backward] {
+                        on_region.run(rg.num_nodes(), u, |v| rg.arcs(dir, v), |_| true);
+                        let src = global(u);
+                        let arcs = |v: NodeId| {
+                            if v == src || expand(v) {
+                                ov.arcs(dir, v)
+                            } else {
+                                &[]
+                            }
+                        };
+                        on_overlay.run(ov.num_nodes(), src, arcs, admit);
+                        let settled: Vec<NodeId> = on_region
+                            .settled_list()
+                            .iter()
+                            .map(|&v| global(v))
+                            .collect();
+                        assert_eq!(
+                            settled,
+                            on_overlay.settled_list(),
+                            "{b:?} from {src} {dir:?}"
+                        );
+                        for &v in on_region.settled_list() {
+                            let want = (on_overlay.dist(global(v)), on_overlay.parent(global(v)));
+                            assert_eq!((on_region.dist(v), on_region.parent(v).map(global)), want);
+                        }
+                        searches += 1;
+                    }
+                }
+            }
+        }
+        assert!(regions_seen > 100, "{regions_seen} regions");
+        assert!(searches > 100, "{searches} searches");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The contracted hierarchy: upward adjacency plus path unpacking.
 
 use ah_graph::{Dist, NodeId, INVALID_NODE};
+use ah_search::SearchGraph;
 
 /// A hierarchy arc: target (or source, for upward-in arcs), nuance-tagged
 /// length, and the *middle node* recorded at shortcut creation
@@ -258,6 +259,31 @@ impl Hierarchy {
                 .arc_between(a, b)
                 .unwrap_or_else(|| panic!("missing unpack arc {a} → {b}"));
             self.unpack_arc(a, b, half.middle, out);
+        }
+    }
+}
+
+/// A hierarchy's upward arcs as a plain graph for `ah_search`'s
+/// one-sided searches: a node's out-arcs are [`Hierarchy::up_out`], its
+/// in-arcs [`Hierarchy::up_in`], so a forward search climbs from its
+/// source and a backward one climbs the paths that end there.
+#[derive(Debug, Clone, Copy)]
+pub struct Upward<'a>(pub &'a Hierarchy);
+
+impl SearchGraph for Upward<'_> {
+    fn num_nodes(&self) -> usize {
+        self.0.num_nodes()
+    }
+
+    fn for_each_out<F: FnMut(NodeId, u64, u64)>(&self, v: NodeId, mut f: F) {
+        for a in self.0.up_out(v) {
+            f(a.to, a.dist.length, a.dist.nuance);
+        }
+    }
+
+    fn for_each_in<F: FnMut(NodeId, u64, u64)>(&self, v: NodeId, mut f: F) {
+        for a in self.0.up_in(v) {
+            f(a.to, a.dist.length, a.dist.nuance);
         }
     }
 }

@@ -16,7 +16,8 @@
 //! * [`contract_adaptive`] — CH's heuristic ordering (edge difference +
 //!   deleted neighbours, lazy updates);
 //! * [`Hierarchy`] — the resulting two upward views with middle-node path
-//!   unpacking;
+//!   unpacking; [`Upward`] hands them to `ah_search`'s one-sided
+//!   `DijkstraDriver` as a plain graph;
 //! * [`BidirUpwardQuery`] — the one bidirectional upward search, shared by
 //!   CH, FC and AH. Each index passes an [`UpwardRule`] saying which arcs
 //!   a settled node relaxes (its hierarchy arcs, or a jump's
@@ -36,7 +37,7 @@ mod ordering;
 mod query;
 
 pub use contractor::{ContractionConfig, Contractor, SimulationStats};
-pub use hierarchy::{HArc, Hierarchy, HierarchyParts};
+pub use hierarchy::{HArc, Hierarchy, HierarchyParts, Upward};
 pub use ordering::{contract_adaptive, contract_with_order};
 pub use query::{BidirUpwardQuery, UpwardArc, UpwardRule};
 

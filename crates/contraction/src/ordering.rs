@@ -97,8 +97,10 @@ pub fn contract_adaptive(g: &Graph, cfg: ContractionConfig) -> (Hierarchy, Vec<N
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::Upward;
     use ah_data::fixtures;
     use ah_graph::Dist;
+    use ah_search::{DijkstraDriver, Direction, SearchOptions};
 
     #[test]
     fn fixed_order_contracts_everything() {
@@ -146,10 +148,10 @@ mod tests {
     fn updown_distances_match(g: &ah_graph::Graph, h: &Hierarchy) {
         let n = g.num_nodes() as NodeId;
         for s in 0..n {
-            // Forward upward Dijkstra (tiny graphs: simple maps suffice).
-            let dist_f = upward_sssp(h, s, true);
+            // Upward distances from s, then to every t.
+            let dist_f = upward_sssp(h, s, Direction::Forward);
             for t in 0..n {
-                let dist_b = upward_sssp(h, t, false);
+                let dist_b = upward_sssp(h, t, Direction::Backward);
                 let via: Option<Dist> = (0..n)
                     .filter_map(|m| {
                         let a = dist_f[m as usize]?;
@@ -169,27 +171,16 @@ mod tests {
         }
     }
 
-    fn upward_sssp(h: &Hierarchy, source: NodeId, forward: bool) -> Vec<Option<Dist>> {
-        use std::collections::BinaryHeap;
-        let n = h.num_nodes();
-        let mut dist: Vec<Option<Dist>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[source as usize] = Some(Dist::ZERO);
-        heap.push(Reverse((Dist::ZERO, source)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if dist[u as usize] != Some(d) {
-                continue;
-            }
-            let arcs = if forward { h.up_out(u) } else { h.up_in(u) };
-            for a in arcs {
-                let nd = d.concat(a.dist);
-                if dist[a.to as usize].is_none_or(|cur| nd < cur) {
-                    dist[a.to as usize] = Some(nd);
-                    heap.push(Reverse((nd, a.to)));
-                }
-            }
-        }
-        dist
+    fn upward_sssp(h: &Hierarchy, source: NodeId, direction: Direction) -> Vec<Option<Dist>> {
+        let opts = SearchOptions {
+            direction,
+            ..Default::default()
+        };
+        let mut d = DijkstraDriver::new();
+        d.run(&Upward(h), source, &opts, |_| true);
+        (0..h.num_nodes() as NodeId)
+            .map(|v| Some(d.dist(v)).filter(|x| !x.is_infinite()))
+            .collect()
     }
 
     #[test]

@@ -18,12 +18,9 @@
 //! so paths unpack exactly: each hop between consecutive nodes is one
 //! hierarchy arc, found again with [`Hierarchy::arc_between`].
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use ah_contraction::{Hierarchy, UpwardArc};
+use ah_contraction::{Hierarchy, Upward, UpwardArc};
 use ah_graph::{Dist, NodeId};
-use ah_search::{ParentArc, SearchSlots};
+use ah_search::{DijkstraDriver, Direction, ParentArc, SearchOptions, SearchOutcome};
 
 /// One elevating arc.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +36,7 @@ pub struct ElevArc {
     chain_len: u32,
 }
 
-/// A climb found by [`ElevatingSearch::run`]: target, distance, and the
+/// A climb found by [`elevating_set`]: target, distance, and the
 /// interior node ids in forward path order.
 pub(crate) type Climb = (NodeId, Dist, Vec<NodeId>);
 
@@ -299,87 +296,47 @@ impl ElevatingBuilder {
     }
 }
 
-/// A reusable upward search computing one complete `(v, ℓ)` elevating set:
-/// expand only through nodes with level < `ℓ`, settle level-≥`ℓ` nodes as
-/// targets. Returns `None` if the settle budget was exceeded (set must be
-/// discarded).
-pub(crate) struct ElevatingSearch {
-    slots: SearchSlots,
-    heap: BinaryHeap<Reverse<(Dist, NodeId)>>,
-}
-
-impl ElevatingSearch {
-    pub fn new() -> Self {
-        ElevatingSearch {
-            slots: SearchSlots::new(),
-            heap: BinaryHeap::new(),
-        }
+/// Computes one complete `(v, ℓ)` elevating set with `search`: a climb
+/// over the upward arcs in `direction` (forward over `up_out`, backward
+/// over `up_in`) that expands only `v` and nodes below level `ℓ`, and
+/// whose settled level-≥`ℓ` nodes are the targets. `levels` are the final
+/// node levels. Returns `None` if more than `settle_limit` nodes settle
+/// (the set must be discarded).
+pub(crate) fn elevating_set(
+    search: &mut DijkstraDriver,
+    h: &Hierarchy,
+    levels: &[u8],
+    v: NodeId,
+    ell: u8,
+    direction: Direction,
+    settle_limit: usize,
+) -> Option<Vec<Climb>> {
+    let opts = SearchOptions {
+        direction,
+        max_settled: settle_limit.saturating_add(1),
+        ..Default::default()
+    };
+    let climbs_on = |u: NodeId| u == v || levels[u as usize] < ell;
+    let outcome = search.run_expanding(&Upward(h), v, &opts, |_| true, |u, _| climbs_on(u));
+    if outcome == SearchOutcome::SettleLimit {
+        return None; // incomplete: discard
     }
-
-    /// Computes the `(v, ℓ)` set in the given direction (`forward` uses
-    /// `up_out`, else `up_in`). `levels` are the final node levels.
-    pub fn run(
-        &mut self,
-        h: &Hierarchy,
-        levels: &[u8],
-        v: NodeId,
-        ell: u8,
-        forward: bool,
-        settle_limit: usize,
-    ) -> Option<Vec<Climb>> {
-        self.slots.reset(h.num_nodes());
-        self.heap.clear();
-
-        self.slots.set_origin(v);
-        self.heap.push(Reverse((Dist::ZERO, v)));
-        let mut targets: Vec<NodeId> = Vec::new();
-        let mut settled_count = 0usize;
-
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            if !self.slots.settle(u) {
-                continue;
-            }
-            settled_count += 1;
-            if settled_count > settle_limit {
-                return None; // incomplete: discard
-            }
-            if u != v && levels[u as usize] >= ell {
-                targets.push(u);
-                continue; // settle as target, do not climb further
-            }
-            let arcs = if forward { h.up_out(u) } else { h.up_in(u) };
-            for a in arcs {
-                let nd = d.concat(a.dist);
-                if self.slots.improves(a.to, nd) {
-                    self.slots
-                        .update(a.to, nd, u, ParentArc::hierarchy(a.middle));
-                    self.heap.push(Reverse((nd, a.to)));
-                }
-            }
-        }
-
-        let mut out = Vec::with_capacity(targets.len());
-        for t in targets {
-            // The parent walk from t back to v lists the interior nodes.
-            // Forward runs climbed v → … → t, so the walk is reversed;
-            // backward runs climbed the path t → … → v against its arcs,
-            // so the walk is already in forward path order.
-            let parent = |x: NodeId| {
-                self.slots.parent(x).expect("the search tree leads back to v").0
-            };
-            let mut interior = Vec::new();
-            let mut cur = parent(t);
-            while cur != v {
-                interior.push(cur);
-                cur = parent(cur);
-            }
-            if forward {
-                interior.reverse();
-            }
-            out.push((t, self.slots.dist(t), interior));
-        }
-        Some(out)
-    }
+    let climb = |&t: &NodeId| {
+        // The tree path runs v → … → t forward and t → … → v backward
+        // (forward path order either way); its interior is the climb's.
+        let mut interior = search.path_to(t, direction).expect("targets are settled");
+        interior.pop();
+        interior.remove(0);
+        (t, search.dist(t), interior)
+    };
+    Some(
+        search
+            .settled_order()
+            .iter()
+            .filter(|&&u| !climbs_on(u))
+            .map(climb)
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -408,9 +365,9 @@ mod tests {
     #[test]
     fn forward_set_reaches_first_high_node() {
         let (_g, h, levels) = setup();
-        let mut es = ElevatingSearch::new();
+        let mut search = DijkstraDriver::new();
         // From node 0, climb to level ≥ 1: first such node on the line is 2.
-        let set = es.run(&h, &levels, 0, 1, true, 100).unwrap();
+        let set = elevating_set(&mut search, &h, &levels, 0, 1, Direction::Forward, 100).unwrap();
         let tos: Vec<NodeId> = set.iter().map(|&(t, _, _)| t).collect();
         assert!(tos.contains(&2), "targets: {tos:?}");
         for (t, d, interior) in &set {
@@ -422,15 +379,15 @@ mod tests {
     #[test]
     fn set_discarded_when_budget_exceeded() {
         let (_g, h, levels) = setup();
-        let mut es = ElevatingSearch::new();
-        assert!(es.run(&h, &levels, 0, 2, true, 1).is_none());
+        let mut search = DijkstraDriver::new();
+        assert!(elevating_set(&mut search, &h, &levels, 0, 2, Direction::Forward, 1).is_none());
     }
 
     #[test]
     fn builder_roundtrip() {
         let (_g, h, levels) = setup();
-        let mut es = ElevatingSearch::new();
-        let set = es.run(&h, &levels, 0, 1, true, 100).unwrap();
+        let mut search = DijkstraDriver::new();
+        let set = elevating_set(&mut search, &h, &levels, 0, 1, Direction::Forward, 100).unwrap();
         let mut b = ElevatingBuilder::new(5);
         b.push_set(0, 1, set.clone());
         let side = b.finish();
@@ -452,9 +409,9 @@ mod tests {
     #[test]
     fn backward_set_mirrors() {
         let (_g, h, levels) = setup();
-        let mut es = ElevatingSearch::new();
+        let mut search = DijkstraDriver::new();
         // Backward from node 0: climbs over up_in arcs (paths ending at 0).
-        let set = es.run(&h, &levels, 0, 1, false, 100).unwrap();
+        let set = elevating_set(&mut search, &h, &levels, 0, 1, Direction::Backward, 100).unwrap();
         let (t, d, interior) = set
             .iter()
             .find(|&&(t, _, _)| t == 2)

@@ -4,9 +4,10 @@ use ah_arterial::{assign_levels, SelectionConfig};
 use ah_contraction::{contract_with_order, Hierarchy};
 use ah_graph::{Graph, NodeId, Point};
 use ah_grid::{Cell, GridHierarchy};
+use ah_search::{DijkstraDriver, Direction};
 
 use crate::config::BuildConfig;
-use crate::elevating::{ElevatingBuilder, ElevatingSearch, ElevatingSets};
+use crate::elevating::{elevating_set, ElevatingBuilder, ElevatingSets};
 use crate::ranking::{rank_nodes, Ranking};
 
 /// Aggregate facts about a built index (experiment telemetry).
@@ -215,7 +216,7 @@ fn build_elevating(
 ) -> ElevatingSets {
     let n = g.num_nodes();
     let h = grid.levels();
-    let mut search = ElevatingSearch::new();
+    let mut search = DijkstraDriver::new();
     let mut fwd = ElevatingBuilder::new(n);
     let mut bwd = ElevatingBuilder::new(n);
 
@@ -226,18 +227,16 @@ fn build_elevating(
                 continue;
             }
             let lvl = ell as u8;
-            if let Some(set) =
-                search.run(hierarchy, level, v, lvl, true, cfg.elevating_settle_limit)
-            {
-                if !set.is_empty() && set.len() <= cfg.elevating_max_arcs {
-                    fwd.push_set(v, lvl, set);
-                }
-            }
-            if let Some(set) =
-                search.run(hierarchy, level, v, lvl, false, cfg.elevating_settle_limit)
-            {
-                if !set.is_empty() && set.len() <= cfg.elevating_max_arcs {
-                    bwd.push_set(v, lvl, set);
+            for (direction, side) in [
+                (Direction::Forward, &mut fwd),
+                (Direction::Backward, &mut bwd),
+            ] {
+                let limit = cfg.elevating_settle_limit;
+                if let Some(set) =
+                    elevating_set(&mut search, hierarchy, level, v, lvl, direction, limit)
+                        .filter(|set| !set.is_empty() && set.len() <= cfg.elevating_max_arcs)
+                {
+                    side.push_set(v, lvl, set);
                 }
             }
         }

@@ -32,6 +32,9 @@
 //! pruned — it receives no entry and relaxes no edges. Only
 //! non-dominated entries survive, which is what keeps labels small
 //! (close to the CH search-space size) instead of `Θ(n)` per node.
+//! Each sweep is one `ah_search::DijkstraDriver::run_expanding` call
+//! with the prune check as its settle hook; one driver serves every
+//! sweep of a build.
 //!
 //! Entries store the full [`Dist`] — length *and* nuance — so label
 //! answers are bit-identical to every other engine in the workspace,
@@ -56,11 +59,9 @@
 //! assert_eq!(labels.distance(5, 5), Some(0));
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use ah_graph::{Dist, Graph, NodeId, INFINITY};
 use ah_obs::CostCounters;
+use ah_search::{DijkstraDriver, Direction, SearchOptions};
 
 pub mod scenario;
 
@@ -105,42 +106,6 @@ const _: () = {
     assert_send_sync::<LabelIndex>()
 };
 
-/// Per-build scratch for the pruned Dijkstra runs: node-indexed arrays
-/// reset via an explicit touched list, so each hub's search pays only for
-/// the nodes it actually visits.
-struct Scratch {
-    /// Tentative distance per node; `INFINITY` when untouched.
-    dist: Vec<Dist>,
-    settled: Vec<bool>,
-    touched: Vec<NodeId>,
-    /// Hub-indexed distances of the current hub's own labels (the other
-    /// direction), for O(|label|) pruning checks; `INFINITY` when the
-    /// node is not a hub of the current root.
-    hub_dist: Vec<Dist>,
-    heap: BinaryHeap<Reverse<(Dist, NodeId)>>,
-}
-
-impl Scratch {
-    fn new(n: usize) -> Self {
-        Scratch {
-            dist: vec![INFINITY; n],
-            settled: vec![false; n],
-            touched: Vec::new(),
-            hub_dist: vec![INFINITY; n],
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    fn reset(&mut self) {
-        for &v in &self.touched {
-            self.dist[v as usize] = INFINITY;
-            self.settled[v as usize] = false;
-        }
-        self.touched.clear();
-        self.heap.clear();
-    }
-}
-
 impl LabelIndex {
     /// Builds the labeling for `g` using `order` as the hub order.
     ///
@@ -167,7 +132,11 @@ impl LabelIndex {
         // order; flattened into CSR at the end.
         let mut out_labels: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
         let mut in_labels: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
-        let mut scratch = Scratch::new(n);
+        let mut search = DijkstraDriver::new();
+        // Hub-indexed distances of the current hub's own labels (the other
+        // direction), for O(|label|) pruning checks; `INFINITY` when the
+        // node is not a hub of the current root.
+        let mut hub_dist = vec![INFINITY; n];
 
         for &hub in order.iter().rev() {
             // Forward search from `hub` fills L_in(u) = d(hub, u),
@@ -178,7 +147,8 @@ impl LabelIndex {
                 Direction::Forward,
                 &mut out_labels,
                 &mut in_labels,
-                &mut scratch,
+                &mut search,
+                &mut hub_dist,
             );
             // Backward search fills L_out(u) = d(u, hub), pruned against
             // L_out(u) ∘ L_in(hub).
@@ -188,7 +158,8 @@ impl LabelIndex {
                 Direction::Backward,
                 &mut out_labels,
                 &mut in_labels,
-                &mut scratch,
+                &mut search,
+                &mut hub_dist,
             );
         }
 
@@ -224,7 +195,8 @@ impl LabelIndex {
         direction: Direction,
         out_labels: &mut [Vec<LabelEntry>],
         in_labels: &mut [Vec<LabelEntry>],
-        scratch: &mut Scratch,
+        search: &mut DijkstraDriver,
+        hub_dist: &mut [Dist],
     ) {
         // The hub's own labels on the opposite side feed the pruning
         // check: forward prunes via L_out(hub), backward via L_in(hub).
@@ -233,17 +205,14 @@ impl LabelIndex {
             Direction::Backward => (&in_labels[hub as usize], out_labels),
         };
         for e in own {
-            scratch.hub_dist[e.hub as usize] = e.dist;
+            hub_dist[e.hub as usize] = e.dist;
         }
 
-        scratch.heap.push(Reverse((Dist::ZERO, hub)));
-        scratch.dist[hub as usize] = Dist::ZERO;
-        scratch.touched.push(hub);
-        while let Some(Reverse((d, u))) = scratch.heap.pop() {
-            if scratch.settled[u as usize] {
-                continue;
-            }
-            scratch.settled[u as usize] = true;
+        let opts = SearchOptions {
+            direction,
+            ..Default::default()
+        };
+        search.run_expanding(g, hub, &opts, |_| true, |u, d| {
             // Prune: if the labels built so far (all through strictly
             // higher-ranked hubs) already certify hub→u (or u→hub) at a
             // distance ≤ d, this entry is dominated — record nothing and
@@ -251,33 +220,19 @@ impl LabelIndex {
             // equal (length, nuance) means the same canonical path.
             let certified = filled[u as usize]
                 .iter()
-                .map(|e| scratch.hub_dist[e.hub as usize].concat(e.dist))
+                .map(|e| hub_dist[e.hub as usize].concat(e.dist))
                 .min()
                 .unwrap_or(INFINITY);
             if certified <= d {
-                continue;
+                return false;
             }
             filled[u as usize].push(LabelEntry { hub, dist: d });
-            let arcs = match direction {
-                Direction::Forward => g.out_edges(u),
-                Direction::Backward => g.in_edges(u),
-            };
-            for a in arcs {
-                let nd = d.step(a.weight as u64, a.nuance as u64);
-                if nd < scratch.dist[a.head as usize] {
-                    if scratch.dist[a.head as usize] == INFINITY {
-                        scratch.touched.push(a.head);
-                    }
-                    scratch.dist[a.head as usize] = nd;
-                    scratch.heap.push(Reverse((nd, a.head)));
-                }
-            }
-        }
+            true
+        });
 
         for e in own {
-            scratch.hub_dist[e.hub as usize] = INFINITY;
+            hub_dist[e.hub as usize] = INFINITY;
         }
-        scratch.reset();
     }
 
     /// Number of labeled nodes.
@@ -428,12 +383,6 @@ impl LabelIndex {
             in_entries,
         })
     }
-}
-
-#[derive(Clone, Copy)]
-enum Direction {
-    Forward,
-    Backward,
 }
 
 #[cfg(test)]

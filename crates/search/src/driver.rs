@@ -96,11 +96,32 @@ impl DijkstraDriver {
         g: &G,
         source: NodeId,
         opts: &SearchOptions,
-        mut allow: F,
+        allow: F,
     ) -> SearchOutcome
     where
         G: SearchGraph,
         F: FnMut(NodeId) -> bool,
+    {
+        self.run_expanding(g, source, opts, allow, |_, _| true)
+    }
+
+    /// [`run`](Self::run) with a settle hook: once a node `u` settles at
+    /// `d` (and the `target` / `max_settled` checks have passed),
+    /// `expand(u, d)` decides whether its arcs are relaxed. A refused node
+    /// stays settled at `d`, but nothing is reached through it and none of
+    /// its arcs is counted.
+    pub fn run_expanding<G, F, E>(
+        &mut self,
+        g: &G,
+        source: NodeId,
+        opts: &SearchOptions,
+        mut allow: F,
+        mut expand: E,
+    ) -> SearchOutcome
+    where
+        G: SearchGraph,
+        F: FnMut(NodeId) -> bool,
+        E: FnMut(NodeId, Dist) -> bool,
     {
         self.slots.reset(g.num_nodes());
         self.settled_order.clear();
@@ -125,6 +146,9 @@ impl DijkstraDriver {
             }
             if self.settled_order.len() >= opts.max_settled {
                 return SearchOutcome::SettleLimit;
+            }
+            if !expand(u, d) {
+                continue;
             }
             opts.direction.arcs(g, u, &mut self.arcs);
             self.cost.edges_relaxed += self.arcs.len() as u64;
@@ -294,6 +318,23 @@ mod tests {
         );
         assert_eq!(out, SearchOutcome::SettleLimit);
         assert_eq!(d.settled_order().len(), 2);
+    }
+
+    #[test]
+    fn refused_node_settles_but_relaxes_nothing() {
+        let g = chain_with_shortcut();
+        let mut d = DijkstraDriver::new();
+        // Refuse node 1: it keeps its distance, but 2 is reachable only
+        // through it and 3 only over the direct edge.
+        let out = d.run_expanding(&g, 0, &SearchOptions::default(), |_| true, |u, _| u != 1);
+        assert_eq!(out, SearchOutcome::Exhausted);
+        assert!(d.is_settled(1));
+        assert_eq!(d.dist(1).length, 1);
+        assert!(d.dist(2).is_infinite());
+        assert_eq!(d.dist(3).length, 5);
+        assert_eq!(d.settled_order(), &[0, 1, 3]);
+        // Node 0's two arcs, none of node 1's, and node 3 has none.
+        assert_eq!(d.take_cost().edges_relaxed, 2);
     }
 
     #[test]

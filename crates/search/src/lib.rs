@@ -13,7 +13,10 @@
 //!   searches;
 //! * [`DijkstraDriver`] — a reusable single-source engine on one
 //!   [`SearchSlots`], supporting early termination, distance bounds, settle
-//!   limits, node filters and both search directions;
+//!   limits, node filters, a settle hook that decides whether a node is
+//!   expanded, and both search directions. It runs every one-sided
+//!   Dijkstra outside the arterial level selection, from CH witness
+//!   searches to AH's elevating sets and the pruned label build;
 //! * [`BidirectionalDijkstra`] — the exact bidirectional baseline, one
 //!   [`SearchSlots`] and one heap per side;
 //! * one-shot convenience functions ([`dijkstra_distance`],

@@ -6,15 +6,16 @@
 //! crate is the serving layer the ROADMAP's production north star asks
 //! for: many threads multiplexing queries over one immutable index.
 //!
-//! Four pieces compose:
+//! Five pieces compose:
 //!
 //! * [`DistanceBackend`] / [`BackendSession`] — the method abstraction.
 //!   A backend is the shared `Sync` index half; a session is the mutable
 //!   per-worker scratch (heaps, stamped arrays) created once per thread.
 //!   [`AhBackend`], [`ChBackend`] and [`DijkstraBackend`] wrap the AH
-//!   index, the CH hierarchy and plain bidirectional Dijkstra, so the
-//!   serving engine — and every test and benchmark built on it — treats
-//!   the methods interchangeably.
+//!   index, the CH hierarchy and plain bidirectional Dijkstra, and
+//!   [`LabelBackend`] answers distances from hub labels and paths from
+//!   the AH index, so the serving engine — and every test and benchmark
+//!   built on it — treats the methods interchangeably.
 //! * [`Server`] — the engine: a `std::thread::scope` worker pool draining
 //!   a [`BoundedQueue`] in batches, with a sharded LRU [`DistanceCache`]
 //!   consulted before any search runs. The feeder blocks when the bounded

@@ -48,10 +48,7 @@ pub struct Shard {
     /// both endpoints inside.
     graph: Graph,
     /// AH index over [`Shard::graph`]; `None` iff the shard is empty.
-    /// Behind an `Arc` so a [`ShardedIndex::refresh`] can *reuse* the
-    /// indexes of shards a weight delta did not touch instead of
-    /// rebuilding them.
-    index: Option<Arc<AhIndex>>,
+    index: Option<AhIndex>,
     /// Indices (into [`ShardedIndex::border_nodes`]) of this shard's
     /// border nodes.
     borders: Vec<u32>,
@@ -77,7 +74,7 @@ impl Shard {
 
     /// The shard's AH index (`None` iff the shard owns no nodes).
     pub fn index(&self) -> Option<&AhIndex> {
-        self.index.as_deref()
+        self.index.as_ref()
     }
 
     /// This shard's border nodes, as indices into
@@ -95,21 +92,6 @@ impl Shard {
     pub fn num_nodes(&self) -> usize {
         self.global_ids.len()
     }
-}
-
-/// What a [`ShardedIndex::refresh`] rebuilt and what it reused.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RefreshReport {
-    /// Shards whose index was rebuilt (they owned a touched node),
-    /// ascending.
-    pub rebuilt_shards: Vec<usize>,
-    /// Shards whose existing index was reused unchanged.
-    pub reused_shards: usize,
-    /// Whether the refreshed index is certified (matrix rebuilt).
-    pub certified: bool,
-    /// Wall-clock seconds for the whole refresh (global rebuild,
-    /// per-shard rebuilds, matrix).
-    pub wall_secs: f64,
 }
 
 /// Aggregate facts about a sharded build (bench/CI telemetry).
@@ -187,78 +169,13 @@ impl ShardedIndex {
         );
         assert!(g.num_nodes() > 0, "cannot shard an empty network");
         let skel = Skeleton::assemble(g, global.grid(), cfg.shards);
-        let indexes: Vec<Option<Arc<AhIndex>>> = skel
+        let indexes: Vec<Option<AhIndex>> = skel
             .shards
             .iter()
-            .map(|(_, graph)| {
-                (graph.num_nodes() > 0).then(|| Arc::new(AhIndex::build(graph, &cfg.build)))
-            })
+            .map(|(_, graph)| (graph.num_nodes() > 0).then(|| AhIndex::build(graph, &cfg.build)))
             .collect();
         let (certified, matrix, reentry) = certify(&skel, &global, &indexes, cfg);
         skel.finish(global, indexes, certified, matrix, reentry)
-    }
-
-    /// Rebuilds only what a weight delta invalidated, reusing the rest.
-    ///
-    /// `g` is the *patched* graph (same topology and coordinates as the
-    /// one this index was built from — weight deltas never add or move
-    /// nodes, so the grid partition is unchanged) and `touched` the
-    /// delta's invalidation set (nodes incident to a changed edge, as
-    /// reported by `ah_graph::DeltaApplied::touched`). The refresh is
-    /// **staggered**: shards are rebuilt one at a time, and shards
-    /// owning no touched node keep their existing index (shared via
-    /// `Arc`, not copied). The global index is always rebuilt — any
-    /// weight change can reroute arterial paths — and the boundary
-    /// matrix and reentry pairs are recomputed **last**, from the new
-    /// global index, so the returned index is internally consistent.
-    ///
-    /// Nothing about `self` changes: the old generation can keep
-    /// serving until the new one — matrix included — is complete and
-    /// the caller swaps it in. No serving path calls this today; only
-    /// the tests do.
-    ///
-    /// # Panics
-    /// Panics if `g`'s node count differs from this index's.
-    pub fn refresh(&self, g: &Graph, touched: &[NodeId], cfg: &ShardConfig) -> (ShardedIndex, RefreshReport) {
-        assert_eq!(
-            g.num_nodes(),
-            self.num_nodes(),
-            "weight deltas preserve topology; refresh got a different network"
-        );
-        let t0 = std::time::Instant::now();
-        let global = Arc::new(AhIndex::build(g, &cfg.build));
-        let skel = Skeleton::assemble(g, global.grid(), self.num_shards());
-        let mut dirty = vec![false; self.num_shards()];
-        for &v in touched {
-            dirty[skel.assignment[v as usize] as usize] = true;
-        }
-        let mut rebuilt_shards = Vec::new();
-        let indexes: Vec<Option<Arc<AhIndex>>> = skel
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, (_, graph))| {
-                if graph.num_nodes() == 0 {
-                    None
-                } else if dirty[s] {
-                    rebuilt_shards.push(s);
-                    Some(Arc::new(AhIndex::build(graph, &cfg.build)))
-                } else {
-                    // Untouched region: the induced subgraph is
-                    // weight-identical, so the old index is exact.
-                    self.shards[s].index.clone()
-                }
-            })
-            .collect();
-        let (certified, matrix, reentry) = certify(&skel, &global, &indexes, cfg);
-        let reused_shards = self.num_shards() - rebuilt_shards.len();
-        let report = RefreshReport {
-            rebuilt_shards,
-            reused_shards,
-            certified,
-            wall_secs: t0.elapsed().as_secs_f64(),
-        };
-        (skel.finish(global, indexes, certified, matrix, reentry), report)
     }
 
     /// Reassembles a sharded index from its persisted components
@@ -314,7 +231,6 @@ impl ShardedIndex {
                 }
             }
         }
-        let indexes = indexes.into_iter().map(|i| i.map(Arc::new)).collect();
         Ok(skel.finish(global, indexes, certified, matrix, reentry))
     }
 
@@ -477,7 +393,7 @@ impl Skeleton {
     fn finish(
         self,
         global: Arc<AhIndex>,
-        indexes: Vec<Option<Arc<AhIndex>>>,
+        indexes: Vec<Option<AhIndex>>,
         certified: bool,
         matrix: Vec<u64>,
         reentry: Vec<Vec<(u32, u32)>>,
@@ -509,16 +425,15 @@ impl Skeleton {
     }
 }
 
-/// The certification pass shared by [`ShardedIndex::from_global`] and
-/// [`ShardedIndex::refresh`]: the exact global border-to-border closure
-/// of the boundary graph plus each shard's reentry pairs, or an
-/// uncertified `(false, empty, empty-per-shard)` when the border count
-/// exceeds the cap. Runs *after* every per-shard index exists, so a
-/// refresh publishes matrix and shard indexes from the same generation.
+/// The certification pass of [`ShardedIndex::from_global`]: the exact
+/// global border-to-border closure of the boundary graph plus each
+/// shard's reentry pairs, or an uncertified `(false, empty,
+/// empty-per-shard)` when the border count exceeds the cap. Runs *after*
+/// every per-shard index exists, since the reentry pairs read them.
 fn certify(
     skel: &Skeleton,
     global: &Arc<AhIndex>,
-    indexes: &[Option<Arc<AhIndex>>],
+    indexes: &[Option<AhIndex>],
     cfg: &ShardConfig,
 ) -> (bool, Vec<u64>, Vec<Vec<(u32, u32)>>) {
     let b = skel.border_nodes.len();
@@ -544,7 +459,7 @@ fn certify(
         // same-shard query can improve by leaving its shard.
         let mut lq = AhQuery::new();
         for s in 0..skel.map.num_shards() {
-            let Some(idx) = indexes[s].as_deref() else { continue };
+            let Some(idx) = &indexes[s] else { continue };
             for &bi in &skel.shard_borders[s] {
                 for &bj in &skel.shard_borders[s] {
                     if bi == bj {
@@ -644,83 +559,6 @@ mod tests {
         );
         assert!(!idx.certified());
         assert!(idx.matrix().is_empty());
-    }
-
-    #[test]
-    fn refresh_reuses_untouched_shards_and_matches_scratch_build() {
-        use ah_graph::{WeightChange, WeightDelta};
-        let (g, idx) = sharded(4);
-        // Re-weight a couple of intra-shard edges near node 0 (shard of
-        // the lattice's corner) and close one.
-        let delta = WeightDelta::new(
-            &g,
-            [
-                WeightChange::new(0, 1, 40),
-                WeightChange::new(1, 0, 40),
-                WeightChange::close(8, 9),
-            ],
-        )
-        .unwrap();
-        let applied = delta.apply(&g).unwrap();
-        let cfg = ShardConfig {
-            shards: 4,
-            ..Default::default()
-        };
-        let (fresh, report) = idx.refresh(&applied.graph, &applied.touched, &cfg);
-
-        // Some shards were untouched and their indexes reused by
-        // pointer, not rebuilt.
-        assert!(report.reused_shards >= 1, "{report:?}");
-        assert!(!report.rebuilt_shards.is_empty(), "{report:?}");
-        assert_eq!(report.reused_shards + report.rebuilt_shards.len(), 4);
-        for s in 0..4 {
-            let reused = !report.rebuilt_shards.contains(&s);
-            if reused {
-                if let (Some(old), Some(new)) = (&idx.shards[s].index, &fresh.shards[s].index) {
-                    assert!(Arc::ptr_eq(old, new), "shard {s} should be shared");
-                }
-            }
-        }
-
-        // The refreshed index answers bit-equal to a from-scratch build
-        // on the patched graph.
-        let scratch = ShardedIndex::build(&applied.graph, &cfg);
-        assert_eq!(fresh.matrix(), scratch.matrix(), "boundary matrix differs");
-        assert_eq!(fresh.certified(), scratch.certified());
-        let mut qa = crate::ShardedQuery::new();
-        let mut qb = crate::ShardedQuery::new();
-        let n = g.num_nodes() as u32;
-        for i in 0..200u32 {
-            let (s, t) = ((i * 7 + 3) % n, (i * 13 + 5) % n);
-            assert_eq!(
-                qa.distance(&fresh, s, t),
-                qb.distance(&scratch, s, t),
-                "({s},{t})"
-            );
-        }
-    }
-
-    #[test]
-    fn refresh_with_cross_shard_change_refreshes_the_matrix() {
-        use ah_graph::{WeightChange, WeightDelta};
-        let (g, idx) = sharded(4);
-        // Find an edge crossing shards and re-weight it: no induced
-        // subgraph changes, but the boundary matrix must.
-        let (u, v, w) = g
-            .node_ids()
-            .flat_map(|u| g.out_edges(u).iter().map(move |a| (u, a.head, a.weight)))
-            .find(|&(u, v, _)| idx.shard_of(u) != idx.shard_of(v))
-            .expect("4-way lattice split has crossing edges");
-        let delta = WeightDelta::new(&g, [WeightChange::new(u, v, w + 70)]).unwrap();
-        let applied = delta.apply(&g).unwrap();
-        let cfg = ShardConfig {
-            shards: 4,
-            ..Default::default()
-        };
-        let (fresh, _) = idx.refresh(&applied.graph, &applied.touched, &cfg);
-        let scratch = ShardedIndex::build(&applied.graph, &cfg);
-        assert_eq!(fresh.matrix(), scratch.matrix());
-        assert_ne!(fresh.matrix(), idx.matrix(), "matrix must have moved");
     }
 
     #[test]

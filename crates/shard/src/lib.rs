@@ -50,6 +50,6 @@ mod index;
 mod partition;
 mod query;
 
-pub use index::{RefreshReport, Shard, ShardConfig, ShardStats, ShardedIndex};
+pub use index::{Shard, ShardConfig, ShardStats, ShardedIndex};
 pub use partition::{ShardMap, MAX_SHARDS};
 pub use query::{Route, ShardedQuery};

@@ -9,12 +9,18 @@
 //! search state was packed into one record per node: a change to how a
 //! search stores its state may not change which nodes it settles, which
 //! arcs it relaxes, or which shortest path it returns.
+//!
+//! The built AH and label indexes are pinned the same way, by a hash of
+//! their snapshot bytes: moving a build-side search onto another loop may
+//! not change a single stored arc or label entry.
 
 use ah_ch::{ChIndex, ChQuery};
 use ah_core::{AhIndex, AhQuery, BuildConfig};
 use ah_fc::{FcIndex, FcQuery};
 use ah_graph::{Dist, Graph, NodeId, Path};
+use ah_labels::LabelIndex;
 use ah_search::{BidirectionalDijkstra, DijkstraDriver, Direction, SearchOptions};
+use ah_store::{Snapshot, SnapshotContents};
 
 const STRIDE: usize = 3;
 
@@ -40,10 +46,14 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn eat(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
         }
+    }
+
+    fn eat(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
     }
 
     fn answer(&mut self, d: Option<Dist>) {
@@ -184,4 +194,64 @@ fn dijkstra_driver_sweeps_match_the_pinned_fingerprint() {
         (43_350, 125_970, 45_499, 0xc741_9726_566a_2393),
         "{got:#x?}"
     );
+}
+
+/// FNV-1a-64 of the snapshot bytes of `g`'s AH index and of its labels
+/// over CH's contraction order.
+fn index_hashes(g: &Graph) -> (u64, u64) {
+    let hash = |bytes: Vec<u8>| {
+        let mut h = Fnv::new();
+        h.bytes(&bytes);
+        h.0
+    };
+    let ah = AhIndex::build(g, &BuildConfig::default());
+    let labels = LabelIndex::build(g, ChIndex::build(g).order());
+    (
+        hash(Snapshot::to_bytes(SnapshotContents::new().ah(&ah))),
+        hash(Snapshot::to_bytes(SnapshotContents::new().labels(&labels))),
+    )
+}
+
+/// Recorded while the elevating sets and the label build each ran their
+/// own heap loop, before both moved onto `DijkstraDriver`.
+#[test]
+fn built_indexes_match_the_pinned_snapshot_hashes() {
+    let cases = [
+        (
+            "lattice",
+            ah_data::fixtures::lattice(8, 8, 14),
+            (0x229d_0a38_e06c_dbfc, 0x8505_7e05_a51f_8162),
+        ),
+        (
+            "one_way",
+            one_way_grid(),
+            (0x9f47_b78d_2534_82a6, 0xfdad_f48d_0c86_76bb),
+        ),
+        (
+            "S0",
+            ah_data::REGISTRY[0].build(),
+            (0xc4d8_c047_801e_e69f, 0xacf5_7845_401c_be3d),
+        ),
+    ];
+    for (name, g, want) in cases {
+        let got = index_hashes(&g);
+        assert_eq!(got, want, "{name}: {got:#018x?}");
+    }
+}
+
+/// S1 and S2, pinned like [`built_indexes_match_the_pinned_snapshot_hashes`].
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "S1 and S2 builds are slow unoptimised; the release CI step runs them"
+)]
+fn large_built_indexes_match_the_pinned_snapshot_hashes() {
+    let cases = [
+        (1, (0x1db4_a792_21e1_e33f, 0x5e2f_8738_371d_7d90)),
+        (2, (0x20e6_230e_c80e_ae56, 0x23bf_983d_453d_9fa6)),
+    ];
+    for (i, want) in cases {
+        let got = index_hashes(&ah_data::REGISTRY[i].build());
+        assert_eq!(got, want, "S{i}: {got:#018x?}");
+    }
 }

@@ -241,11 +241,6 @@ impl Contractor {
         }
     }
 
-    /// Current remaining degree (for adaptive ordering tie-breaks).
-    pub fn remaining_degree(&self, v: NodeId) -> usize {
-        self.remaining_in(v).len() + self.remaining_out(v).len()
-    }
-
     /// Finishes contraction: every node must have been contracted. `rank`
     /// maps each node to its contraction position.
     pub fn into_hierarchy(self, rank: Vec<u32>) -> Hierarchy {

@@ -236,11 +236,6 @@ impl GridHierarchy {
         out
     }
 
-    /// The (4×4)-cell regions containing the cell of `p`.
-    pub fn regions_containing_point(&self, i: u32, p: Point) -> Vec<Region> {
-        self.regions_containing_cell(i, self.cell_of(i, p))
-    }
-
     /// The three scalars that fully determine the hierarchy:
     /// `(origin, h, s1)`. Serialization hook for `ah_store`;
     /// [`GridHierarchy::from_raw_parts`] is the validated inverse.

@@ -1,9 +1,7 @@
 //! Sliding (4×4)-cell regions, their strips and bisectors (Definition 1,
 //! Definition 2 geometry).
 
-use ah_graph::Point;
-
-use crate::hierarchy::{Cell, GridHierarchy};
+use crate::hierarchy::Cell;
 
 /// One of the four outermost strips of a (4×4)-cell region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,11 +71,6 @@ impl Region {
     /// True if the cell lies inside the region.
     pub fn contains_cell(&self, c: Cell) -> bool {
         (self.x..self.x + 4).contains(&c.x) && (self.y..self.y + 4).contains(&c.y)
-    }
-
-    /// True if the point's cell (at this region's level) lies inside.
-    pub fn contains_point(&self, gh: &GridHierarchy, p: Point) -> bool {
-        self.contains_cell(gh.cell_of(self.level, p))
     }
 
     /// True if the cell is within Chebyshev distance `ring` of the region

@@ -1,6 +1,5 @@
-//! Scenario kernels over hub labels: bucket-style batched sweeps for
-//! one-to-many / many-to-many tables, k-nearest-POI, and via-POI
-//! detours.
+//! The batched distance table over hub labels: a bucket-style sweep
+//! for many-to-many tables.
 //!
 //! The classic bucket trick for batched distance tables (Knopp et al.'s
 //! many-to-many CH) drops each target's *backward* search space into
@@ -11,10 +10,11 @@
 //! out-label exactly once — `O(Σ|L_out(s)| + Σ|L_in(t)| + matches)`
 //! instead of `|S|·|T|` independent merges.
 //!
-//! All kernels follow the workspace-wide scenario determinism contract
-//! (see `ah_search::scenario`): ranking by `(length, node id)`,
-//! unreachable candidates dropped. Answers are bit-identical to the
-//! Dijkstra reference kernels because every underlying distance is.
+//! The table is how hub labels price scenario queries: k-nearest and
+//! via-POI answers are ranked from it by `ah_search::scenario::{nearest,
+//! best_via}`, the workspace-wide determinism contract, so this module
+//! has no ranking of its own. Answers are bit-identical to the Dijkstra
+//! reference kernels because every underlying distance is.
 
 use std::collections::HashMap;
 
@@ -24,15 +24,15 @@ use ah_obs::CostCounters;
 use crate::LabelIndex;
 
 /// Hub → `(target index, d(hub, target))` entries, the reusable half of
-/// a batched sweep. Build once per target set with
-/// [`LabelIndex::bucket_targets`], sweep any number of sources.
-pub type TargetBuckets = HashMap<NodeId, Vec<(u32, Dist)>>;
+/// a batched sweep. Built once per target set by
+/// [`LabelIndex::bucket_targets`], swept by any number of sources.
+type TargetBuckets = HashMap<NodeId, Vec<(u32, Dist)>>;
 
 impl LabelIndex {
     /// Buckets the in-labels of `targets` by hub, ready for
     /// [`Self::sweep_source`]. Every in-label entry dropped into a
     /// bucket counts as one `label_entries_merged`.
-    pub fn bucket_targets(&self, targets: &[NodeId], cost: &mut CostCounters) -> TargetBuckets {
+    fn bucket_targets(&self, targets: &[NodeId], cost: &mut CostCounters) -> TargetBuckets {
         let mut buckets: TargetBuckets = HashMap::new();
         for (j, &t) in targets.iter().enumerate() {
             let entries = self.in_labels(t);
@@ -51,7 +51,7 @@ impl LabelIndex {
     /// once against the target buckets. `width` is the target count
     /// (the row length). Each out-label entry scanned and each bucket
     /// hit priced count as `label_entries_merged`.
-    pub fn sweep_source(
+    fn sweep_source(
         &self,
         source: NodeId,
         buckets: &TargetBuckets,
@@ -91,76 +91,6 @@ impl LabelIndex {
             .map(|&s| self.sweep_source(s, &buckets, targets.len(), cost))
             .collect()
     }
-
-    /// Distances from `source` to each of `targets`; row `i` of
-    /// [`Self::many_to_many`] with a single source.
-    pub fn one_to_many(
-        &self,
-        source: NodeId,
-        targets: &[NodeId],
-        cost: &mut CostCounters,
-    ) -> Vec<Option<u64>> {
-        let buckets = self.bucket_targets(targets, cost);
-        self.sweep_source(source, &buckets, targets.len(), cost)
-    }
-
-    /// The `k` nearest `candidates` from `source` by network distance,
-    /// sorted ascending by `(distance, node id)`; unreachable candidates
-    /// dropped. One batched sweep prices every candidate.
-    pub fn knn(
-        &self,
-        source: NodeId,
-        candidates: &[NodeId],
-        k: usize,
-        cost: &mut CostCounters,
-    ) -> Vec<(NodeId, u64)> {
-        let row = self.one_to_many(source, candidates, cost);
-        let mut found: Vec<(u64, NodeId)> = row
-            .iter()
-            .zip(candidates)
-            .filter_map(|(d, &p)| d.map(|d| (d, p)))
-            .collect();
-        found.sort_unstable();
-        found.truncate(k);
-        found.into_iter().map(|(d, p)| (p, d)).collect()
-    }
-
-    /// The optimal detour `s → p → t` over `candidates`: returns
-    /// `(poi, d(s,poi), d(poi,t))` minimizing `(total, poi)`, or `None`
-    /// when no candidate has both legs reachable. Two batched sweeps
-    /// (forward legs from `s`, backward legs into `t`) price every
-    /// candidate.
-    pub fn via(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        candidates: &[NodeId],
-        cost: &mut CostCounters,
-    ) -> Option<(NodeId, u64, u64)> {
-        let to = self.one_to_many(s, candidates, cost);
-        // Backward legs: a 1-wide many-to-many with the candidate set as
-        // sources — the bucket holds only L_in(t).
-        let from: Vec<Option<u64>> = {
-            let buckets = self.bucket_targets(&[t], cost);
-            candidates
-                .iter()
-                .map(|&p| self.sweep_source(p, &buckets, 1, cost)[0])
-                .collect()
-        };
-        let mut best: Option<(u64, NodeId, u64, u64)> = None;
-        for ((&p, a), b) in candidates.iter().zip(&to).zip(&from) {
-            let (Some(a), Some(b)) = (a, b) else { continue };
-            let total = a.saturating_add(*b);
-            let better = match best {
-                None => true,
-                Some((bt, bp, _, _)) => total < bt || (total == bt && p < bp),
-            };
-            if better {
-                best = Some((total, p, *a, *b));
-            }
-        }
-        best.map(|(_, p, a, b)| (p, a, b))
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +98,7 @@ mod tests {
     use super::*;
     use ah_ch::ChIndex;
     use ah_graph::Graph;
-    use ah_search::scenario::PoiSet;
+    use ah_search::scenario::{best_via, nearest, PoiSet};
     use ah_search::{dijkstra_distance, ScenarioEngine};
 
     fn grid() -> Graph {
@@ -205,19 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn one_to_many_is_row_zero() {
-        let g = grid();
-        let labels = build(&g);
-        let targets = [3u32, 8, 21, 50];
-        let cost = &mut CostCounters::default();
-        assert_eq!(
-            labels.one_to_many(7, &targets, cost),
-            labels.many_to_many(&[7], &targets, cost)[0]
-        );
-    }
-
-    #[test]
     fn knn_and_via_agree_with_the_dijkstra_kernels() {
+        // Label-priced rows and second legs, ranked by the shared
+        // contract, answer exactly what the Dijkstra kernels answer.
         let g = grid();
         let labels = build(&g);
         let pois = PoiSet::synthetic(g.num_nodes(), 4, 5);
@@ -226,12 +146,16 @@ mod tests {
         for cat in 0..4 {
             let cands = pois.category(cat);
             let far = g.num_nodes() as u32 - 3;
-            assert_eq!(labels.knn(12, cands, 4, cost), eng.knn(&g, 12, cands, 4), "knn cat {cat}");
-            let got = labels.via(2, far, cands, cost);
-            let want = eng
-                .via(&g, 2, far, cands)
-                .map(|v| (v.poi, v.to_poi, v.from_poi));
-            assert_eq!(got, want, "via cat {cat}");
+            let row = labels.many_to_many(&[12], cands, cost).remove(0);
+            let want = eng.knn(&g, 12, cands, 4);
+            assert_eq!(nearest(cands, &row, 4), want, "knn cat {cat}");
+            let to_poi = labels.many_to_many(&[2], cands, cost).remove(0);
+            let got = best_via(cands, &to_poi, |p| {
+                labels
+                    .distance_full_with_cost(p, far, cost)
+                    .map(|d| d.length)
+            });
+            assert_eq!(got, eng.via(&g, 2, far, cands), "via cat {cat}");
         }
     }
 
@@ -248,8 +172,9 @@ mod tests {
         let g = b.build();
         let labels = build(&g);
         let cost = &mut CostCounters::default();
-        assert_eq!(labels.one_to_many(0, &[1, 2, 4], cost), vec![Some(2), None, None]);
-        assert_eq!(labels.knn(0, &[2, 4], 3, cost), vec![]);
-        assert_eq!(labels.via(0, 1, &[3, 4], cost), None);
+        assert_eq!(
+            labels.many_to_many(&[0, 3], &[1, 2, 4], cost),
+            vec![vec![Some(2), None, None], vec![None, Some(2), Some(2)]]
+        );
     }
 }

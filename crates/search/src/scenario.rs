@@ -15,14 +15,14 @@
 //! Scenario answers are ordered by **(path length, node id)** — the
 //! nuance tie-break component (paper Appendix A) canonicalizes *which*
 //! shortest path is reported per pair, but scenario *ranking* uses the
-//! plain length so that engines exposing only lengths (the
-//! `BackendSession` point-query interface) agree bit-for-bit with the
-//! kernels here:
+//! plain length so that engines exposing only lengths agree
+//! bit-for-bit with the kernels here. An engine prices distances; the
+//! ranking is written once, here, and every engine calls it:
 //!
-//! * k-NN results are sorted ascending by `(distance, poi id)` and
-//!   truncated to `k`; unreachable POIs are dropped.
-//! * The via answer minimizes `(d(s,p) + d(p,t), p)` over the candidate
-//!   set; candidates missing either leg are skipped.
+//! * [`nearest`] ranks a priced row for k-NN: ascending by
+//!   `(distance, poi id)`, unreachable POIs dropped, truncated to `k`.
+//! * [`best_via`] picks the via answer minimizing `(d(s,p) + d(p,t), p)`
+//!   over the candidate set; candidates missing either leg are skipped.
 //! * Matrix cells are independent point distances (`None` = unreachable).
 
 use ah_graph::NodeId;
@@ -136,6 +136,61 @@ pub struct ViaAnswer {
     pub from_poi: u64,
 }
 
+/// The `k` nearest `candidates`, sorted ascending by `(distance, node
+/// id)`. `row[i]` is the priced distance to `candidates[i]`; `None`
+/// (unreachable) is dropped.
+pub fn nearest(candidates: &[NodeId], row: &[Option<u64>], k: usize) -> Vec<(NodeId, u64)> {
+    let mut found: Vec<(u64, NodeId)> = candidates
+        .iter()
+        .zip(row)
+        .filter_map(|(&p, d)| d.map(|d| (d, p)))
+        .collect();
+    found.sort_unstable();
+    found.truncate(k);
+    found.into_iter().map(|(d, p)| (p, d)).collect()
+}
+
+/// The optimal detour over `candidates`, minimizing `(total, poi)`, or
+/// `None` when no candidate has both legs. `to_poi` holds the priced
+/// first legs `d(s, p)` (`to_poi[i]` belongs to `candidates[i]`);
+/// `from_poi(p)` prices a second leg `d(p, t)`.
+///
+/// Candidates are scanned in ascending `(d(s,p), p)` order; since the
+/// first leg alone lower-bounds the total, the scan stops at the first
+/// candidate whose first leg exceeds the best total, and `from_poi` is
+/// asked only about the candidates scanned before that.
+pub fn best_via(
+    candidates: &[NodeId],
+    to_poi: &[Option<u64>],
+    mut from_poi: impl FnMut(NodeId) -> Option<u64>,
+) -> Option<ViaAnswer> {
+    let mut order: Vec<(u64, NodeId)> = candidates
+        .iter()
+        .zip(to_poi)
+        .filter_map(|(&p, d)| d.map(|d| (d, p)))
+        .collect();
+    order.sort_unstable();
+    let mut best: Option<ViaAnswer> = None;
+    for (to_poi, p) in order {
+        if best.is_some_and(|b| to_poi > b.total) {
+            break;
+        }
+        let Some(from_poi) = from_poi(p) else {
+            continue;
+        };
+        let total = to_poi.saturating_add(from_poi);
+        if best.is_none_or(|b| (total, p) < (b.total, b.poi)) {
+            best = Some(ViaAnswer {
+                poi: p,
+                total,
+                to_poi,
+                from_poi,
+            });
+        }
+    }
+    best
+}
+
 /// Reusable scenario-query state: one forward and one backward
 /// [`DijkstraDriver`], reset in O(1) between runs. Construct once per
 /// worker, call many times.
@@ -202,27 +257,14 @@ impl ScenarioEngine {
         candidates: &[NodeId],
         k: usize,
     ) -> Vec<(NodeId, u64)> {
-        self.fwd.run(g, source, &SearchOptions::default(), |_| true);
-        let mut found: Vec<(u64, NodeId)> = candidates
-            .iter()
-            .filter_map(|&p| {
-                let d = self.fwd.dist(p);
-                (!d.is_infinite()).then_some((d.length, p))
-            })
-            .collect();
-        found.sort_unstable();
-        found.truncate(k);
-        found.into_iter().map(|(d, p)| (p, d)).collect()
+        let row = self.one_to_many(g, source, candidates);
+        nearest(candidates, &row, k)
     }
 
-    /// The optimal detour `s → p → t` over `candidates`, or `None` when
-    /// no candidate has both legs reachable.
-    ///
-    /// One forward run from `s` and one backward run from `t` price every
-    /// candidate; candidates are then scanned in ascending `d(s,p)`
-    /// order, and since `d(s,p)` alone lower-bounds the total, the scan
-    /// stops as soon as it exceeds the best total found — distant
-    /// candidates are never combined.
+    /// The optimal detour `s → p → t` over `candidates` ([`best_via`]),
+    /// or `None` when no candidate has both legs reachable. One forward
+    /// run from `s` prices every first leg and one backward run from
+    /// `t` every second leg.
     pub fn via<G: SearchGraph>(
         &mut self,
         g: &G,
@@ -230,7 +272,7 @@ impl ScenarioEngine {
         t: NodeId,
         candidates: &[NodeId],
     ) -> Option<ViaAnswer> {
-        self.fwd.run(g, s, &SearchOptions::default(), |_| true);
+        let to_poi = self.one_to_many(g, s, candidates);
         self.bwd.run(
             g,
             t,
@@ -240,42 +282,10 @@ impl ScenarioEngine {
             },
             |_| true,
         );
-        let mut order: Vec<(u64, NodeId)> = candidates
-            .iter()
-            .filter_map(|&p| {
-                let d = self.fwd.dist(p);
-                (!d.is_infinite()).then_some((d.length, p))
-            })
-            .collect();
-        order.sort_unstable();
-        let mut best: Option<ViaAnswer> = None;
-        for &(to_poi, p) in &order {
-            if let Some(b) = best {
-                // `to_poi` lower-bounds the total; a strictly larger
-                // first leg cannot improve on (or tie) the incumbent.
-                if to_poi > b.total {
-                    break;
-                }
-            }
-            let back = self.bwd.dist(p);
-            if back.is_infinite() {
-                continue;
-            }
-            let total = to_poi.saturating_add(back.length);
-            let better = match best {
-                None => true,
-                Some(b) => total < b.total || (total == b.total && p < b.poi),
-            };
-            if better {
-                best = Some(ViaAnswer {
-                    poi: p,
-                    total,
-                    to_poi,
-                    from_poi: back.length,
-                });
-            }
-        }
-        best
+        best_via(candidates, &to_poi, |p| {
+            let d = self.bwd.dist(p);
+            (!d.is_infinite()).then_some(d.length)
+        })
     }
 }
 
@@ -320,6 +330,72 @@ mod tests {
         // ≈ 25 % membership on a sample this size.
         assert!(a.len() > 60 && a.len() < 190, "got {}", a.len());
         assert!(a.category(999).is_empty(), "out-of-range category is empty");
+    }
+
+    #[test]
+    fn nearest_breaks_ties_by_id_and_drops_unreachable() {
+        let candidates = [9, 4, 7, 2, 5];
+        let row = [Some(3), Some(3), None, Some(1), Some(3)];
+        assert_eq!(nearest(&candidates, &row, 3), vec![(2, 1), (4, 3), (5, 3)]);
+        assert_eq!(
+            nearest(&candidates, &row, 10),
+            vec![(2, 1), (4, 3), (5, 3), (9, 3)],
+            "the unreachable candidate 7 is dropped, not ranked last"
+        );
+        assert_eq!(nearest(&candidates, &row, 0), vec![]);
+    }
+
+    #[test]
+    fn best_via_breaks_a_total_tie_toward_the_smaller_id() {
+        // 8: 2 + 5 = 7 is scanned first; 3: 4 + 3 = 7 ties and wins on id.
+        let candidates = [8, 3];
+        let back = |p: NodeId| Some(if p == 8 { 5 } else { 3 });
+        let got = best_via(&candidates, &[Some(2), Some(4)], back).unwrap();
+        assert_eq!(
+            got,
+            ViaAnswer {
+                poi: 3,
+                total: 7,
+                to_poi: 4,
+                from_poi: 3
+            }
+        );
+    }
+
+    #[test]
+    fn best_via_scans_a_first_leg_equal_to_the_best_total() {
+        // 6 gives total 5; 4 has first leg 5 = the best total and a
+        // zero second leg, so it ties on the total and wins on id.
+        let candidates = [6, 4];
+        let back = |p: NodeId| Some(if p == 6 { 4 } else { 0 });
+        let got = best_via(&candidates, &[Some(1), Some(5)], back).unwrap();
+        assert_eq!((got.poi, got.total, got.from_poi), (4, 5, 0));
+    }
+
+    #[test]
+    fn best_via_never_prices_a_second_leg_past_the_stop() {
+        // First legs 1..=8 on candidates 10..=17; every second leg is 2,
+        // so the best total is 3 and the scan stops at the first leg 4.
+        let candidates: Vec<NodeId> = (10..18).collect();
+        let to_poi: Vec<Option<u64>> = (1..=8).map(Some).collect();
+        let mut asked = Vec::new();
+        let got = best_via(&candidates, &to_poi, |p| {
+            asked.push(p);
+            Some(2)
+        });
+        assert_eq!(got.map(|v| (v.poi, v.total)), Some((10, 3)));
+        assert_eq!(asked, vec![10, 11, 12], "first legs 4.. exceed 3");
+
+        // Candidates without a first leg are never asked about either,
+        // and a missing second leg only skips its candidate.
+        asked.clear();
+        let got = best_via(&[1, 2, 3], &[None, Some(4), Some(6)], |p| {
+            asked.push(p);
+            (p == 3).then_some(1)
+        });
+        assert_eq!(got.map(|v| (v.poi, v.total)), Some((3, 7)));
+        assert_eq!(asked, vec![2, 3]);
+        assert_eq!(best_via(&[1], &[None], |_| unreachable!()), None);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use ah_core::{AhIndex, AhQuery};
 use ah_graph::{Graph, NodeId, Path};
 use ah_labels::LabelIndex;
 use ah_obs::CostCounters;
+use ah_search::scenario::{best_via, nearest};
 use ah_search::{BidirectionalDijkstra, ScenarioEngine, ViaAnswer};
 
 /// A query method that can serve concurrent traffic from a shared index.
@@ -34,15 +35,16 @@ pub trait DistanceBackend: Sync {
 
 /// Per-worker mutable query state tied to one backend instance.
 ///
-/// The scenario methods ([`one_to_many`](Self::one_to_many),
-/// [`matrix`](Self::matrix), [`knn`](Self::knn), [`via`](Self::via))
-/// have default implementations built from repeated point queries —
-/// exact on every backend, since each point answer is. Backends with a
-/// cheaper batched shape override them (Dijkstra runs one search per
-/// source; hub labels run bucket sweeps). All follow the scenario
-/// determinism contract (`ah_search::scenario`): ranking by
-/// `(length, node id)`, unreachable candidates dropped — so every
-/// backend's scenario answers are bit-identical.
+/// A session prices distances; it does not rank. [`matrix`](Self::matrix)
+/// is the one batched shape it prices (by default one point query per
+/// cell); [`knn`](Self::knn) and [`via`](Self::via) rank one of its rows
+/// by the scenario determinism contract,
+/// `ah_search::scenario::{nearest, best_via}` — `(length, node id)`
+/// order, unreachable candidates dropped — so every backend's scenario
+/// answers are bit-identical. A session overrides a scenario method only
+/// where it prices more cheaply: Dijkstra (one sweep per source, one
+/// backward sweep for every second via leg), hub labels (targets
+/// bucketed once) and [`DelayBackend`] (one sleep per request).
 pub trait BackendSession {
     /// Network distance from `s` to `t`, or `None` if unreachable.
     fn distance(&mut self, s: NodeId, t: NodeId) -> Option<u64>;
@@ -50,73 +52,31 @@ pub trait BackendSession {
     /// Shortest path from `s` to `t` in the original network.
     fn path(&mut self, s: NodeId, t: NodeId) -> Option<Path>;
 
-    /// Distances from `source` to each of `targets` (`None` =
-    /// unreachable).
-    fn one_to_many(&mut self, source: NodeId, targets: &[NodeId]) -> Vec<Option<u64>> {
-        targets.iter().map(|&t| self.distance(source, t)).collect()
-    }
-
-    /// Full distance table `sources × targets`; row `i` equals
-    /// [`Self::one_to_many`] from `sources[i]`.
+    /// Full distance table `sources × targets` (`None` = unreachable):
+    /// cell `(i, j)` is `distance(sources[i], targets[j])`.
     fn matrix(&mut self, sources: &[NodeId], targets: &[NodeId]) -> Vec<Vec<Option<u64>>> {
         sources
             .iter()
-            .map(|&s| self.one_to_many(s, targets))
+            .map(|&s| targets.iter().map(|&t| self.distance(s, t)).collect())
             .collect()
     }
 
     /// The `k` nearest `candidates` from `source`, sorted ascending by
-    /// `(distance, node id)`.
+    /// `(distance, node id)`: one [`matrix`](Self::matrix) row, ranked
+    /// by [`nearest`].
     fn knn(&mut self, source: NodeId, candidates: &[NodeId], k: usize) -> Vec<(NodeId, u64)> {
-        let row = self.one_to_many(source, candidates);
-        let mut found: Vec<(u64, NodeId)> = row
-            .iter()
-            .zip(candidates)
-            .filter_map(|(d, &p)| d.map(|d| (d, p)))
-            .collect();
-        found.sort_unstable();
-        found.truncate(k);
-        found.into_iter().map(|(d, p)| (p, d)).collect()
+        let row = self.matrix(&[source], candidates).remove(0);
+        nearest(candidates, &row, k)
     }
 
     /// The optimal detour `s → p → t` over `candidates`, minimizing
-    /// `(total, poi)`; `None` when no candidate has both legs. The
-    /// default prices every first leg, then scans candidates in
-    /// ascending `d(s,p)` order — the first leg lower-bounds the total,
-    /// so the scan (and its second-leg point queries) stops early.
+    /// `(total, poi)`; `None` when no candidate has both legs. One
+    /// [`matrix`](Self::matrix) row prices the first legs; [`best_via`]
+    /// scans them in ascending order and prices a second leg with
+    /// [`distance`](Self::distance) only for the candidates it scans.
     fn via(&mut self, s: NodeId, t: NodeId, candidates: &[NodeId]) -> Option<ViaAnswer> {
-        let mut order: Vec<(u64, NodeId)> = self
-            .one_to_many(s, candidates)
-            .iter()
-            .zip(candidates)
-            .filter_map(|(d, &p)| d.map(|d| (d, p)))
-            .collect();
-        order.sort_unstable();
-        let mut best: Option<ViaAnswer> = None;
-        for &(to_poi, p) in &order {
-            if let Some(b) = best {
-                if to_poi > b.total {
-                    break;
-                }
-            }
-            let Some(from_poi) = self.distance(p, t) else {
-                continue;
-            };
-            let total = to_poi.saturating_add(from_poi);
-            let better = match best {
-                None => true,
-                Some(b) => total < b.total || (total == b.total && p < b.poi),
-            };
-            if better {
-                best = Some(ViaAnswer {
-                    poi: p,
-                    total,
-                    to_poi,
-                    from_poi,
-                });
-            }
-        }
-        best
+        let to_poi = self.matrix(&[s], candidates).remove(0);
+        best_via(candidates, &to_poi, |p| self.distance(p, t))
     }
 
     /// Drains the algorithmic cost accumulated since the last drain —
@@ -270,21 +230,13 @@ impl BackendSession for DijkstraSession<'_> {
         self.q.path(self.graph, s, t)
     }
 
-    // Batched shapes: one single-source sweep replaces |targets| (or
-    // |candidates|) separate bidirectional runs.
-
-    fn one_to_many(&mut self, source: NodeId, targets: &[NodeId]) -> Vec<Option<u64>> {
-        self.scenarios.one_to_many(self.graph, source, targets)
-    }
-
+    // One single-source sweep prices a whole row, replacing |targets|
+    // separate bidirectional runs.
     fn matrix(&mut self, sources: &[NodeId], targets: &[NodeId]) -> Vec<Vec<Option<u64>>> {
         self.scenarios.matrix(self.graph, sources, targets)
     }
 
-    fn knn(&mut self, source: NodeId, candidates: &[NodeId], k: usize) -> Vec<(NodeId, u64)> {
-        self.scenarios.knn(self.graph, source, candidates, k)
-    }
-
+    // One backward sweep from `t` prices every second leg.
     fn via(&mut self, s: NodeId, t: NodeId, candidates: &[NodeId]) -> Option<ViaAnswer> {
         self.scenarios.via(self.graph, s, t, candidates)
     }
@@ -358,31 +310,11 @@ impl BackendSession for LabelSession<'_> {
         self.q.path(self.ah, s, t)
     }
 
-    // Bucket-style batched sweeps (see `ah_labels::scenario`): each
+    // Bucket-style batched sweep (see `ah_labels::scenario`): each
     // target's in-label is bucketed by hub once, then every source
     // scans its out-label once — no per-pair merges.
-
-    fn one_to_many(&mut self, source: NodeId, targets: &[NodeId]) -> Vec<Option<u64>> {
-        self.labels.one_to_many(source, targets, &mut self.cost)
-    }
-
     fn matrix(&mut self, sources: &[NodeId], targets: &[NodeId]) -> Vec<Vec<Option<u64>>> {
         self.labels.many_to_many(sources, targets, &mut self.cost)
-    }
-
-    fn knn(&mut self, source: NodeId, candidates: &[NodeId], k: usize) -> Vec<(NodeId, u64)> {
-        self.labels.knn(source, candidates, k, &mut self.cost)
-    }
-
-    fn via(&mut self, s: NodeId, t: NodeId, candidates: &[NodeId]) -> Option<ViaAnswer> {
-        self.labels
-            .via(s, t, candidates, &mut self.cost)
-            .map(|(poi, to_poi, from_poi)| ViaAnswer {
-                poi,
-                total: to_poi.saturating_add(from_poi),
-                to_poi,
-                from_poi,
-            })
     }
 
     fn take_cost(&mut self) -> CostCounters {
@@ -447,22 +379,12 @@ impl BackendSession for DelaySession<'_> {
     }
 
     // One delay per scenario *request* (not per internal point query):
-    // the wrapped call goes straight to the inner session's batched
-    // implementation.
-
-    fn one_to_many(&mut self, source: NodeId, targets: &[NodeId]) -> Vec<Option<u64>> {
-        std::thread::sleep(self.delay);
-        self.inner.one_to_many(source, targets)
-    }
+    // the wrapped call goes straight to the inner session's own pricing.
+    // `knn` needs no override: its one `matrix` call sleeps once.
 
     fn matrix(&mut self, sources: &[NodeId], targets: &[NodeId]) -> Vec<Vec<Option<u64>>> {
         std::thread::sleep(self.delay);
         self.inner.matrix(sources, targets)
-    }
-
-    fn knn(&mut self, source: NodeId, candidates: &[NodeId], k: usize) -> Vec<(NodeId, u64)> {
-        std::thread::sleep(self.delay);
-        self.inner.knn(source, candidates, k)
     }
 
     fn via(&mut self, s: NodeId, t: NodeId, candidates: &[NodeId]) -> Option<ViaAnswer> {
@@ -513,11 +435,13 @@ mod tests {
         let ah = AhIndex::build(&g, &BuildConfig::default());
         let ch = ChIndex::build(&g);
         let labels = LabelIndex::build(&g, ch.order());
+        let label_backend = LabelBackend::new(&labels, &ah);
         let backends: Vec<Box<dyn DistanceBackend>> = vec![
             Box::new(AhBackend::new(&ah)),
             Box::new(ChBackend::new(&ch)),
             Box::new(DijkstraBackend::new(&g)),
             Box::new(LabelBackend::new(&labels, &ah)),
+            Box::new(DelayBackend::new(&label_backend, std::time::Duration::ZERO)),
         ];
         let pois = ah_search::PoiSet::synthetic(g.num_nodes(), 4, 77);
         let cands = pois.category(1);
@@ -533,7 +457,7 @@ mod tests {
         for b in &backends {
             let mut session = b.make_session();
             assert_eq!(session.matrix(&sources, &targets), want_matrix, "{}", b.name());
-            assert_eq!(session.one_to_many(0, &targets), want_matrix[0], "{}", b.name());
+            assert_eq!(session.matrix(&[0], &targets)[0], want_matrix[0], "{}", b.name());
             assert_eq!(session.knn(2, cands, 3), want_knn, "{}", b.name());
             assert_eq!(session.via(0, 35, cands), want_via, "{}", b.name());
         }

@@ -15,7 +15,9 @@
 //!   index, the CH hierarchy and plain bidirectional Dijkstra, and
 //!   [`LabelBackend`] answers distances from hub labels and paths from
 //!   the AH index, so the serving engine — and every test and benchmark
-//!   built on it — treats the methods interchangeably.
+//!   built on it — treats the methods interchangeably. A session prices
+//!   distances (point queries and one batched `matrix`); its knn and via
+//!   answers are ranked from them by `ah_search::scenario`.
 //! * [`Server`] — the engine: a `std::thread::scope` worker pool draining
 //!   a [`BoundedQueue`] in batches, with a sharded LRU [`DistanceCache`]
 //!   consulted before any search runs. The feeder blocks when the bounded

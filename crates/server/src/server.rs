@@ -786,29 +786,33 @@ fn serve_one(
             let table = match batch {
                 None => Vec::new(),
                 Some(b) => {
-                    if b.sources.iter().chain(&b.targets).all(|&v| in_range(v)) {
-                        session.matrix(&b.sources, &b.targets)
-                    } else {
-                        // Out-of-range endpoints answer as unreachable
-                        // without touching the backend: valid columns are
-                        // swept, the rest scattered back as `None`.
-                        let valid: Vec<NodeId> =
-                            b.targets.iter().copied().filter(|&t| in_range(t)).collect();
-                        b.sources
-                            .iter()
-                            .map(|&s| {
-                                if !in_range(s) {
-                                    return vec![None; b.targets.len()];
-                                }
-                                let row = session.one_to_many(s, &valid);
-                                let mut it = row.into_iter();
-                                b.targets
-                                    .iter()
-                                    .map(|&t| if in_range(t) { it.next().unwrap() } else { None })
-                                    .collect()
-                            })
-                            .collect()
-                    }
+                    // Out-of-range endpoints answer as unreachable without
+                    // touching the backend: one call prices the in-range
+                    // sub-table, scattered back among `None` cells.
+                    let valid = |ids: &[NodeId]| -> Vec<NodeId> {
+                        ids.iter().copied().filter(|&v| in_range(v)).collect()
+                    };
+                    let sub = session.matrix(&valid(&b.sources), &valid(&b.targets));
+                    let mut rows = sub.into_iter();
+                    b.sources
+                        .iter()
+                        .map(|&s| {
+                            if !in_range(s) {
+                                return vec![None; b.targets.len()];
+                            }
+                            let mut row = rows.next().unwrap().into_iter();
+                            b.targets
+                                .iter()
+                                .map(|&t| {
+                                    if in_range(t) {
+                                        row.next().unwrap()
+                                    } else {
+                                        None
+                                    }
+                                })
+                                .collect()
+                        })
+                        .collect()
                 }
             };
             stamp(Stage::Compute, &mut span);

@@ -391,13 +391,6 @@ impl Snapshot {
         })
     }
 
-    /// The CH index, or [`SnapshotError::MissingSection`].
-    pub fn require_ch(self) -> Result<ChIndex, SnapshotError> {
-        self.ch.ok_or(SnapshotError::MissingSection {
-            section: SectionTag::CH,
-        })
-    }
-
     /// The hub-labeling index, or [`SnapshotError::MissingSection`].
     pub fn require_labels(self) -> Result<Arc<LabelIndex>, SnapshotError> {
         self.labels.ok_or(SnapshotError::MissingSection {

@@ -5,10 +5,10 @@
 //! and a sampled span must carry its cost words end to end over a real
 //! socket while `/readyz` degrades under a violated objective.
 //!
-//! The load-bearing identity: a full single-source Dijkstra sweep
-//! (`one_to_many`, `matrix` rows) settles **exactly** the nodes the
-//! brute-force oracle says are reachable — no more (no duplicate
-//! settles), no fewer (no early exit). Point queries are bidirectional
+//! The load-bearing identity: a full single-source Dijkstra sweep (one
+//! `matrix` row) settles **exactly** the nodes the brute-force oracle
+//! says are reachable — no more (no duplicate settles), no fewer (no
+//! early exit). Point queries are bidirectional
 //! and keep only the invariant bounds; the labels backend answers with
 //! merges alone (`nodes_settled == 0`).
 
@@ -57,7 +57,7 @@ fn dijkstra_sweeps_settle_exactly_the_reachable_nodes() {
     let targets: Vec<u32> = (0..n).collect();
 
     for source in [0u32, 33, 140] {
-        let _ = session.one_to_many(source, &targets);
+        let _ = session.matrix(&[source], &targets);
         let cost = session.take_cost();
         assert_eq!(
             cost.nodes_settled,

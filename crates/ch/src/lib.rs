@@ -24,7 +24,9 @@
 //! );
 //! ```
 
-use ah_contraction::{contract_adaptive, BidirUpwardQuery, ContractionConfig, Hierarchy};
+use ah_contraction::{
+    contract_adaptive, contract_with_order, BidirUpwardQuery, ContractionConfig, Hierarchy,
+};
 use ah_graph::{Dist, Graph, NodeId, Path};
 use ah_obs::CostCounters;
 
@@ -44,6 +46,20 @@ impl ChIndex {
     pub fn build_with_config(g: &Graph, cfg: ContractionConfig) -> ChIndex {
         let (hierarchy, order) = contract_adaptive(g, cfg);
         ChIndex { hierarchy, order }
+    }
+
+    /// Contracts `g` in exactly the given `order` (`order[0]` first)
+    /// instead of choosing one. An order stays valid under any weights,
+    /// so a weight delta can be re-contracted under the order of the
+    /// index it replaces — AH's or CH's — in a fraction of a full build.
+    ///
+    /// # Panics
+    /// Panics if `order` is not a permutation of `g`'s node ids.
+    pub fn build_with_order(g: &Graph, order: &[NodeId], cfg: ContractionConfig) -> ChIndex {
+        ChIndex {
+            hierarchy: contract_with_order(g, order, cfg),
+            order: order.to_vec(),
+        }
     }
 
     /// The contraction order (`order[0]` contracted first).
@@ -167,6 +183,38 @@ mod tests {
             ..Default::default()
         });
         check(&g, 7);
+    }
+
+    #[test]
+    fn build_with_order_reuses_an_order_under_new_weights() {
+        let g = ah_data::fixtures::lattice(7, 5, 12);
+        let order = ChIndex::build(&g).order().to_vec();
+        // The same shape, other weights (one road closed): the old order
+        // must still give an exact hierarchy, and one `from_raw_parts`
+        // accepts.
+        let changes = [
+            ah_graph::WeightChange::new(0, 1, 90),
+            ah_graph::WeightChange::new(8, 9, 1),
+            ah_graph::WeightChange::close(16, 17),
+        ];
+        let delta = ah_graph::WeightDelta::new(&g, changes).unwrap();
+        let reweighted = delta.apply(&g).unwrap().graph;
+        let idx = ChIndex::build_with_order(&reweighted, &order, ContractionConfig::default());
+        assert_eq!(idx.order(), &order[..]);
+        assert_eq!(idx.hierarchy().contraction_order(), order);
+        let parts = ChIndex::from_raw_parts(idx.hierarchy().clone(), order.clone()).unwrap();
+        assert_eq!(parts.num_shortcuts(), idx.num_shortcuts());
+        let mut q = ChQuery::new();
+        let n = reweighted.num_nodes() as NodeId;
+        for s in (0..n).step_by(4) {
+            for t in (0..n).step_by(3) {
+                assert_eq!(
+                    q.distance_full(&idx, s, t),
+                    dijkstra_distance(&reweighted, s, t),
+                    "({s},{t})"
+                );
+            }
+        }
     }
 
     #[test]

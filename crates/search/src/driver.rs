@@ -115,13 +115,67 @@ impl DijkstraDriver {
         g: &G,
         source: NodeId,
         opts: &SearchOptions,
-        mut allow: F,
+        allow: F,
         mut expand: E,
     ) -> SearchOutcome
     where
         G: SearchGraph,
         F: FnMut(NodeId) -> bool,
         E: FnMut(NodeId, Dist) -> bool,
+    {
+        self.search(g, source, opts, allow, |u, d| {
+            if expand(u, d) {
+                Settled::Expand
+            } else {
+                Settled::Skip
+            }
+        })
+    }
+
+    /// [`run`](Self::run) that stops as soon as `done(u)` is true for a
+    /// just-settled node `u`, reporting [`SearchOutcome::TargetReached`]
+    /// with `u`'s distance; nodes settled before it keep their final
+    /// distances. Multi-target sweeps use it to stop at their last target.
+    pub(crate) fn run_until<G, F>(
+        &mut self,
+        g: &G,
+        source: NodeId,
+        opts: &SearchOptions,
+        mut done: F,
+    ) -> SearchOutcome
+    where
+        G: SearchGraph,
+        F: FnMut(NodeId) -> bool,
+    {
+        self.search(
+            g,
+            source,
+            opts,
+            |_| true,
+            |u, _| {
+                if done(u) {
+                    Settled::Stop
+                } else {
+                    Settled::Expand
+                }
+            },
+        )
+    }
+
+    /// The one search loop behind every `run*`: `settled(u, d)` decides
+    /// what happens after `u` settles.
+    fn search<G, F, E>(
+        &mut self,
+        g: &G,
+        source: NodeId,
+        opts: &SearchOptions,
+        mut allow: F,
+        mut settled: E,
+    ) -> SearchOutcome
+    where
+        G: SearchGraph,
+        F: FnMut(NodeId) -> bool,
+        E: FnMut(NodeId, Dist) -> Settled,
     {
         self.slots.reset(g.num_nodes());
         self.settled_order.clear();
@@ -147,8 +201,10 @@ impl DijkstraDriver {
             if self.settled_order.len() >= opts.max_settled {
                 return SearchOutcome::SettleLimit;
             }
-            if !expand(u, d) {
-                continue;
+            match settled(u, d) {
+                Settled::Expand => {}
+                Settled::Skip => continue,
+                Settled::Stop => return SearchOutcome::TargetReached(d),
             }
             opts.direction.arcs(g, u, &mut self.arcs);
             self.cost.edges_relaxed += self.arcs.len() as u64;
@@ -208,6 +264,16 @@ impl DijkstraDriver {
         }
         Some(nodes)
     }
+}
+
+/// What the search loop does with a node it just settled.
+enum Settled {
+    /// Relax its arcs.
+    Expand,
+    /// Keep it settled, relax nothing through it.
+    Skip,
+    /// End the search here.
+    Stop,
 }
 
 /// The arc a plain-graph search records for every node it reaches.
@@ -335,6 +401,18 @@ mod tests {
         assert_eq!(d.settled_order(), &[0, 1, 3]);
         // Node 0's two arcs, none of node 1's, and node 3 has none.
         assert_eq!(d.take_cost().edges_relaxed, 2);
+    }
+
+    #[test]
+    fn run_until_stops_at_the_first_done_node() {
+        let g = chain_with_shortcut();
+        let mut d = DijkstraDriver::new();
+        let out = d.run_until(&g, 0, &SearchOptions::default(), |u| u == 2);
+        assert_eq!(out, SearchOutcome::TargetReached(d.dist(2)));
+        assert_eq!(d.settled_order(), &[0, 1, 2]);
+        assert!(!d.is_settled(3), "nothing settles after the stop");
+        // Node 2's arc is never relaxed: 0's two and 1's one.
+        assert_eq!(d.take_cost().edges_relaxed, 3);
     }
 
     #[test]

@@ -216,14 +216,15 @@ impl ScenarioEngine {
     }
 
     /// Distances from `source` to each of `targets` (`None` =
-    /// unreachable), from one forward Dijkstra run.
+    /// unreachable), from one forward Dijkstra run that stops once every
+    /// distinct target is settled.
     pub fn one_to_many<G: SearchGraph>(
         &mut self,
         g: &G,
         source: NodeId,
         targets: &[NodeId],
     ) -> Vec<Option<u64>> {
-        self.fwd.run(g, source, &SearchOptions::default(), |_| true);
+        sweep_until_settled(&mut self.fwd, g, source, Direction::Forward, targets);
         targets
             .iter()
             .map(|&t| {
@@ -264,7 +265,7 @@ impl ScenarioEngine {
     /// The optimal detour `s → p → t` over `candidates` ([`best_via`]),
     /// or `None` when no candidate has both legs reachable. One forward
     /// run from `s` prices every first leg and one backward run from
-    /// `t` every second leg.
+    /// `t` every second leg; each stops once every candidate is settled.
     pub fn via<G: SearchGraph>(
         &mut self,
         g: &G,
@@ -273,20 +274,38 @@ impl ScenarioEngine {
         candidates: &[NodeId],
     ) -> Option<ViaAnswer> {
         let to_poi = self.one_to_many(g, s, candidates);
-        self.bwd.run(
-            g,
-            t,
-            &SearchOptions {
-                direction: Direction::Backward,
-                ..Default::default()
-            },
-            |_| true,
-        );
+        sweep_until_settled(&mut self.bwd, g, t, Direction::Backward, candidates);
         best_via(candidates, &to_poi, |p| {
             let d = self.bwd.dist(p);
             (!d.is_infinite()).then_some(d.length)
         })
     }
+}
+
+/// Runs `driver` from `source` until every distinct node of `targets`
+/// is settled (or the queue drains): the distances the sweep leaves for
+/// them are final, and nothing farther than the last one is settled.
+fn sweep_until_settled<G: SearchGraph>(
+    driver: &mut DijkstraDriver,
+    g: &G,
+    source: NodeId,
+    direction: Direction,
+    targets: &[NodeId],
+) {
+    let mut pending = targets.to_vec();
+    pending.sort_unstable();
+    pending.dedup();
+    let mut left = pending.len();
+    let opts = SearchOptions {
+        direction,
+        ..Default::default()
+    };
+    driver.run_until(g, source, &opts, |u| {
+        if pending.binary_search(&u).is_ok() {
+            left -= 1;
+        }
+        left == 0
+    });
 }
 
 #[cfg(test)]
@@ -444,6 +463,29 @@ mod tests {
             let want: Vec<(NodeId, u64)> = all.into_iter().map(|(d, p)| (p, d)).collect();
             assert_eq!(got, want, "category {cat}");
         }
+    }
+
+    #[test]
+    fn knn_over_nearby_candidates_stops_short_of_the_whole_graph() {
+        let g = grid();
+        let n = g.num_nodes() as u64;
+        let source = 40;
+        // The five nodes nearest `source`, by a full sweep's settle order.
+        let mut sweep = DijkstraDriver::new();
+        sweep.run(&g, source, &SearchOptions::default(), |_| true);
+        let near: Vec<NodeId> = sweep.settled_order()[1..6].to_vec();
+
+        let mut eng = ScenarioEngine::new();
+        let got = eng.knn(&g, source, &near, 3);
+        let settled = eng.take_cost().nodes_settled;
+        assert!(settled < n, "settled {settled} of {n}");
+        let mut want: Vec<(u64, NodeId)> = near
+            .iter()
+            .map(|&p| (naive_dist(&g, source, p).unwrap(), p))
+            .collect();
+        want.sort_unstable();
+        let want: Vec<(NodeId, u64)> = want[..3].iter().map(|&(d, p)| (p, d)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! * [`SnapshotServer`] — the lifecycle layer over `ah_store` snapshots:
 //!   [`Server::from_snapshot`] restarts a server from a persisted index
 //!   without paying the build, and an atomic index swap (with cache
-//!   invalidation) reindexes under live traffic with zero downtime.
+//!   invalidation) reindexes under live traffic with zero downtime. It
+//!   serves one [`Tier`]: AH, or — between a delta reload's first
+//!   publish and its AH upgrade — CH under the serving order.
 //! * [`ShardedServer`] — one [`Server`] over the [`ShardedBackend`]
 //!   (`ah_shard`): each pair is routed inside its session, same-shard
 //!   pairs answered from that shard's index and cross-shard answers
@@ -89,4 +91,4 @@ pub use ah_obs::{
 };
 pub use sharded::{ShardedBackend, ShardedRunReport, ShardedServer, ShardedServerConfig};
 pub use reload::{DeltaReloader, ReloadError, ReloadOutcome};
-pub use snapshot::{SnapshotBackend, SnapshotServer};
+pub use snapshot::{SnapshotBackend, SnapshotServer, Tier};

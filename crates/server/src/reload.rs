@@ -1,44 +1,56 @@
-//! Live weight updates: delta apply → off-path rebuild → atomic swap.
+//! Live weight updates: delta apply → CH publish → AH rebuild → upgrade.
 //!
 //! A [`DeltaReloader`] is the driver behind `/admin/reload-delta`: it
 //! owns the *graph* generation (the serving [`SnapshotServer`] owns the
 //! *index* generation) and turns an `ah_graph::WeightDelta` into a
-//! published index swap without ever blocking the serving path:
+//! published index swap without ever blocking the serving path. One
+//! reload is four steps on one flight and one thread (for
+//! [`DeltaReloader::start_from_file`], a background thread):
 //!
 //! 1. **Apply** — the delta is applied to the current base graph
 //!    ([`ah_graph::WeightDelta::apply`] verifies the base content id, so
 //!    changes cut against another generation are refused with a typed
 //!    error, never served).
-//! 2. **Rebuild** — a fresh `AhIndex` is built from the patched graph on
-//!    the calling thread (for [`DeltaReloader::start`], a background
-//!    thread), while traffic keeps flowing against the old index.
-//! 3. **Publish** — [`SnapshotServer::swap_index`] swaps the index and
-//!    clears the distance cache atomically; in-flight closed-loop runs
-//!    finish on the old generation, open-loop sessions built over
-//!    [`crate::SnapshotBackend`] pick up the new one on their next query.
+//! 2. **Contract and publish** — the patched graph is re-contracted
+//!    under the serving tier's own contraction order (an order stays
+//!    valid under any weights; only its quality ages), and that CH index
+//!    is published with [`SnapshotServer::swap_index`]'s semantics: a
+//!    new generation, the distance cache cleared atomically. In-flight
+//!    closed-loop runs finish on the old generation; open-loop sessions
+//!    built over [`crate::SnapshotBackend`] pick up the new one on their
+//!    next query. This closes the staleness window in a fraction of a
+//!    full build.
+//! 3. **Rebuild** — a fresh `AhIndex` is built from the patched graph,
+//!    bit-identical to a from-scratch build, while traffic is answered
+//!    by the CH tier.
+//! 4. **Upgrade** — the AH index replaces the CH tier in the same
+//!    generation: both answer the patched graph with bit-identical
+//!    `(length, nuance)`, so the cache is kept and the generation stays.
 //!
-//! Reloads are **single-flight**: while one is rebuilding, further
-//! requests fail fast with [`ReloadError::Busy`] (the edge maps it to
-//! `409 Conflict`) instead of queueing rebuilds that would each clear
-//! the cache. Progress and outcomes are observable through `ah_obs`:
-//! swap counts, rebuild durations, the staleness window each swap
-//! closed, and an in-progress flag.
+//! Reloads are **single-flight**: while one is in any of the four
+//! steps, further requests fail fast with [`ReloadError::Busy`] (the
+//! edge maps it to `409 Conflict`) instead of queueing rebuilds that
+//! would each clear the cache. Progress and outcomes are observable
+//! through `ah_obs`: swap counts, the serving tier, per-phase and
+//! whole-reload durations, the staleness window each reload closed, and
+//! an in-progress flag.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use ah_ch::ChIndex;
 use ah_core::{AhIndex, BuildConfig};
 use ah_graph::{DeltaError, Graph, WeightDelta};
-use ah_obs::{Counter, Gauge, Histogram};
+use ah_obs::{Counter, Gauge, Histogram, Registry};
 use ah_store::{Snapshot, SnapshotError};
 
-use crate::snapshot::SnapshotServer;
+use crate::snapshot::{SnapshotServer, Tier};
 
 /// Why a reload was not performed.
 #[derive(Debug)]
 pub enum ReloadError {
-    /// Another reload is mid-rebuild; retry after it publishes.
+    /// Another reload is in flight; retry after it upgrades.
     Busy,
     /// The delta could not be applied (wrong base generation, unknown
     /// edge, …).
@@ -82,25 +94,79 @@ impl From<SnapshotError> for ReloadError {
 /// What one published reload did.
 #[derive(Debug, Clone)]
 pub struct ReloadOutcome {
-    /// The index generation after the swap ([`SnapshotServer::generation`]).
+    /// The index generation the reload published
+    /// ([`SnapshotServer::generation`]).
     pub generation: u64,
     /// Edges whose weight actually changed (no-op changes excluded).
     pub changed_edges: usize,
     /// Nodes incident to a changed edge — the invalidation set.
     pub touched_nodes: usize,
-    /// Apply + rebuild + swap, in seconds: how long the service kept
-    /// answering from the pre-delta weights after the delta arrived.
+    /// Delta arrival to first patched publish, in seconds: how long the
+    /// service kept answering from the pre-delta weights (apply,
+    /// contract, publish).
     pub staleness_secs: f64,
+    /// First patched publish to AH upgrade, in seconds (AH rebuild plus
+    /// swap-in): how long the CH tier answered the patched graph.
+    pub upgrade_secs: f64,
 }
 
-/// Applies weight deltas to a live [`SnapshotServer`], rebuilding the
-/// index off the serving path and publishing it atomically.
+/// The five timed steps of a reload, one `ah_reload_phase_seconds`
+/// series each.
+struct Phases {
+    apply: Arc<Histogram>,
+    contract: Arc<Histogram>,
+    publish: Arc<Histogram>,
+    ah_build: Arc<Histogram>,
+    upgrade: Arc<Histogram>,
+}
+
+impl Phases {
+    fn new(reg: &Registry) -> Self {
+        let phase = |name| {
+            reg.histogram(
+                "ah_reload_phase_seconds",
+                &[("phase", name)],
+                "Wall time per reload phase (apply, contract, publish, ah_build, upgrade)",
+            )
+        };
+        Phases {
+            apply: phase("apply"),
+            contract: phase("contract"),
+            publish: phase("publish"),
+            ah_build: phase("ah_build"),
+            upgrade: phase("upgrade"),
+        }
+    }
+}
+
+/// Runs `f`, records its wall time into `phase`, returns its result.
+fn timed<T>(phase: &Histogram, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    phase.record_ns(t.elapsed().as_nanos() as u64);
+    out
+}
+
+/// A reload stopped between its first publish and its AH upgrade: the
+/// CH tier serves `patched`, the flight is still held.
+pub(crate) struct Interim {
+    patched: Arc<Graph>,
+    generation: u64,
+    changed_edges: usize,
+    touched_nodes: usize,
+    started: Instant,
+    staleness: Duration,
+}
+
+/// Applies weight deltas to a live [`SnapshotServer`], publishing a CH
+/// index of the patched graph at once and upgrading it to a rebuilt AH
+/// index on the same flight.
 pub struct DeltaReloader {
     server: Arc<SnapshotServer>,
     /// The graph generation currently *served* (updated only at publish,
     /// under this lock, so `reload` always applies against the graph
     /// that produced the serving index).
-    graph: Mutex<Graph>,
+    graph: Mutex<Arc<Graph>>,
     build_cfg: BuildConfig,
     busy: AtomicBool,
     background: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -108,9 +174,12 @@ pub struct DeltaReloader {
     swaps_total: Arc<Counter>,
     failures_total: Arc<Counter>,
     duration: Arc<Histogram>,
+    phases: Phases,
     in_progress: Arc<Gauge>,
     staleness_ns: Arc<Gauge>,
     generation: Arc<Gauge>,
+    tier_ah: Arc<Gauge>,
+    tier_ch: Arc<Gauge>,
 }
 
 impl DeltaReloader {
@@ -124,7 +193,7 @@ impl DeltaReloader {
         let swaps_total = reg.counter(
             "ah_reload_swaps_total",
             &[],
-            "Index swaps published by delta reloads",
+            "Patched generations published by delta reloads",
         );
         let failures_total = reg.counter(
             "ah_reload_failures_total",
@@ -134,26 +203,36 @@ impl DeltaReloader {
         let duration = reg.histogram(
             "ah_reload_duration_seconds",
             &[],
-            "Apply + rebuild + swap wall time per published reload",
+            "Apply through AH upgrade wall time per published reload",
         );
         let in_progress = reg.gauge(
             "ah_reload_in_progress",
             &[],
-            "1 while a delta reload is rebuilding, else 0",
+            "1 while a delta reload is in flight (apply through AH upgrade), else 0",
         );
         let staleness_ns = reg.gauge(
             "ah_reload_staleness_ns",
             &[],
-            "Staleness window closed by the last swap (delta arrival to publish)",
+            "Staleness window closed by the last reload (delta arrival to first patched publish)",
         );
         let generation = reg.gauge(
             "ah_index_generation",
             &[],
-            "Serving index generation (swaps since startup)",
+            "Serving index generation (patched graphs published since startup)",
         );
-        DeltaReloader {
+        let tier = |label| {
+            reg.gauge(
+                "ah_index_tier",
+                &[("tier", label)],
+                "1 for the tier the index is served from (ah, or ch mid-reload), else 0",
+            )
+        };
+        let reloader = DeltaReloader {
+            phases: Phases::new(reg),
+            tier_ah: tier("ah"),
+            tier_ch: tier("ch"),
             server,
-            graph: Mutex::new(graph),
+            graph: Mutex::new(Arc::new(graph)),
             build_cfg,
             busy: AtomicBool::new(false),
             background: Mutex::new(None),
@@ -164,7 +243,9 @@ impl DeltaReloader {
             in_progress,
             staleness_ns,
             generation,
-        }
+        };
+        reloader.show_tier();
+        reloader
     }
 
     /// The server this reloader publishes into.
@@ -172,12 +253,12 @@ impl DeltaReloader {
         &self.server
     }
 
-    /// Whether a reload is currently rebuilding.
+    /// Whether a reload is currently in flight.
     pub fn is_busy(&self) -> bool {
         self.busy.load(Ordering::SeqCst)
     }
 
-    /// Index swaps published by delta reloads.
+    /// Patched generations published by delta reloads.
     pub fn swaps(&self) -> u64 {
         self.swaps_total.get()
     }
@@ -188,19 +269,20 @@ impl DeltaReloader {
         self.last.lock().unwrap().clone()
     }
 
-    /// Applies `delta`, rebuilds, and publishes — synchronously, on the
-    /// calling thread. Single-flight: fails fast with
-    /// [`ReloadError::Busy`] if another reload is mid-rebuild.
+    /// Applies `delta`, publishes the CH tier, rebuilds AH and upgrades
+    /// to it — synchronously, on the calling thread. Single-flight:
+    /// fails fast with [`ReloadError::Busy`] if another reload is in
+    /// flight.
     pub fn reload(&self, delta: WeightDelta) -> Result<ReloadOutcome, ReloadError> {
         let _flight = Self::begin(self)?;
         self.run_claimed(delta)
     }
 
-    /// Loads the delta at `path` and rebuilds on a **background
+    /// Loads the delta at `path` and reloads on a **background
     /// thread**, returning as soon as the flight is claimed — the shape
     /// the admin endpoint needs (answer `202 Accepted`, keep serving,
     /// observe the swap through the metrics). The claim happens here,
-    /// synchronously, so a second call before the first publishes gets
+    /// synchronously, so a second call before the first upgrades gets
     /// [`ReloadError::Busy`] immediately.
     pub fn start_from_file(
         self: &Arc<Self>,
@@ -263,38 +345,80 @@ impl DeltaReloader {
         Ok(Flight(this))
     }
 
-    /// The claimed-flight body: apply, rebuild, publish.
+    /// The claimed-flight body: the four steps of the module docs.
     fn run_claimed(&self, delta: WeightDelta) -> Result<ReloadOutcome, ReloadError> {
-        let t0 = Instant::now();
+        let interim = self.publish_patched(delta)?;
+        Ok(self.upgrade(interim))
+    }
+
+    /// Steps 1–2: apply `delta`, re-contract the patched graph under the
+    /// serving order, publish it as a new generation. The caller holds
+    /// the flight.
+    pub(crate) fn publish_patched(&self, delta: WeightDelta) -> Result<Interim, ReloadError> {
+        let started = Instant::now();
         let mut graph = self.graph.lock().unwrap();
-        let applied = match delta.apply(&graph) {
+        let applied = match timed(&self.phases.apply, || delta.apply(&graph)) {
             Ok(a) => a,
             Err(e) => {
                 self.failures_total.inc();
                 return Err(e.into());
             }
         };
-        // The expensive part — traffic keeps draining against the old
-        // index the whole time (the graph lock only excludes other
-        // reloads, which Busy already does).
-        let index = AhIndex::build(&applied.graph, &self.build_cfg);
-        self.server.swap_index(Arc::new(index));
-        let changed_edges = applied.changed_edges;
-        let touched_nodes = applied.touched.len();
-        *graph = applied.graph;
+        let order = self.server.tier().contraction_order();
+        let ch = timed(&self.phases.contract, || {
+            ChIndex::build_with_order(&applied.graph, &order, self.build_cfg.contraction)
+        });
+        timed(&self.phases.publish, || {
+            self.server.publish(Tier::Ch(Arc::new(ch)))
+        });
+        *graph = Arc::new(applied.graph);
+        let patched = Arc::clone(&graph);
         drop(graph);
 
-        let staleness = t0.elapsed();
+        let staleness = started.elapsed();
+        let generation = self.server.generation();
         self.swaps_total.inc();
-        self.duration.record_ns(staleness.as_nanos() as u64);
         self.staleness_ns.set(staleness.as_nanos() as u64);
-        self.generation.set(self.server.generation());
-        Ok(ReloadOutcome {
-            generation: self.server.generation(),
-            changed_edges,
-            touched_nodes,
-            staleness_secs: staleness.as_secs_f64(),
+        self.generation.set(generation);
+        self.show_tier();
+        Ok(Interim {
+            patched,
+            generation,
+            changed_edges: applied.changed_edges,
+            touched_nodes: applied.touched.len(),
+            started,
+            staleness,
         })
+    }
+
+    /// Steps 3–4: rebuild AH from the patched graph on this thread and
+    /// swap it in as an upgrade of the generation `interim` published.
+    /// The caller holds the flight.
+    pub(crate) fn upgrade(&self, interim: Interim) -> ReloadOutcome {
+        let published = Instant::now();
+        let index = timed(&self.phases.ah_build, || {
+            AhIndex::build(&interim.patched, &self.build_cfg)
+        });
+        timed(&self.phases.upgrade, || {
+            self.server.upgrade(Arc::new(index))
+        });
+        self.show_tier();
+        self.duration
+            .record_ns(interim.started.elapsed().as_nanos() as u64);
+        ReloadOutcome {
+            generation: interim.generation,
+            changed_edges: interim.changed_edges,
+            touched_nodes: interim.touched_nodes,
+            staleness_secs: interim.staleness.as_secs_f64(),
+            upgrade_secs: published.elapsed().as_secs_f64(),
+        }
+    }
+
+    /// Points `ah_index_tier` at the tier now serving.
+    fn show_tier(&self) {
+        let ch = matches!(self.server.tier(), Tier::Ch(_));
+        self.tier_ah.set(u64::from(!ch));
+        self.tier_ch.set(u64::from(ch));
     }
 }
 
@@ -439,6 +563,159 @@ mod tests {
         assert!(reloader.last_outcome().is_some());
         assert!(!reloader.is_busy());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A reload stopped between its CH publish and its AH upgrade serves
+    /// the patched graph exactly, and the upgrade lands on the bytes of
+    /// a scratch build without moving the generation.
+    #[test]
+    fn interim_tier_is_exact_and_the_upgrade_equals_a_scratch_build() {
+        use crate::backend::DistanceBackend;
+        use crate::snapshot::SnapshotBackend;
+        use ah_search::dijkstra_path;
+        use ah_store::SnapshotContents;
+
+        let g = ah_data::hierarchical_grid(&ah_data::HierarchicalGridConfig {
+            width: 12,
+            height: 12,
+            one_way: 0.2,
+            seed: 39,
+            ..Default::default()
+        });
+        let cfg = BuildConfig::default();
+        let server = Arc::new(SnapshotServer::new(
+            Arc::new(AhIndex::build(&g, &cfg)),
+            ServerConfig::with_workers(2),
+        ));
+        let reloader = DeltaReloader::new(Arc::clone(&server), g.clone(), cfg);
+        let arcs: Vec<(u32, u32)> = g.edges().map(|(u, a)| (u, a.head)).step_by(17).collect();
+        let mut changes: Vec<WeightChange> = arcs
+            .iter()
+            .enumerate()
+            .map(|(i, &(u, v))| WeightChange::new(u, v, 3 + 29 * (i as u32 % 5)))
+            .collect();
+        changes[0] = WeightChange::close(arcs[0].0, arcs[0].1);
+        let delta = WeightDelta::new(&g, changes).unwrap();
+        let patched = delta.apply(&g).unwrap().graph;
+
+        let flight = DeltaReloader::begin(&reloader).unwrap();
+        let interim = reloader.publish_patched(delta).unwrap();
+        assert_eq!(server.generation(), 1);
+        assert!(matches!(server.tier(), Tier::Ch(_)), "the CH tier serves");
+        assert!(reloader.is_busy(), "the flight covers the whole reload");
+
+        let n = patched.num_nodes() as u32;
+        let pairs: Vec<(u32, u32)> = (0..n)
+            .step_by(5)
+            .flat_map(|s| (0..n).step_by(11).map(move |t| (s, t)))
+            .collect();
+        let backend = SnapshotBackend::new(&server);
+        let mut session = backend.make_session();
+        for &(s, t) in &pairs {
+            let want = dijkstra_path(&patched, s, t);
+            assert_eq!(session.path(s, t), want, "interim path ({s},{t})");
+            assert_eq!(session.distance(s, t), want.map(|p| p.dist.length));
+        }
+        let reqs: Vec<Request> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, t))| Request::distance(i as u64, s, t))
+            .collect();
+        let check_run = |tier: &str| {
+            for (req, resp) in reqs.iter().zip(&server.run(&reqs).responses) {
+                let want = dijkstra_distance(&patched, req.s, req.t).map(|d| d.length);
+                assert_eq!(resp.distance, want, "{tier} run ({}, {})", req.s, req.t);
+            }
+        };
+        check_run("interim");
+
+        let out = reloader.upgrade(interim);
+        drop(flight);
+        assert_eq!(
+            (out.generation, server.generation()),
+            (1, 1),
+            "an upgrade is no new generation"
+        );
+        assert!(out.upgrade_secs > 0.0 && out.staleness_secs > 0.0);
+        let Tier::Ah(served) = server.tier() else {
+            panic!("the upgrade must serve AH")
+        };
+        let scratch = AhIndex::build(&patched, &cfg);
+        assert!(
+            Snapshot::to_bytes(SnapshotContents::new().ah(&served))
+                == Snapshot::to_bytes(SnapshotContents::new().ah(&scratch)),
+            "the upgraded AH index differs from a scratch build"
+        );
+        check_run("upgraded");
+    }
+
+    /// The value of the one `/metrics` line that starts with `series `.
+    fn value_of(text: &str, series: &str) -> f64 {
+        let key = format!("{series} ");
+        let lines: Vec<&str> = text.lines().filter(|l| l.starts_with(&key)).collect();
+        assert_eq!(lines.len(), 1, "{series} must render exactly once:\n{text}");
+        lines[0][key.len()..].parse().unwrap()
+    }
+
+    #[test]
+    fn tier_and_phase_series_render_once_and_move_with_a_reload() {
+        let (g, server, reloader) = setup(6);
+        let render = || server.server().registry().render();
+        let phases = ["apply", "contract", "publish", "ah_build", "upgrade"];
+        let phase_count = |text: &str, p: &str| {
+            value_of(
+                text,
+                &format!("ah_reload_phase_seconds_count{{phase=\"{p}\"}}"),
+            )
+        };
+        let tiers = |text: &str| {
+            (
+                value_of(text, "ah_index_tier{tier=\"ah\"}"),
+                value_of(text, "ah_index_tier{tier=\"ch\"}"),
+            )
+        };
+
+        let before = render();
+        assert_eq!(tiers(&before), (1.0, 0.0));
+        for p in phases {
+            assert_eq!(phase_count(&before, p), 0.0, "{p}");
+        }
+        assert_eq!(value_of(&before, "ah_reload_staleness_ns"), 0.0);
+
+        let delta = WeightDelta::new(&g, [WeightChange::new(0, 1, 77)]).unwrap();
+        let flight = DeltaReloader::begin(&*reloader).unwrap();
+        let interim = reloader.publish_patched(delta).unwrap();
+        let mid = render();
+        assert_eq!(tiers(&mid), (0.0, 1.0), "the CH tier serves mid-reload");
+        assert_eq!(value_of(&mid, "ah_index_generation"), 1.0);
+        assert_eq!(value_of(&mid, "ah_reload_in_progress"), 1.0);
+        assert!(value_of(&mid, "ah_reload_staleness_ns") > 0.0);
+        for p in ["apply", "contract", "publish"] {
+            assert_eq!(phase_count(&mid, p), 1.0, "{p}");
+        }
+        for p in ["ah_build", "upgrade"] {
+            assert_eq!(phase_count(&mid, p), 0.0, "{p}");
+        }
+
+        reloader.upgrade(interim);
+        drop(flight);
+        let after = render();
+        assert_eq!(tiers(&after), (1.0, 0.0));
+        for p in phases {
+            assert_eq!(phase_count(&after, p), 1.0, "{p}");
+        }
+        assert_eq!(
+            value_of(&after, "ah_index_generation"),
+            1.0,
+            "deltas, not tier swaps"
+        );
+        assert_eq!(
+            value_of(&after, "ah_reload_swaps_total"),
+            1.0,
+            "deltas, not tier swaps"
+        );
+        assert_eq!(value_of(&after, "ah_reload_duration_seconds_count"), 1.0);
+        assert_eq!(value_of(&after, "ah_reload_in_progress"), 0.0);
     }
 
     #[test]

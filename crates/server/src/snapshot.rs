@@ -6,16 +6,24 @@
 //!   a persisted [`AhIndex`] in milliseconds, skipping the multi-second
 //!   build (the snapshot is written once, e.g. by
 //!   `serve_edge --save-index`).
-//! * **Zero-downtime reindexing** — a [`SnapshotServer`] owns its index
-//!   behind an atomically swappable handle. Road data changed? Build or
-//!   load the new index *off the serving path*, then
+//! * **Zero-downtime reindexing** — a [`SnapshotServer`] owns its serving
+//!   [`Tier`] behind an atomically swappable handle. Road data changed?
+//!   Build or load the new index *off the serving path*, then
 //!   [`SnapshotServer::swap_index`]: in-flight request streams finish
 //!   against the old generation (the swap waits for them to drain), then
 //!   the new index is published and the distance cache cleared under the
 //!   same lock — so no answer computed against the old network can ever
 //!   survive the swap, not even from a worker that was mid-stream when
-//!   the swap began. The old index is returned to the caller (for
+//!   the swap began. The old tier is returned to the caller (for
 //!   diffing or deferred teardown) and freed when the last `Arc` drops.
+//!
+//! The serving tier is an AH index in steady state. A delta reload
+//! ([`crate::DeltaReloader`]) first publishes a CH index re-contracted
+//! under the serving order — a new generation, answering the patched
+//! graph within a fraction of a second — and then swaps the rebuilt AH
+//! index in as an *upgrade* of that same generation: both tiers answer
+//! the same graph with bit-identical `(length, nuance)`, so the upgrade
+//! neither bumps the generation nor clears the cache.
 //!
 //! Workers never lock per query: a run takes the generation read-lock
 //! once and serves its whole stream under it. Concurrent runs share the
@@ -26,12 +34,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
+use ah_ch::{ChIndex, ChQuery};
 use ah_core::{AhIndex, AhQuery};
 use ah_graph::NodeId;
 use ah_obs::CostCounters;
 use ah_store::{Snapshot, SnapshotError};
 
-use crate::backend::{AhBackend, BackendSession, DistanceBackend};
+use crate::backend::{AhBackend, BackendSession, ChBackend, DistanceBackend};
 use crate::server::{Request, RunReport, Server, ServerConfig};
 
 impl Server {
@@ -50,15 +59,45 @@ impl Server {
     }
 }
 
-/// A [`Server`] bound to an atomically swappable AH index.
+/// The index a [`SnapshotServer`] answers from.
+#[derive(Clone)]
+pub enum Tier {
+    /// An Arterial Hierarchy — the steady state.
+    Ah(Arc<AhIndex>),
+    /// A Contraction Hierarchy contracted under the order of the index
+    /// it replaced: what a delta reload serves while AH is rebuilt.
+    Ch(Arc<ChIndex>),
+}
+
+impl Tier {
+    /// The contraction order of the hierarchy under the tier (`[0]`
+    /// contracted first): the order a delta reload re-contracts by.
+    pub fn contraction_order(&self) -> Vec<NodeId> {
+        match self {
+            Tier::Ah(idx) => idx.hierarchy().contraction_order(),
+            Tier::Ch(idx) => idx.hierarchy().contraction_order(),
+        }
+    }
+
+    /// Number of nodes of the network the tier answers.
+    pub fn num_nodes(&self) -> usize {
+        match self {
+            Tier::Ah(idx) => idx.num_nodes(),
+            Tier::Ch(idx) => idx.hierarchy().num_nodes(),
+        }
+    }
+}
+
+/// A [`Server`] bound to an atomically swappable serving [`Tier`].
 ///
 /// Unlike the bare engine — which borrows a backend per [`Server::run`]
 /// call — this owns the index generation, so the index a request stream
 /// is served against can be replaced between runs without stopping the
-/// process.
+/// process. It boots on an AH index; a delta reload may serve a CH tier
+/// between its first publish and the AH upgrade.
 pub struct SnapshotServer {
     server: Server,
-    index: RwLock<Arc<AhIndex>>,
+    tier: RwLock<Tier>,
     generation: AtomicU64,
 }
 
@@ -74,13 +113,14 @@ impl SnapshotServer {
     pub fn with_server(index: Arc<AhIndex>, server: Server) -> Self {
         SnapshotServer {
             server,
-            index: RwLock::new(index),
+            tier: RwLock::new(Tier::Ah(index)),
             generation: AtomicU64::new(0),
         }
     }
 
-    /// How many times the serving index has been swapped since startup.
-    /// Generation 0 is the index the server booted with.
+    /// How many times a new network has been published since startup.
+    /// Generation 0 is the index the server booted with; an AH upgrade
+    /// of the serving graph keeps the generation.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::SeqCst)
     }
@@ -90,13 +130,14 @@ impl SnapshotServer {
         &self.server
     }
 
-    /// The currently serving index generation.
-    pub fn index(&self) -> Arc<AhIndex> {
-        self.index.read().unwrap().clone()
+    /// The currently serving tier: always an index of the current
+    /// generation's graph, AH or — mid-reload — CH.
+    pub fn tier(&self) -> Tier {
+        self.tier.read().unwrap().clone()
     }
 
-    /// Atomically replaces the serving index and clears the distance
-    /// cache. Returns the previous generation.
+    /// Atomically replaces the serving tier with `new` and clears the
+    /// distance cache. Returns the previous tier.
     ///
     /// Runs hold the generation read-lock for their whole duration, so
     /// this call first waits for in-flight [`SnapshotServer::run`]s to
@@ -106,8 +147,14 @@ impl SnapshotServer {
     /// staleness guarantee airtight: an old-generation worker can never
     /// insert an answer after the clear, because no old-generation
     /// worker exists once the write lock is held.
-    pub fn swap_index(&self, new: Arc<AhIndex>) -> Arc<AhIndex> {
-        let mut slot = self.index.write().unwrap();
+    pub fn swap_index(&self, new: Arc<AhIndex>) -> Tier {
+        self.publish(Tier::Ah(new))
+    }
+
+    /// [`SnapshotServer::swap_index`] for any tier: a new network, a new
+    /// generation, an empty cache.
+    pub(crate) fn publish(&self, new: Tier) -> Tier {
+        let mut slot = self.tier.write().unwrap();
         let old = std::mem::replace(&mut *slot, new);
         self.server.reset_cache();
         // Bumped while the write lock is held, so the generation a
@@ -117,38 +164,44 @@ impl SnapshotServer {
         old
     }
 
+    /// Replaces the serving tier with `ah`, which must answer the same
+    /// graph as the tier it replaces: the generation stays and cached
+    /// answers stay valid, since every tier answers a graph with the
+    /// same `(length, nuance)`.
+    pub(crate) fn upgrade(&self, ah: Arc<AhIndex>) {
+        *self.tier.write().unwrap() = Tier::Ah(ah);
+    }
+
     /// Loads the snapshot at `path` and [`SnapshotServer::swap_index`]es
     /// to it. On any load error the serving index is left untouched — a
     /// bad snapshot can never take down a healthy server.
-    pub fn swap_from_snapshot(
-        &self,
-        path: impl AsRef<Path>,
-    ) -> Result<Arc<AhIndex>, SnapshotError> {
+    pub fn swap_from_snapshot(&self, path: impl AsRef<Path>) -> Result<Tier, SnapshotError> {
         let index = Snapshot::load_ah(path)?;
         Ok(self.swap_index(Arc::new(index)))
     }
 
-    /// Serves `requests` against the current index generation (see
-    /// [`Server::run`] for the execution model).
+    /// Serves `requests` against the current tier (see [`Server::run`]
+    /// for the execution model).
     ///
     /// Holds the generation read-lock for the duration of the run: any
     /// concurrent [`SnapshotServer::swap_index`] waits for this stream
     /// to finish, which is what keeps old-generation answers out of the
     /// post-swap cache. Concurrent `run` calls do not block each other.
     pub fn run(&self, requests: &[Request]) -> RunReport {
-        let index = self.index.read().unwrap();
-        let backend = AhBackend::new(&index);
-        self.server.run(&backend, requests)
+        match &*self.tier.read().unwrap() {
+            Tier::Ah(idx) => self.server.run(&AhBackend::new(idx), requests),
+            Tier::Ch(idx) => self.server.run(&ChBackend::new(idx), requests),
+        }
     }
 }
 
 /// A [`DistanceBackend`] view over a [`SnapshotServer`] that follows
-/// index swaps *between queries* instead of pinning one generation.
+/// tier swaps *between queries* instead of pinning one generation.
 ///
 /// [`AhBackend`] borrows a fixed index, so open-loop workers created
 /// over it before a swap would keep serving the old generation forever.
 /// A `SnapshotBackend` session instead re-reads the swappable handle on
-/// every query: each answer is computed against whatever generation is
+/// every query: each answer is computed against whatever tier is
 /// current when the query starts, and a long-running worker picks up a
 /// published swap on its very next query — the piece that makes
 /// `/admin/reload-delta` visible to workers that never restart. Each
@@ -160,7 +213,7 @@ pub struct SnapshotBackend<'a> {
 }
 
 impl<'a> SnapshotBackend<'a> {
-    /// Serves queries against `server`'s *current* index generation.
+    /// Serves queries against `server`'s *current* tier.
     pub fn new(server: &'a SnapshotServer) -> Self {
         SnapshotBackend { server }
     }
@@ -174,35 +227,45 @@ impl DistanceBackend for SnapshotBackend<'_> {
     fn num_nodes(&self) -> usize {
         // Weight deltas keep the topology, so the node count is stable
         // across the swaps this backend is built to follow.
-        self.server.index().num_nodes()
+        self.server.tier().num_nodes()
     }
 
     fn make_session(&self) -> Box<dyn BackendSession + '_> {
         Box::new(SnapshotSession {
             server: self.server,
-            q: AhQuery::new(),
+            ah: AhQuery::new(),
+            ch: ChQuery::new(),
         })
     }
 }
 
+/// One query state per tier; each query runs on the tier current when
+/// it starts.
 struct SnapshotSession<'a> {
     server: &'a SnapshotServer,
-    q: AhQuery,
+    ah: AhQuery,
+    ch: ChQuery,
 }
 
 impl BackendSession for SnapshotSession<'_> {
     fn distance(&mut self, s: NodeId, t: NodeId) -> Option<u64> {
-        let idx = self.server.index();
-        self.q.distance(&idx, s, t)
+        match self.server.tier() {
+            Tier::Ah(idx) => self.ah.distance(&idx, s, t),
+            Tier::Ch(idx) => self.ch.distance(&idx, s, t),
+        }
     }
 
     fn path(&mut self, s: NodeId, t: NodeId) -> Option<ah_graph::Path> {
-        let idx = self.server.index();
-        self.q.path(&idx, s, t)
+        match self.server.tier() {
+            Tier::Ah(idx) => self.ah.path(&idx, s, t),
+            Tier::Ch(idx) => self.ch.path(&idx, s, t),
+        }
     }
 
     fn take_cost(&mut self) -> CostCounters {
-        self.q.take_cost()
+        let mut c = self.ah.take_cost();
+        c.merge(&self.ch.take_cost());
+        c
     }
 }
 
@@ -258,7 +321,10 @@ mod tests {
         }
 
         let old = server.swap_index(idx2);
-        assert!(Arc::ptr_eq(&old, &idx1), "swap returns the old generation");
+        assert!(
+            matches!(old, Tier::Ah(old) if Arc::ptr_eq(&old, &idx1)),
+            "swap returns the old generation"
+        );
 
         let after = server.run(&reqs);
         for (req, resp) in reqs.iter().zip(&after.responses) {
@@ -285,7 +351,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         // Still serving from the original index.
-        assert!(Arc::ptr_eq(&server.index(), &idx));
+        assert!(matches!(server.tier(), Tier::Ah(now) if Arc::ptr_eq(&now, &idx)));
         let report = server.run(&[Request::distance(0, 0, 15)]);
         assert_eq!(
             report.responses[0].distance,

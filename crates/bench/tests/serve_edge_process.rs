@@ -283,7 +283,7 @@ fn check_metrics(edge: &Edge, backend: &str, pairs: usize) -> String {
                 - metric(&m, &format!("ah_query_cache_hits{{kind=\"{kind}\"}}"))
         })
         .sum();
-    assert_eq!(misses, pairs as u64 + 8, "distance + via");
+    assert_eq!(misses, pairs as u64, "distance");
     for (scenario, served) in [("via", 8), ("knn", 8), ("matrix", 2)] {
         let series = format!("ah_server_scenario_requests_total{{scenario=\"{scenario}\"}}");
         assert_eq!(metric(&m, &series), served);

@@ -50,8 +50,11 @@ impl From<io::Error> for DimacsError {
     }
 }
 
+/// Arcs `(tail, head, weight)` of a `.gr` file, with 0-based endpoints.
+pub type GrArcs = Vec<(u32, u32, u32)>;
+
 /// Parses a `.gr` file: returns `(n, edges)` with 0-based endpoints.
-pub fn read_gr<R: BufRead>(reader: R) -> Result<(usize, Vec<(u32, u32, u32)>), DimacsError> {
+pub fn read_gr<R: BufRead>(reader: R) -> Result<(usize, GrArcs), DimacsError> {
     let mut n: Option<usize> = None;
     let mut edges = Vec::new();
     for (idx, line) in reader.lines().enumerate() {

@@ -71,11 +71,11 @@ impl HierarchicalGridConfig {
 
 /// Tier of lattice line `i` under the given periods (3 = fastest).
 fn line_tier(i: u32, periods: &[u32; 3]) -> usize {
-    if i % periods[2] == 0 {
+    if i.is_multiple_of(periods[2]) {
         3
-    } else if i % periods[1] == 0 {
+    } else if i.is_multiple_of(periods[1]) {
         2
-    } else if i % periods[0] == 0 {
+    } else if i.is_multiple_of(periods[0]) {
         1
     } else {
         0

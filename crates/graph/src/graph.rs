@@ -16,6 +16,11 @@ pub struct Arc {
     pub nuance: u32,
 }
 
+/// Borrowed view of a [`Graph`]'s five CSR arrays, in the order
+/// `(out_offsets, out_arcs, in_offsets, in_arcs, coords)` (see
+/// [`Graph::csr_parts`]).
+pub type CsrParts<'a> = (&'a [u32], &'a [Arc], &'a [u32], &'a [Arc], &'a [Point]);
+
 /// A directed, coordinate-embedded road network in compressed-sparse-row
 /// form with both forward and backward adjacency.
 ///
@@ -184,7 +189,7 @@ impl Graph {
     /// This is the serialization hook used by `ah_store`: the arrays are
     /// exactly what a snapshot persists, and
     /// [`Graph::from_csr_parts`] is its validated inverse.
-    pub fn csr_parts(&self) -> (&[u32], &[Arc], &[u32], &[Arc], &[Point]) {
+    pub fn csr_parts(&self) -> CsrParts<'_> {
         (
             &self.out_offsets,
             &self.out_arcs,

@@ -40,7 +40,7 @@ mod stats;
 pub use builder::GraphBuilder;
 pub use delta::{DeltaApplied, DeltaError, WeightChange, WeightDelta, CLOSED};
 pub use dist::{Dist, INFINITY};
-pub use graph::{Arc, Graph};
+pub use graph::{Arc, CsrParts, Graph};
 pub use path::Path;
 pub use point::{BoundingBox, Point};
 pub use scc::{condense_to_largest_scc, strongly_connected_components};

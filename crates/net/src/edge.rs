@@ -657,8 +657,7 @@ impl EventLoop<'_> {
             }
             self.poller.wait(&mut events, 50)?;
             let now = Instant::now();
-            for i in 0..events.len() {
-                let ev = events[i];
+            for &ev in &events {
                 match ev.token {
                     LISTENER => self.accept_ready(now)?,
                     WAKER => self.shared.waker.drain(),
@@ -915,8 +914,7 @@ impl EventLoop<'_> {
                 Err(ReloadError::Delta(e)) => (409, e.to_string()),
                 Err(ReloadError::Snapshot(e)) => (400, e.to_string()),
             };
-            let body = format!("{{\"error\":{}}}", ah_obs::json_string(&detail));
-            self.respond_now(token, status, keep, body.into_bytes());
+            self.respond_now(token, status, keep, http::json_error(&detail));
             return;
         }
         if req.method == "POST" && path == "/v1/matrix" {
@@ -1101,7 +1099,7 @@ impl EventLoop<'_> {
                 // keep the connection — the client is told when to come
                 // back. (try_push already counted the rejection.)
                 if let Some(s) = job.span {
-                    self.server.tracer().finish(s, 429);
+                    self.server.tracer().finish(*s, 429);
                 }
                 self.shared.metrics.count_response(429);
                 // A shed request is an error in the same windows the
@@ -1126,7 +1124,7 @@ impl EventLoop<'_> {
                 // Shutting down: this request arrived after the drain
                 // began.
                 if let Some(s) = job.span {
-                    self.server.tracer().finish(s, 503);
+                    self.server.tracer().finish(*s, 503);
                 }
                 self.shared.metrics.count_response(503);
                 self.server.slo_windows().record(now_ns(), 0, true);
@@ -1174,7 +1172,7 @@ impl EventLoop<'_> {
                 // and accounted for it; a surviving worker's late
                 // completion must not decrement in_flight again.
                 if let Some(s) = span {
-                    self.server.tracer().finish(s, 503);
+                    self.server.tracer().finish(*s, 503);
                 }
                 continue;
             }
@@ -1634,7 +1632,7 @@ fn pump_write(
                 {
                     let (_, mut span) = conn.pending_spans.pop_front().unwrap();
                     span.stamp(Stage::Flush);
-                    tracer.finish(span, 200);
+                    tracer.finish(*span, 200);
                 }
                 metrics.bytes_out.add(n as u64);
                 conn.last_activity = now;

@@ -305,10 +305,10 @@ pub fn response(
     out
 }
 
-/// A JSON error body: `{"error":"..."}` (the detail strings are all
-/// static ASCII, so no escaping is needed).
+/// A JSON error body: `{"error":"..."}`, the detail escaped as a JSON
+/// string (details may carry wire input such as file paths).
 pub fn json_error(detail: &str) -> Vec<u8> {
-    format!("{{\"error\":\"{detail}\"}}").into_bytes()
+    format!("{{\"error\":{}}}", ah_obs::json_string(detail)).into_bytes()
 }
 
 #[cfg(test)]
@@ -501,5 +501,11 @@ mod tests {
         let s = String::from_utf8(r).unwrap();
         assert!(s.contains("Connection: close\r\n"));
         assert!(s.ends_with("{\"error\":\"nope\"}"));
+    }
+
+    #[test]
+    fn json_error_escapes_quotes_and_backslashes() {
+        let body = json_error(r#"bad "path" C:\snap"#);
+        assert_eq!(body, br#"{"error":"bad \"path\" C:\\snap"}"#);
     }
 }

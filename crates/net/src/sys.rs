@@ -53,26 +53,16 @@ const O_NONBLOCK: c_int = 0x800;
 const O_NONBLOCK: c_int = 0x4; // BSD family
 
 /// Which readiness backend drives the event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PollerKind {
-    /// `epoll(7)` — Linux only; O(ready) wakeups.
+    /// `epoll(7)` — Linux only; O(ready) wakeups. The default there.
     #[cfg(target_os = "linux")]
+    #[default]
     Epoll,
-    /// `poll(2)` — every Unix; the portable fallback.
+    /// `poll(2)` — every Unix; the portable fallback, and the default
+    /// off Linux.
+    #[cfg_attr(not(target_os = "linux"), default)]
     Poll,
-}
-
-impl Default for PollerKind {
-    fn default() -> Self {
-        #[cfg(target_os = "linux")]
-        {
-            PollerKind::Epoll
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            PollerKind::Poll
-        }
-    }
 }
 
 impl PollerKind {

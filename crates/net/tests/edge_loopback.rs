@@ -334,7 +334,6 @@ fn overload_sheds_429_and_drains_accepted_requests_through_shutdown() {
         workers: 1,
         queue_capacity: 2,
         cache_capacity: 0,
-        batch_size: 1,
         ..Default::default()
     };
     let report = with_edge(cfg, server_cfg, &backend, |addr, handle| {
@@ -542,7 +541,6 @@ fn worker_panic_fails_fast_with_503_instead_of_hanging() {
         workers: 1,
         queue_capacity: 8,
         cache_capacity: 0,
-        batch_size: 1,
         ..Default::default()
     });
     let edge = EdgeServer::bind(

@@ -88,7 +88,6 @@ fn every_200_traces_a_complete_monotonic_span_and_debug_traces_is_json() {
         workers: 2,
         queue_capacity: 64,
         cache_capacity: 1024,
-        batch_size: 4,
         trace: TraceConfig {
             sample_every: 1, // trace everything
             ring_capacity: 1024,

@@ -62,12 +62,6 @@ impl Gauge {
         self.value.store(n, Ordering::Relaxed);
     }
 
-    /// Raises the value to `n` if larger (high-water marks).
-    #[inline]
-    pub fn set_max(&self, n: u64) {
-        self.value.fetch_max(n, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -227,10 +221,7 @@ mod tests {
         assert_eq!(c.get(), 5);
         let g = Gauge::new();
         g.set(7);
-        g.set_max(3);
         assert_eq!(g.get(), 7);
-        g.set_max(11);
-        assert_eq!(g.get(), 11);
     }
 
     #[test]

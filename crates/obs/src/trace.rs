@@ -370,7 +370,7 @@ impl Tracer {
             return None;
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        if id % self.cfg.sample_every != 0 {
+        if !id.is_multiple_of(self.cfg.sample_every) {
             return None;
         }
         let mut span = Box::new(Span::new(id, kind));
@@ -381,7 +381,7 @@ impl Tracer {
     /// Finishes a sampled span: records each present stage interval
     /// into its duration histogram, feeds the slow-query log, and
     /// publishes the record to the recent-trace ring.
-    pub fn finish(&self, mut span: Box<Span>, status: u16) {
+    pub fn finish(&self, mut span: Span, status: u16) {
         span.rec.status = status;
         self.spans_total.inc();
         for i in 0..NUM_STAGES - 1 {
@@ -527,7 +527,7 @@ mod tests {
         });
         let s = full_span(&t);
         assert!(s.record().is_complete());
-        t.finish(s, 200);
+        t.finish(*s, 200);
         let recent = t.recent();
         assert_eq!(recent.len(), 1);
         let r = recent[0];
@@ -549,7 +549,7 @@ mod tests {
         });
         let mut s = t.start(1).unwrap();
         s.stamp(Stage::Enqueue); // rejected before dequeue
-        t.finish(s, 429);
+        t.finish(*s, 429);
         let r = t.recent()[0];
         assert!(!r.is_complete());
         assert!(r.is_monotonic());
@@ -634,7 +634,7 @@ mod tests {
             ..Default::default()
         });
         let s = full_span(&t);
-        t.finish(s, 200);
+        t.finish(*s, 200);
         let json = t.traces_json();
         assert!(json.starts_with("{\"sample_every\":1"), "{json}");
         assert!(json.contains("\"status\":200"), "{json}");
@@ -656,7 +656,7 @@ mod tests {
         let mut s = t.start(0).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(1));
         s.stamp(Stage::Flush);
-        t.finish(s, 200);
+        t.finish(*s, 200);
         assert_eq!(t.spans_finished(), 1);
         let text = r.render();
         assert!(text.contains("ah_trace_slow_total 1"), "{text}");

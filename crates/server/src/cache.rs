@@ -1,14 +1,11 @@
-//! Sharded LRU cache for distance and via-detour results.
+//! Sharded LRU cache for point-to-point distance answers.
 //!
-//! Real serving traffic repeats itself (commuters, popular POIs), so the
-//! server consults this cache before touching the index. The key packs a
-//! query *kind* tag, the `(source, target)` pair and — for via queries —
-//! the POI category into two `u64` words, so distance answers and
-//! via-detour answers for the same pair never collide; the value is the
-//! query answer, including *negative* answers (unreachable pairs),
-//! encoded as a sentinel so a miss is never confused with "known
-//! unreachable". Via entries additionally carry the winning POI id in a
-//! 32-bit aux word.
+//! Serving traffic that repeats itself (commuters, popular POIs) can skip
+//! the index: the server consults this cache before a distance request
+//! reaches the backend. The key packs the `(source, target)` pair into one
+//! `u64`; the value is the distance, including *negative* answers
+//! (unreachable pairs), encoded as a sentinel so a miss is never confused
+//! with "known unreachable".
 //!
 //! The map is split into [`NUM_SHARDS`] independently locked shards
 //! (selected by a Fibonacci hash of the pair) so concurrent workers rarely
@@ -23,7 +20,7 @@ use std::sync::Mutex;
 use ah_graph::NodeId;
 
 /// Number of independently locked shards (power of two).
-pub const NUM_SHARDS: usize = 16;
+const NUM_SHARDS: usize = 16;
 
 /// Bits selecting the shard; derived so changing [`NUM_SHARDS`] keeps the
 /// selector in range.
@@ -37,32 +34,23 @@ const NIL: u32 = u32::MAX;
 /// distance (weights are `u32`, paths are bounded), so it encodes `None`.
 const UNREACHABLE: u64 = u64::MAX;
 
-/// Key-space tag for plain `(s, t)` distance answers.
-const KIND_DISTANCE: u64 = 0;
-/// Key-space tag for via-detour answers (`(s, t)` plus POI category).
-const KIND_VIA: u64 = 1;
-
-/// Packs a query identity into the two-word cache key: the kind tag
-/// shares a word with the source, the sub-key (via's POI category, 0
-/// for distances) shares one with the target. Node ids and categories
-/// are 32-bit, so the packing is collision-free across kinds.
+/// The cache key of `(s, t)`: node ids are 32-bit, so the packing is
+/// collision-free and keeps direction.
 #[inline]
-fn pack(kind: u64, s: NodeId, t: NodeId, sub: u32) -> (u64, u64) {
-    ((kind << 32) | s as u64, ((sub as u64) << 32) | t as u64)
+fn pack(s: NodeId, t: NodeId) -> u64 {
+    ((s as u64) << 32) | t as u64
 }
 
 struct Entry {
-    key: (u64, u64),
+    key: u64,
     value: u64,
-    /// Kind-specific payload word (via: the winning POI id).
-    aux: u32,
     prev: u32,
     next: u32,
 }
 
 /// One exact-LRU shard.
 struct Shard {
-    map: HashMap<(u64, u64), u32>,
+    map: HashMap<u64, u32>,
     arena: Vec<Entry>,
     head: u32, // most recently used
     tail: u32, // least recently used
@@ -114,19 +102,16 @@ impl Shard {
         self.head = i;
     }
 
-    fn get(&mut self, key: (u64, u64)) -> Option<(u64, u32)> {
+    fn get(&mut self, key: u64) -> Option<u64> {
         let &i = self.map.get(&key)?;
         self.unlink(i);
         self.link_front(i);
-        let e = &self.arena[i as usize];
-        Some((e.value, e.aux))
+        Some(self.arena[i as usize].value)
     }
 
-    fn insert(&mut self, key: (u64, u64), value: u64, aux: u32) {
+    fn insert(&mut self, key: u64, value: u64) {
         if let Some(&i) = self.map.get(&key) {
-            let e = &mut self.arena[i as usize];
-            e.value = value;
-            e.aux = aux;
+            self.arena[i as usize].value = value;
             self.unlink(i);
             self.link_front(i);
             return;
@@ -135,7 +120,6 @@ impl Shard {
             self.arena.push(Entry {
                 key,
                 value,
-                aux,
                 prev: NIL,
                 next: NIL,
             });
@@ -150,7 +134,6 @@ impl Shard {
             let e = &mut self.arena[i as usize];
             e.key = key;
             e.value = value;
-            e.aux = aux;
             i
         };
         self.map.insert(key, i);
@@ -159,7 +142,7 @@ impl Shard {
 }
 
 /// A sharded, exact-LRU `(source, target) → distance` cache.
-pub struct DistanceCache {
+pub(crate) struct DistanceCache {
     shards: Vec<Mutex<Shard>>,
     /// Bumped by [`DistanceCache::clear`] *before* the shards are wiped,
     /// so an epoch captured earlier can never stamp an entry that
@@ -187,92 +170,39 @@ impl DistanceCache {
     }
 
     #[inline]
-    fn shard_for(&self, key: (u64, u64)) -> &Mutex<Shard> {
-        // Fibonacci hashing over the mixed key words: cheap and well mixed.
-        let packed = key.0 ^ key.1.rotate_left(31);
+    fn shard_for(&self, s: NodeId, t: NodeId) -> &Mutex<Shard> {
+        // Fibonacci hashing over the mixed pair: cheap and well mixed.
+        let packed = s as u64 ^ (t as u64).rotate_left(31);
         let h = packed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.shards[(h >> (64 - SHARD_BITS)) as usize]
     }
 
-    /// Raw keyed lookup (hits and misses are counted by the server's
-    /// metrics, not here).
-    fn get_raw(&self, key: (u64, u64)) -> Option<(u64, u32)> {
-        self.shard_for(key).lock().unwrap().get(key)
+    /// Cached answer for `(s, t)`: `Some(Some(d))` reachable with distance
+    /// `d`, `Some(None)` known unreachable, `None` not cached. Hits and
+    /// misses are counted by the server's metrics, not here.
+    pub fn get(&self, s: NodeId, t: NodeId) -> Option<Option<u64>> {
+        let value = self.shard_for(s, t).lock().unwrap().get(pack(s, t))?;
+        Some((value != UNREACHABLE).then_some(value))
     }
 
-    /// Raw keyed insert honoring the clear-epoch protocol (see
-    /// [`DistanceCache::put_at`]).
-    fn put_raw_at(&self, key: (u64, u64), value: u64, aux: u32, epoch: u64) -> bool {
-        let mut shard = self.shard_for(key).lock().unwrap();
+    /// Records the answer for `(s, t)`, including unreachability, only if
+    /// no [`DistanceCache::clear`] happened since `epoch` was captured
+    /// (via [`DistanceCache::epoch`]).
+    ///
+    /// This closes a swap-time race: a worker that read the old index,
+    /// computed, and got descheduled could otherwise insert its
+    /// old-generation answer *after* the swap cleared the cache. The
+    /// epoch is re-checked **under the shard lock**; because `clear`
+    /// bumps the epoch before taking any shard lock, a stale writer
+    /// either inserts before the wipe (entry is wiped) or sees the new
+    /// epoch and drops the answer. Returns whether the entry was stored.
+    pub fn put_at(&self, s: NodeId, t: NodeId, distance: Option<u64>, epoch: u64) -> bool {
+        let mut shard = self.shard_for(s, t).lock().unwrap();
         if self.epoch.load(Ordering::SeqCst) != epoch {
             return false;
         }
-        shard.insert(key, value, aux);
+        shard.insert(pack(s, t), distance.unwrap_or(UNREACHABLE));
         true
-    }
-
-    /// Cached answer for `(s, t)`: `Some(Some(d))` reachable with distance
-    /// `d`, `Some(None)` known unreachable, `None` not cached.
-    pub fn get(&self, s: NodeId, t: NodeId) -> Option<Option<u64>> {
-        match self.get_raw(pack(KIND_DISTANCE, s, t, 0)) {
-            Some((UNREACHABLE, _)) => Some(None),
-            Some((d, _)) => Some(Some(d)),
-            None => None,
-        }
-    }
-
-    /// Records the answer for `(s, t)`, including unreachability.
-    pub fn put(&self, s: NodeId, t: NodeId, distance: Option<u64>) {
-        let value = distance.unwrap_or(UNREACHABLE);
-        let key = pack(KIND_DISTANCE, s, t, 0);
-        self.shard_for(key).lock().unwrap().insert(key, value, 0);
-    }
-
-    /// Cached via-detour answer for `(s, t)` through POI category `cat`:
-    /// `Some(Some((poi, total)))` a best POI exists, `Some(None)` known
-    /// to have no reachable POI, `None` not cached. Lives in a key space
-    /// disjoint from plain distances, so a via answer for `(s, t)` never
-    /// shadows the point-to-point distance (or vice versa).
-    pub fn get_via(&self, s: NodeId, t: NodeId, cat: u32) -> Option<Option<(NodeId, u64)>> {
-        match self.get_raw(pack(KIND_VIA, s, t, cat)) {
-            Some((UNREACHABLE, _)) => Some(None),
-            Some((total, poi)) => Some(Some((poi, total))),
-            None => None,
-        }
-    }
-
-    /// Records the via-detour answer (best POI and total length, or
-    /// `None` when no category member connects `s` to `t`) under the
-    /// epoch protocol of [`DistanceCache::put_at`].
-    pub fn put_via_at(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        cat: u32,
-        answer: Option<(NodeId, u64)>,
-        epoch: u64,
-    ) -> bool {
-        let (value, aux) = match answer {
-            Some((poi, total)) => (total, poi),
-            None => (UNREACHABLE, 0),
-        };
-        self.put_raw_at(pack(KIND_VIA, s, t, cat), value, aux, epoch)
-    }
-
-    /// Records the answer for `(s, t)` only if no [`DistanceCache::clear`]
-    /// happened since `epoch` was captured (via [`DistanceCache::epoch`]).
-    ///
-    /// This closes the swap-time race `put` cannot: a worker that read
-    /// the old index, computed, and got descheduled could otherwise
-    /// insert its old-generation answer *after* the swap cleared the
-    /// cache. The epoch is re-checked **under the shard lock**; because
-    /// `clear` bumps the epoch before taking any shard lock, a stale
-    /// writer either inserts before the wipe (entry is wiped) or sees
-    /// the new epoch and drops the answer. Returns whether the entry
-    /// was stored.
-    pub fn put_at(&self, s: NodeId, t: NodeId, distance: Option<u64>, epoch: u64) -> bool {
-        let value = distance.unwrap_or(UNREACHABLE);
-        self.put_raw_at(pack(KIND_DISTANCE, s, t, 0), value, 0, epoch)
     }
 
     /// Drops every cached entry. Used when the index underneath
@@ -291,42 +221,39 @@ impl DistanceCache {
             s.tail = NIL;
         }
     }
-
-    /// Entries currently cached, summed over shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
-    }
-
-    /// Whether no entry is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    impl DistanceCache {
+        /// Entries currently cached, summed over shards.
+        fn len(&self) -> usize {
+            self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
+        }
+    }
+
     #[test]
     fn miss_then_hit_roundtrip() {
         let c = DistanceCache::new(64);
         assert_eq!(c.get(1, 2), None);
-        c.put(1, 2, Some(99));
+        c.put_at(1, 2, Some(99), c.epoch());
         assert_eq!(c.get(1, 2), Some(Some(99)));
     }
 
     #[test]
     fn unreachable_is_cached_distinctly() {
         let c = DistanceCache::new(64);
-        c.put(3, 4, None);
+        c.put_at(3, 4, None, c.epoch());
         assert_eq!(c.get(3, 4), Some(None), "known unreachable, not a miss");
     }
 
     #[test]
     fn directional_keys_are_distinct() {
         let c = DistanceCache::new(64);
-        c.put(1, 2, Some(10));
-        c.put(2, 1, Some(20));
+        c.put_at(1, 2, Some(10), c.epoch());
+        c.put_at(2, 1, Some(20), c.epoch());
         assert_eq!(c.get(1, 2), Some(Some(10)));
         assert_eq!(c.get(2, 1), Some(Some(20)));
     }
@@ -341,8 +268,8 @@ mod tests {
         'outer: for a in 0..64u32 {
             for b in 0..64u32 {
                 if (a, 0) != (b, 1) {
-                    let pa = std::ptr::from_ref(c.shard_for(pack(KIND_DISTANCE, a, 0, 0)));
-                    let pb = std::ptr::from_ref(c.shard_for(pack(KIND_DISTANCE, b, 1, 0)));
+                    let pa = std::ptr::from_ref(c.shard_for(a, 0));
+                    let pb = std::ptr::from_ref(c.shard_for(b, 1));
                     if pa == pb {
                         same = Some(((a, 0), (b, 1)));
                         break 'outer;
@@ -351,8 +278,8 @@ mod tests {
             }
         }
         let (k1, k2) = same.expect("two keys must collide among 4096 probes");
-        c.put(k1.0, k1.1, Some(1));
-        c.put(k2.0, k2.1, Some(2));
+        c.put_at(k1.0, k1.1, Some(1), c.epoch());
+        c.put_at(k2.0, k2.1, Some(2), c.epoch());
         assert_eq!(c.get(k2.0, k2.1), Some(Some(2)));
         assert_eq!(c.get(k1.0, k1.1), None, "evicted by LRU");
     }
@@ -360,46 +287,22 @@ mod tests {
     #[test]
     fn touch_on_get_protects_hot_entries() {
         let mut shard = Shard::new(2);
-        shard.insert((1, 1), 11, 0);
-        shard.insert((2, 2), 22, 0);
-        assert_eq!(shard.get((1, 1)), Some((11, 0))); // touch: (2,2) is now LRU
-        shard.insert((3, 3), 33, 0); // evicts (2,2)
-        assert_eq!(shard.get((1, 1)), Some((11, 0)));
-        assert_eq!(shard.get((2, 2)), None);
-        assert_eq!(shard.get((3, 3)), Some((33, 0)));
+        shard.insert(1, 11);
+        shard.insert(2, 22);
+        assert_eq!(shard.get(1), Some(11)); // touch: 2 is now LRU
+        shard.insert(3, 33); // evicts 2
+        assert_eq!(shard.get(1), Some(11));
+        assert_eq!(shard.get(2), None);
+        assert_eq!(shard.get(3), Some(33));
     }
 
     #[test]
     fn overwrite_updates_value_in_place() {
         let mut shard = Shard::new(2);
-        shard.insert((1, 1), 11, 5);
-        shard.insert((1, 1), 12, 6);
-        assert_eq!(shard.get((1, 1)), Some((12, 6)));
+        shard.insert(1, 11);
+        shard.insert(1, 12);
+        assert_eq!(shard.get(1), Some(12));
         assert_eq!(shard.map.len(), 1);
-    }
-
-    #[test]
-    fn via_and_distance_keys_never_collide() {
-        let c = DistanceCache::new(64);
-        c.put(5, 9, Some(100));
-        let e = c.epoch();
-        assert!(c.put_via_at(5, 9, 0, Some((42, 250)), e));
-        assert!(c.put_via_at(5, 9, 3, Some((77, 300)), e));
-        assert_eq!(c.get(5, 9), Some(Some(100)), "distance untouched by via");
-        assert_eq!(c.get_via(5, 9, 0), Some(Some((42, 250))));
-        assert_eq!(c.get_via(5, 9, 3), Some(Some((77, 300))), "per-category keys");
-        assert_eq!(c.get_via(5, 9, 1), None, "other categories miss");
-    }
-
-    #[test]
-    fn via_negative_answers_cache_distinctly() {
-        let c = DistanceCache::new(64);
-        assert_eq!(c.get_via(1, 2, 0), None, "cold miss");
-        assert!(c.put_via_at(1, 2, 0, None, c.epoch()));
-        assert_eq!(c.get_via(1, 2, 0), Some(None), "known no-POI, not a miss");
-        c.clear();
-        assert!(!c.put_via_at(1, 2, 0, Some((3, 4)), 0), "stale epoch refused");
-        assert_eq!(c.get_via(1, 2, 0), None);
     }
 
     #[test]
@@ -445,7 +348,7 @@ mod tests {
                             // Any cached value must be the canonical one.
                             assert_eq!(v, Some((s as u64) * 1000 + t as u64));
                         }
-                        c.put(s, t, Some((s as u64) * 1000 + t as u64));
+                        c.put_at(s, t, Some((s as u64) * 1000 + t as u64), c.epoch());
                     }
                 });
             }

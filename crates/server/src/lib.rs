@@ -19,9 +19,10 @@
 //!   distances (point queries and one batched `matrix`); its knn and via
 //!   answers are ranked from them by `ah_search::scenario`.
 //! * [`Server`] — the engine: a `std::thread::scope` worker pool draining
-//!   a [`BoundedQueue`] in batches, with a sharded LRU [`DistanceCache`]
-//!   consulted before any search runs. The feeder blocks when the bounded
-//!   queue fills, making every run closed-loop.
+//!   a [`BoundedQueue`] in batches, with a sharded LRU cache of `(s, t)`
+//!   distances consulted before a distance request reaches the backend
+//!   (paths and scenario answers are always computed). The feeder blocks
+//!   when the bounded queue fills, making every run closed-loop.
 //! * [`ServerMetrics`] — lock-free telemetry over the `ah_obs`
 //!   substrate: log₂-bucket latency and queue-wait histograms
 //!   (p50/p95/p99), scenario counts and the per-kind cost ledger (which
@@ -69,7 +70,6 @@ pub use backend::{
     AhBackend, BackendSession, ChBackend, DelayBackend, DijkstraBackend, DistanceBackend,
     LabelBackend,
 };
-pub use cache::{DistanceCache, NUM_SHARDS};
 pub use metrics::{CostMetrics, LatencyHistogram, MetricsSnapshot, ServerMetrics, COST_KIND_NAMES};
 pub use queue::{BoundedQueue, TryPushError};
 pub use server::{

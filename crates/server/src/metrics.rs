@@ -221,15 +221,15 @@ pub struct MetricsSnapshot {
     pub p50_us: f64,
     /// 99th-percentile latency, microseconds.
     pub p99_us: f64,
-    /// Distance and via queries answered from cache (Σ of the cost
-    /// ledger's `cache_hits`).
+    /// Distance queries answered from cache (Σ of the cost ledger's
+    /// `cache_hits`).
     pub cache_hits: u64,
-    /// Distance and via queries that probed the cache and went to the
-    /// backend (`cache_probes − cache_hits`). 0 when the cache is off:
-    /// nothing probes it.
+    /// Distance queries that probed the cache and went to the backend
+    /// (`cache_probes − cache_hits`). 0 when the cache is off: nothing
+    /// probes it.
     pub cache_misses: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`, over the distance and
-    /// via queries (the only kinds that probe the cache).
+    /// `cache_hits / (cache_hits + cache_misses)`, over the distance
+    /// queries (the only kind that probes the cache).
     pub cache_hit_rate: f64,
     /// Via-detour scenario requests served.
     pub scenario_via: u64,

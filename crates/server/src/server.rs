@@ -29,12 +29,12 @@ use crate::queue::BoundedQueue;
 pub enum QueryKind {
     /// Network distance only (cacheable).
     Distance,
-    /// Full shortest path (always computed; the response keeps the hop
-    /// count and distance, not the node list, to stay allocation-light).
+    /// Full shortest path (always computed, never cached; the response
+    /// keeps the hop count and distance, not the node list, to stay
+    /// allocation-light).
     Path,
     /// Optimal detour `s → p → t` through the best POI `p` of category
-    /// `cat` (cacheable per `(s, t, cat)`; the winning POI rides in the
-    /// cache entry's aux word).
+    /// `cat` (priced on every request, never cached).
     Via {
         /// POI category to detour through.
         cat: u32,
@@ -152,7 +152,8 @@ pub struct Response {
     pub distance: Option<u64>,
     /// Edge count of the returned path (path requests only).
     pub hops: Option<usize>,
-    /// Whether the answer came from the distance cache.
+    /// Whether the answer came from the distance cache (distance
+    /// requests only; always `false` for every other kind).
     pub cache_hit: bool,
 }
 
@@ -179,6 +180,9 @@ pub struct Job<T> {
     pub tag: T,
 }
 
+/// Requests a worker claims per queue lock (amortizes contention).
+const BATCH_SIZE: usize = 32;
+
 /// Serving parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -188,8 +192,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Total distance-cache entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Requests a worker claims per queue lock (amortizes contention).
-    pub batch_size: usize,
     /// Request-tracing knobs (deterministic 1-in-N span sampling, the
     /// recent-trace ring behind `/debug/traces`, and the slow-query
     /// threshold). `sample_every: 0` disables tracing entirely.
@@ -202,7 +204,6 @@ impl Default for ServerConfig {
             workers: std::thread::available_parallelism().map_or(1, |p| p.get()),
             queue_capacity: 1024,
             cache_capacity: 64 * 1024,
-            batch_size: 32,
             trace: TraceConfig::default(),
         }
     }
@@ -281,8 +282,8 @@ impl Server {
         &self.slo
     }
 
-    /// Lifetime cache hit rate over the distance and via requests
-    /// served (0 when caching is disabled: nothing probes the cache).
+    /// Lifetime cache hit rate over the distance requests served (0
+    /// when caching is disabled: nothing probes the cache).
     pub fn cache_hit_rate(&self) -> f64 {
         self.metrics.snapshot(0.0).cache_hit_rate
     }
@@ -354,7 +355,7 @@ impl Server {
                         |(), resp, _payload, span| {
                             local.push(resp);
                             if let Some(s) = span {
-                                self.tracer.finish(s, 200);
+                                self.tracer.finish(*s, 200);
                             }
                         },
                     );
@@ -473,8 +474,8 @@ impl Server {
         metrics: &ServerMetrics,
         mut on_done: impl FnMut(T, Response, Option<Box<ScenarioResult>>, Option<Box<Span>>),
     ) {
-        let mut batch: Vec<Job<T>> = Vec::with_capacity(self.cfg.batch_size);
-        while queue.pop_batch(self.cfg.batch_size, &mut batch) > 0 {
+        let mut batch: Vec<Job<T>> = Vec::with_capacity(BATCH_SIZE);
+        while queue.pop_batch(BATCH_SIZE, &mut batch) > 0 {
             for job in batch.drain(..) {
                 let Job {
                     req,
@@ -586,14 +587,14 @@ fn timed_serve(
     // kind — this is the "what did the algorithm do" ledger next to
     // the wall-clock one above.
     let mut cost = session.take_cost();
-    if matches!(req.kind, QueryKind::Distance | QueryKind::Via { .. }) && cache.is_some() {
+    if req.kind == QueryKind::Distance && cache.is_some() {
         cost.cache_probes += 1;
         if resp.cache_hit {
             cost.cache_hits += 1;
         }
     }
     metrics.cost.record(trace_kind(req.kind) as usize, &cost);
-    if let Some(s) = span.as_deref_mut() {
+    if let Some(s) = span {
         s.add_cost(&cost);
     }
     match req.kind {
@@ -606,7 +607,7 @@ fn timed_serve(
 }
 
 /// Serves one request on a worker: bounds check, cache probe (distance
-/// and via queries), then the backend session. Stage stamps:
+/// requests only), then the backend session. Stage stamps:
 /// `CacheProbe` when the probe settles (immediately for the kinds that
 /// never probe) and `Compute` when the answer exists (immediately on a
 /// cache hit — the ~0 ns compute interval *is* the signal the backend
@@ -649,42 +650,26 @@ fn serve_one(
             None,
         );
     }
-    // Captured before the probe/compute: if the index is swapped (and
-    // the cache cleared) while this query is in flight, the epoch check
-    // in `put_at` drops the old-generation answer instead of inserting
-    // it into the fresh cache.
-    let epoch = cache.map(DistanceCache::epoch);
     match req.kind {
         QueryKind::Distance => {
-            if let Some(c) = cache {
-                let cached = c.get(req.s, req.t);
-                stamp(Stage::CacheProbe, &mut span);
-                if let Some(cached) = cached {
-                    stamp(Stage::Compute, &mut span);
-                    return (
-                        Response {
-                            id: req.id,
-                            distance: cached,
-                            hops: None,
-                            cache_hit: true,
-                        },
-                        None,
-                    );
-                }
-            } else {
-                stamp(Stage::CacheProbe, &mut span);
-            }
-            let d = session.distance(req.s, req.t);
+            // Captured before the probe/compute: if the index is swapped
+            // (and the cache cleared) while this query is in flight, the
+            // epoch check in `put_at` drops the old-generation answer
+            // instead of inserting it into the fresh cache.
+            let epoch = cache.map(DistanceCache::epoch);
+            let cached = cache.and_then(|c| c.get(req.s, req.t));
+            stamp(Stage::CacheProbe, &mut span);
+            let distance = cached.unwrap_or_else(|| session.distance(req.s, req.t));
             stamp(Stage::Compute, &mut span);
-            if let Some(c) = cache {
-                c.put_at(req.s, req.t, d, epoch.unwrap());
+            if let (Some(c), Some(epoch), None) = (cache, epoch, cached) {
+                c.put_at(req.s, req.t, distance, epoch);
             }
             (
                 Response {
                     id: req.id,
-                    distance: d,
+                    distance,
                     hops: None,
-                    cache_hit: false,
+                    cache_hit: cached.is_some(),
                 },
                 None,
             )
@@ -697,11 +682,6 @@ fn serve_one(
                 Some(p) => (Some(p.dist.length), Some(p.num_edges())),
                 None => (None, None),
             };
-            // Paths carry the distance too; feed the cache so later
-            // distance queries for the pair hit.
-            if let Some(c) = cache {
-                c.put_at(req.s, req.t, distance, epoch.unwrap());
-            }
             (
                 Response {
                     id: req.id,
@@ -713,49 +693,9 @@ fn serve_one(
             )
         }
         QueryKind::Via { cat } => {
-            if let Some(c) = cache {
-                let cached = c.get_via(req.s, req.t, cat);
-                stamp(Stage::CacheProbe, &mut span);
-                if let Some(cached) = cached {
-                    // The cache keeps (poi, total); the legs are
-                    // reconstructed with two point queries — exact,
-                    // because shortest distances are unique, and far
-                    // cheaper than re-scanning the whole category.
-                    let payload = cached.map(|(poi, total)| {
-                        let to_poi = session.distance(req.s, poi).unwrap_or(u64::MAX);
-                        let from_poi = session.distance(poi, req.t).unwrap_or(u64::MAX);
-                        Box::new(ScenarioResult::Via(ViaAnswer {
-                            poi,
-                            total,
-                            to_poi,
-                            from_poi,
-                        }))
-                    });
-                    stamp(Stage::Compute, &mut span);
-                    return (
-                        Response {
-                            id: req.id,
-                            distance: cached.map(|(_, total)| total),
-                            hops: None,
-                            cache_hit: true,
-                        },
-                        payload,
-                    );
-                }
-            } else {
-                stamp(Stage::CacheProbe, &mut span);
-            }
+            stamp(Stage::CacheProbe, &mut span);
             let answer = session.via(req.s, req.t, pois.category(cat));
             stamp(Stage::Compute, &mut span);
-            if let Some(c) = cache {
-                c.put_via_at(
-                    req.s,
-                    req.t,
-                    cat,
-                    answer.map(|a| (a.poi, a.total)),
-                    epoch.unwrap(),
-                );
-            }
             (
                 Response {
                     id: req.id,
@@ -861,7 +801,6 @@ mod tests {
             workers: 4,
             queue_capacity: 16,
             cache_capacity: 1024,
-            batch_size: 8,
             trace: TraceConfig::default(),
         });
         let report = server.run(&backend, &reqs);
@@ -907,8 +846,8 @@ mod tests {
         let g = ah_data::fixtures::lattice(6, 6, 10);
         let idx = AhIndex::build(&g, &BuildConfig::default());
         let backend = AhBackend::new(&idx);
-        // All five kinds over 7 repeating pairs, so distance and via
-        // requests hit within the one run.
+        // All five kinds over 7 repeating pairs, so distance requests
+        // hit within the one run.
         let reqs: Vec<Request> = (0..200u64)
             .map(|id| {
                 let pair = id % 7;
@@ -924,7 +863,7 @@ mod tests {
             .collect();
         let probing = reqs
             .iter()
-            .filter(|r| matches!(r.kind, QueryKind::Distance | QueryKind::Via { .. }))
+            .filter(|r| r.kind == QueryKind::Distance)
             .count() as u64;
 
         let server = Server::new(ServerConfig::with_workers(2));
@@ -934,7 +873,7 @@ mod tests {
         assert!(s.cache_hits > 0, "repeated pairs must hit");
         assert_eq!(s.cache_hits, cost.cache_hits);
         assert_eq!(s.cache_hits + s.cache_misses, cost.cache_probes);
-        assert_eq!(cost.cache_probes, probing, "only distance and via probe");
+        assert_eq!(cost.cache_probes, probing, "only distance requests probe");
 
         let uncached = Server::new(ServerConfig {
             workers: 2,
@@ -1051,7 +990,6 @@ mod tests {
             workers: 2,
             queue_capacity: 2,
             cache_capacity: 0,
-            batch_size: 1,
             trace: TraceConfig::default(),
         });
         let reqs: Vec<Request> = (0..16).map(|i| Request::distance(i, 0, 1)).collect();
@@ -1068,7 +1006,6 @@ mod tests {
             workers: 1,
             queue_capacity: 4,
             cache_capacity: 0,
-            batch_size: 2,
             trace: TraceConfig::default(),
         });
         let reqs: Vec<Request> = (0..64).map(|i| Request::distance(i, 0, 1)).collect();
@@ -1087,7 +1024,6 @@ mod tests {
             workers: 2,
             queue_capacity: 64,
             cache_capacity: 256,
-            batch_size: 4,
             trace: TraceConfig {
                 sample_every: 1, // trace every request
                 ..Default::default()
@@ -1110,7 +1046,7 @@ mod tests {
                         let span = span.expect("sample_every=1 traces everything");
                         assert!(span.record().is_monotonic());
                         assert_ne!(span.record().stages[Stage::Compute as usize], 0);
-                        server.tracer().finish(span, 200);
+                        server.tracer().finish(*span, 200);
                         done.lock().unwrap().push((tag, resp));
                     });
                 });
@@ -1170,7 +1106,6 @@ mod tests {
             workers: 1,
             queue_capacity: 4,
             cache_capacity: 0,
-            batch_size: 2,
             trace: TraceConfig::default(),
         });
         let reqs: Vec<Request> = (0..64)
@@ -1277,8 +1212,36 @@ mod tests {
         assert_eq!(report.snapshot.scenario_matrix, 0);
     }
 
+    /// Serves `reqs` in order on one open-loop worker and returns each
+    /// completion with its scenario payload.
+    fn serve_in_order(
+        server: &Server,
+        backend: &dyn DistanceBackend,
+        reqs: &[Request],
+    ) -> Vec<(Response, Option<Box<ScenarioResult>>)> {
+        let queue: BoundedQueue<Job<()>> = BoundedQueue::new(reqs.len());
+        let done = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                server.serve_queue(backend, &queue, |(), resp, payload, _span| {
+                    done.lock().unwrap().push((resp, payload));
+                });
+            });
+            for &req in reqs {
+                assert!(queue.push(Job {
+                    req,
+                    batch: None,
+                    span: None,
+                    tag: (),
+                }));
+            }
+            queue.close();
+        });
+        done.into_inner().unwrap()
+    }
+
     #[test]
-    fn via_cache_hit_replays_the_full_payload() {
+    fn repeated_via_is_priced_again_and_never_probes_the_cache() {
         let g = ah_data::fixtures::lattice(6, 6, 33);
         let idx = AhIndex::build(&g, &BuildConfig::default());
         let backend = AhBackend::new(&idx);
@@ -1287,39 +1250,38 @@ mod tests {
             .find(|&c| !pois.category(c).is_empty())
             .expect("a 36-node set has POIs somewhere");
         let server = Server::new(ServerConfig::with_workers(1));
-        let queue: BoundedQueue<Job<u64>> = BoundedQueue::new(8);
-        let done = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let queue = &queue;
-            let done = &done;
-            let server = &server;
-            let backend = &backend;
-            scope.spawn(move || {
-                server.serve_queue(backend, queue, |tag, resp, payload, _span| {
-                    done.lock().unwrap().push((tag, resp, payload));
-                });
-            });
-            for id in 0..2u64 {
-                assert!(queue.push(Job {
-                    req: Request::via(id, 3, 30, cat),
-                    batch: None,
-                    span: None,
-                    tag: id,
-                }));
-            }
-            queue.close();
-        });
-        let done = done.into_inner().unwrap();
-        assert_eq!(done.len(), 2);
-        let (_, first, first_payload) = &done[0];
-        let (_, second, second_payload) = &done[1];
-        assert!(!first.cache_hit && second.cache_hit);
-        assert_eq!(first.distance, second.distance);
-        assert!(first_payload.is_some(), "a 6x6 lattice has POIs in range");
-        assert_eq!(
-            first_payload, second_payload,
-            "cached answers replay bit-identically, legs included"
+        let done = serve_in_order(
+            &server,
+            &backend,
+            &[Request::via(0, 3, 30, cat), Request::via(1, 3, 30, cat)],
         );
+        let [(first, first_payload), (second, second_payload)] = &done[..] else {
+            panic!("two completions expected, got {}", done.len());
+        };
+        assert!(first_payload.is_some(), "a 6x6 lattice has POIs in range");
+        assert_eq!(first_payload, second_payload, "same via, same payload");
+        assert_eq!(first.distance, second.distance);
+        assert!(!first.cache_hit && !second.cache_hit);
+        let via = server.metrics().cost.kind_total(trace_kind(QueryKind::Via { cat }) as usize);
+        assert_eq!(via.cache_probes, 0, "via answers never probe the cache");
+    }
+
+    #[test]
+    fn path_answers_do_not_fill_the_distance_cache() {
+        let g = ah_data::fixtures::lattice(6, 6, 10);
+        let idx = AhIndex::build(&g, &BuildConfig::default());
+        let backend = AhBackend::new(&idx);
+        let server = Server::new(ServerConfig::with_workers(1));
+        let done = serve_in_order(
+            &server,
+            &backend,
+            &[Request::path(0, 2, 33), Request::distance(1, 2, 33)],
+        );
+        assert_eq!(done.len(), 2);
+        let (path, distance) = (&done[0].0, &done[1].0);
+        assert_eq!(path.distance, distance.distance);
+        assert!(!distance.cache_hit, "a path answer is not a cache entry");
+        assert_eq!(server.metrics().cost.total().cache_hits, 0);
     }
 
     #[test]

@@ -72,8 +72,9 @@ impl BackendSession for ShardedSession<'_> {
 pub struct ShardedServerConfig {
     /// One shard's share of the pool. [`ShardedServer::new`] gives the
     /// pool `workers × K` worker threads and `cache_capacity × K` cache
-    /// entries for K shards; queue depth, batch size and tracing are
-    /// taken as given.
+    /// entries for K shards; queue depth and tracing are taken as given
+    /// (workers claim the engine's fixed batch of 32 requests per queue
+    /// lock).
     pub per_shard: ServerConfig,
 }
 

@@ -425,6 +425,9 @@ impl Skeleton {
     }
 }
 
+/// Each shard's reentry pairs, indexed by shard.
+type ReentryPairs = Vec<Vec<(u32, u32)>>;
+
 /// The certification pass of [`ShardedIndex::from_global`]: the exact
 /// global border-to-border closure of the boundary graph plus each
 /// shard's reentry pairs, or an uncertified `(false, empty,
@@ -435,7 +438,7 @@ fn certify(
     global: &Arc<AhIndex>,
     indexes: &[Option<AhIndex>],
     cfg: &ShardConfig,
-) -> (bool, Vec<u64>, Vec<Vec<(u32, u32)>>) {
+) -> (bool, Vec<u64>, ReentryPairs) {
     let b = skel.border_nodes.len();
     let certified = b <= cfg.max_border_nodes;
     let mut matrix = Vec::new();

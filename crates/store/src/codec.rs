@@ -35,7 +35,7 @@ impl FieldWriter {
 
     /// Zero-pads to the next 8-byte boundary.
     pub fn pad8(&mut self) {
-        while self.buf.len() % 8 != 0 {
+        while !self.buf.len().is_multiple_of(8) {
             self.buf.push(0);
         }
     }
@@ -157,7 +157,7 @@ impl<'a> FieldReader<'a> {
         let available = (self.buf.len() - self.pos) as u64;
         if count
             .checked_mul(elem_size as u64)
-            .map_or(true, |bytes| bytes > available)
+            .is_none_or(|bytes| bytes > available)
         {
             return Err(self.malformed("array length exceeds the payload"));
         }

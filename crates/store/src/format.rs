@@ -239,7 +239,7 @@ impl<'a> Container<'a> {
             if entries.iter().any(|p: &SectionEntry| p.tag == e.tag) {
                 return Err(SnapshotError::DuplicateSection { section: e.tag });
             }
-            if e.offset % 8 != 0 {
+            if !e.offset.is_multiple_of(8) {
                 return Err(SnapshotError::BadLayout("section offset not 8-aligned"));
             }
             if e.offset < (table_end + 8) as u64 {

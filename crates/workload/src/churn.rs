@@ -69,7 +69,7 @@ impl WeightChurn {
                 let change = if rng.random_bool(self.closure_fraction.clamp(0.0, 1.0)) {
                     WeightChange::close(tail, head)
                 } else {
-                    let w0 = w0.min(Weight::MAX / 4).max(1);
+                    let w0 = w0.clamp(1, Weight::MAX / 4);
                     WeightChange::new(tail, head, rng.random_range(1..=w0 * 3))
                 };
                 changes.push(change);

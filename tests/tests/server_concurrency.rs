@@ -59,7 +59,6 @@ fn concurrent_server_matches_single_threaded_ah_for_all_backends() {
             workers: 4,
             queue_capacity: 64,
             cache_capacity: 8 * 1024,
-            batch_size: 16,
             ..Default::default()
         });
         let report = server.run(backend.as_ref(), &requests);

@@ -19,7 +19,7 @@ fn bench_build(c: &mut Criterion) {
         b.iter(|| ah_fc::FcIndex::build(&g).num_shortcuts())
     });
     group.bench_function("SILC", |b| {
-        b.iter(|| ah_silc::SilcIndex::build_parallel(&g, 2).total_cells())
+        b.iter(|| ah_silc::SilcIndex::build(&g).total_cells())
     });
     group.finish();
 }

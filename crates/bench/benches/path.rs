@@ -9,7 +9,7 @@ fn bench_path(c: &mut Criterion) {
     let sets = ah_workload::generate_query_sets(&g, 64, 7);
     let ah = ah_core::AhIndex::build(&g, &Default::default());
     let ch = ah_ch::ChIndex::build(&g);
-    let silc = ah_silc::SilcIndex::build_parallel(&g, 2);
+    let silc = ah_silc::SilcIndex::build(&g);
 
     let mut group = c.benchmark_group("path");
     let Some(set) = sets.iter().rev().find(|s| !s.pairs.is_empty()) else {

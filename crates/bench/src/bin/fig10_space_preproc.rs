@@ -37,7 +37,7 @@ fn main() {
         let (ch, ch_secs) = time_once(|| ChIndex::build(g));
         let ch_mb = ch.size_bytes() as f64 / (1024.0 * 1024.0);
         drop(ch);
-        let silc = silc_feasible(n).then(|| time_once(|| SilcIndex::build_parallel(g, 2)));
+        let silc = silc_feasible(n).then(|| time_once(|| SilcIndex::build(g)));
         let silc_cols = match &silc {
             Some((idx, secs)) => {
                 let mb = idx.size_bytes() as f64 / (1024.0 * 1024.0);

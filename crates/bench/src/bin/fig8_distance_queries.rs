@@ -25,7 +25,7 @@ fn main() {
         eprintln!("[fig8] {} (n = {n}): obtaining indices …", spec.name);
         let idx = obtain_indices(&args, spec, g, "fig8");
         let (ah, ch, ah_secs) = (idx.ah, idx.ch, idx.ah_secs);
-        let silc = silc_feasible(n).then(|| SilcIndex::build_parallel(g, 2));
+        let silc = silc_feasible(n).then(|| SilcIndex::build(g));
         eprintln!("[fig8] {}: AH ready in {ah_secs:.1}s; running queries …", spec.name);
 
         let mut ahq = AhQuery::new();

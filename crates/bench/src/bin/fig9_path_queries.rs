@@ -24,7 +24,7 @@ fn main() {
         eprintln!("[fig9] {} (n = {n}): obtaining indices …", spec.name);
         let idx = obtain_indices(&args, spec, g, "fig9");
         let (ah, ch) = (idx.ah, idx.ch);
-        let silc = silc_feasible(n).then(|| SilcIndex::build_parallel(g, 2));
+        let silc = silc_feasible(n).then(|| SilcIndex::build(g));
 
         let mut ahq = AhQuery::new();
         let mut chq = ChQuery::new();

@@ -163,7 +163,6 @@ fn main() {
     let idx = obtain_indices(&args.harness, &spec, &g, "edge");
 
     let server = Server::new(ServerConfig {
-        workers: args.edge.workers,
         trace: args.trace,
         ..Default::default()
     });

@@ -39,12 +39,7 @@ pub struct ChIndex {
 impl ChIndex {
     /// Builds the index with default witness budgets.
     pub fn build(g: &Graph) -> ChIndex {
-        Self::build_with_config(g, ContractionConfig::default())
-    }
-
-    /// Builds the index with an explicit contraction configuration.
-    pub fn build_with_config(g: &Graph, cfg: ContractionConfig) -> ChIndex {
-        let (hierarchy, order) = contract_adaptive(g, cfg);
+        let (hierarchy, order) = contract_adaptive(g, ContractionConfig::default());
         ChIndex { hierarchy, order }
     }
 

@@ -17,17 +17,20 @@ pub struct BuildConfig {
     /// Downgrade cores that the vertex cover skipped (Section 4.4's
     /// optimization reducing high-level node counts).
     pub downgrade_non_cover: bool,
-    /// Build elevating-edge sets for border nodes (Sections 4.2/4.3).
+    /// Build elevating-edge sets for border nodes (Sections 4.2/4.3),
+    /// within [`ELEVATING_SETTLE_LIMIT`] and [`ELEVATING_MAX_ARCS`].
     pub elevating_edges: bool,
-    /// Settle budget per elevating-set search; a search that exceeds it is
-    /// discarded (queries fall back to normal arcs at that node — always
-    /// correct, possibly slower).
-    pub elevating_settle_limit: usize,
-    /// Maximum number of jump targets per (node, level) elevating set;
-    /// larger sets are discarded. Keeps both the index size and the
-    /// query-time fan-out bounded (the paper's λ² bound in spirit).
-    pub elevating_max_arcs: usize,
 }
+
+/// Settle budget per elevating-set search; a search that exceeds it is
+/// discarded (queries fall back to normal arcs at that node — always
+/// correct, possibly slower).
+pub const ELEVATING_SETTLE_LIMIT: usize = 1024;
+
+/// Maximum number of jump targets per (node, level) elevating set;
+/// larger sets are discarded. Keeps both the index size and the
+/// query-time fan-out bounded (the paper's λ² bound in spirit).
+pub const ELEVATING_MAX_ARCS: usize = 48;
 
 impl Default for BuildConfig {
     fn default() -> Self {
@@ -37,8 +40,6 @@ impl Default for BuildConfig {
             vertex_cover_rank: true,
             downgrade_non_cover: true,
             elevating_edges: true,
-            elevating_settle_limit: 1024,
-            elevating_max_arcs: 48,
         }
     }
 }

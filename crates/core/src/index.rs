@@ -6,7 +6,7 @@ use ah_graph::{Graph, NodeId, Point};
 use ah_grid::{Cell, GridHierarchy};
 use ah_search::{DijkstraDriver, Direction};
 
-use crate::config::BuildConfig;
+use crate::config::{BuildConfig, ELEVATING_MAX_ARCS, ELEVATING_SETTLE_LIMIT};
 use crate::elevating::{elevating_set, ElevatingBuilder, ElevatingSets};
 use crate::ranking::{rank_nodes, Ranking};
 
@@ -66,7 +66,7 @@ impl AhIndex {
         let hierarchy = contract_with_order(g, &order, cfg.contraction);
 
         let elevating = if cfg.elevating_edges {
-            build_elevating(g, &la.grid, &hierarchy, &level, cfg)
+            build_elevating(g, &la.grid, &hierarchy, &level)
         } else {
             ElevatingSets::default()
         };
@@ -212,7 +212,6 @@ fn build_elevating(
     grid: &GridHierarchy,
     hierarchy: &Hierarchy,
     level: &[u8],
-    cfg: &BuildConfig,
 ) -> ElevatingSets {
     let n = g.num_nodes();
     let h = grid.levels();
@@ -231,10 +230,10 @@ fn build_elevating(
                 (Direction::Forward, &mut fwd),
                 (Direction::Backward, &mut bwd),
             ] {
-                let limit = cfg.elevating_settle_limit;
+                let limit = ELEVATING_SETTLE_LIMIT;
                 if let Some(set) =
                     elevating_set(&mut search, hierarchy, level, v, lvl, direction, limit)
-                        .filter(|set| !set.is_empty() && set.len() <= cfg.elevating_max_arcs)
+                        .filter(|set| !set.is_empty() && set.len() <= ELEVATING_MAX_ARCS)
                 {
                     side.push_set(v, lvl, set);
                 }

@@ -56,7 +56,7 @@ mod index;
 mod query;
 mod ranking;
 
-pub use config::{BuildConfig, QueryConfig};
+pub use config::{BuildConfig, QueryConfig, ELEVATING_MAX_ARCS, ELEVATING_SETTLE_LIMIT};
 pub use elevating::{ElevArc, ElevatingSets, ElevatingSide};
 pub use index::{AhIndex, AhIndexParts, IndexStats};
 pub use query::AhQuery;

@@ -55,20 +55,6 @@ impl Default for HierarchicalGridConfig {
     }
 }
 
-impl HierarchicalGridConfig {
-    /// A config sized so the generated network has roughly `n` nodes
-    /// (before the small loss from SCC condensation).
-    pub fn with_target_nodes(n: usize, seed: u64) -> Self {
-        let side = (n as f64).sqrt().ceil().max(2.0) as u32;
-        HierarchicalGridConfig {
-            width: side,
-            height: (n as u32).div_ceil(side).max(2),
-            seed,
-            ..Default::default()
-        }
-    }
-}
-
 /// Tier of lattice line `i` under the given periods (3 = fastest).
 fn line_tier(i: u32, periods: &[u32; 3]) -> usize {
     if i.is_multiple_of(periods[2]) {
@@ -284,14 +270,6 @@ mod tests {
         assert_eq!(w_highway, 128 * 2 / 16);
         assert_eq!(w_local, 128 * 16 / 16);
         assert!(w_local > w_highway);
-    }
-
-    #[test]
-    fn target_nodes_approximation() {
-        let cfg = HierarchicalGridConfig::with_target_nodes(1000, 3);
-        let g = hierarchical_grid(&cfg);
-        let n = g.num_nodes();
-        assert!((800..=1200).contains(&n), "n = {n}");
     }
 
     #[test]

@@ -40,24 +40,6 @@ use ah_graph::{Dist, Graph, NodeId, Path, Point};
 use ah_grid::GridHierarchy;
 use ah_obs::CostCounters;
 
-/// Build-time options for FC.
-#[derive(Debug, Clone, Copy)]
-pub struct FcBuildConfig {
-    /// Cap on grid levels `h`.
-    pub max_levels: u32,
-    /// Witness budget for shortcut construction.
-    pub contraction: ContractionConfig,
-}
-
-impl Default for FcBuildConfig {
-    fn default() -> Self {
-        FcBuildConfig {
-            max_levels: 26,
-            contraction: ContractionConfig::default(),
-        }
-    }
-}
-
 /// The FC index: node levels, the level-ordered shortcut hierarchy and the
 /// grid geometry for the proximity constraint.
 pub struct FcIndex {
@@ -68,24 +50,15 @@ pub struct FcIndex {
 }
 
 impl FcIndex {
-    /// Builds the index with defaults.
+    /// Builds the index: the paper's level cap (26) and the default
+    /// witness budgets.
     pub fn build(g: &Graph) -> FcIndex {
-        Self::build_with_config(g, &FcBuildConfig::default())
-    }
-
-    /// Builds the index.
-    pub fn build_with_config(g: &Graph, cfg: &FcBuildConfig) -> FcIndex {
-        let la = assign_levels(
-            g,
-            &SelectionConfig {
-                max_levels: cfg.max_levels,
-            },
-        );
+        let la = assign_levels(g, &SelectionConfig::default());
         // Level-primary order with a deterministic hash tie-break (FC has
         // no in-level refinement).
         let mut order: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
         order.sort_unstable_by_key(|&v| (la.level[v as usize], hash_id(v), v));
-        let hierarchy = contract_with_order(g, &order, cfg.contraction);
+        let hierarchy = contract_with_order(g, &order, ContractionConfig::default());
         FcIndex {
             grid: la.grid,
             level: la.level,

@@ -234,30 +234,6 @@ impl Graph {
             coords,
         })
     }
-
-    /// True if every node can reach every other node ignoring edge
-    /// direction. (Strong connectivity is checked by
-    /// [`crate::strongly_connected_components`].)
-    pub fn is_weakly_connected(&self) -> bool {
-        let n = self.num_nodes();
-        if n == 0 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![0 as NodeId];
-        seen[0] = true;
-        let mut count = 1usize;
-        while let Some(v) = stack.pop() {
-            for a in self.out_edges(v).iter().chain(self.in_edges(v)) {
-                if !seen[a.head as usize] {
-                    seen[a.head as usize] = true;
-                    count += 1;
-                    stack.push(a.head);
-                }
-            }
-        }
-        count == n
-    }
 }
 
 /// Shared CSR shape check: `offsets` must have `n + 1` monotone entries
@@ -342,23 +318,10 @@ mod tests {
     }
 
     #[test]
-    fn weak_connectivity() {
-        let g = diamond();
-        assert!(g.is_weakly_connected());
-
-        let mut b = GraphBuilder::new();
-        b.add_node(Point::new(0, 0));
-        b.add_node(Point::new(1, 1));
-        let g2 = b.build();
-        assert!(!g2.is_weakly_connected());
-    }
-
-    #[test]
     fn empty_graph() {
         let g = GraphBuilder::new().build();
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_edges(), 0);
-        assert!(g.is_weakly_connected());
         assert_eq!(g.max_degree(), 0);
     }
 

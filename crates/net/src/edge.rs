@@ -45,7 +45,7 @@ use ah_server::{
 };
 
 use crate::http::{self, HttpError, HttpLimits, ParseOutcome};
-use crate::sys::{Event, Poller, PollerKind, WakePipe};
+use crate::sys::{Event, Poller, WakePipe};
 
 /// Poller token of the listening socket.
 const LISTENER: u64 = 0;
@@ -61,8 +61,32 @@ type Tag = (u64, u64);
 /// scenario payload (via/knn/matrix bodies), and the sampled span.
 type Completions = Vec<(Tag, Response, Option<Box<ScenarioResult>>, Option<Box<Span>>)>;
 
+/// Maximum unanswered pipelined requests per connection; past it the
+/// edge stops reading that socket until slots drain.
+const MAX_PIPELINE: usize = 64;
+
+/// Maximum buffered unsent response bytes per connection; past it the
+/// edge stops reading that socket and stops converting answered
+/// pipeline slots into response bytes (a client that sends requests
+/// but never reads responses cannot grow the write buffer without
+/// bound — the write timeout then reaps it).
+const MAX_WRITE_BACKLOG: usize = 256 * 1024;
+
+/// Floor of the per-connection read backlog: past the backlog the edge
+/// stops reading that socket until parsing catches up, so a client
+/// pipelining faster than the edge serves cannot grow the read buffer
+/// without bound. [`read_backlog`] raises it to one whole request.
+const MIN_READ_BACKLOG: usize = 64 * 1024;
+
+/// The read backlog under `limits`: at least [`MIN_READ_BACKLOG`], and
+/// always room for one whole request (head plus body caps), so a
+/// request the caps admit can always complete its parse.
+fn read_backlog(limits: &HttpLimits) -> usize {
+    MIN_READ_BACKLOG.max(limits.max_head_bytes.saturating_add(limits.max_body_bytes))
+}
+
 /// Upper bound on `k` for `/v1/knn` — bounds the response body the
-/// same way `max_write_backlog` bounds everything else.
+/// same way [`MAX_WRITE_BACKLOG`] bounds everything else.
 const MAX_KNN_K: u32 = 256;
 
 /// Per-side cap on `/v1/matrix` dimensions. A table beyond it is
@@ -84,24 +108,9 @@ pub struct EdgeConfig {
     /// Maximum simultaneously open connections; excess accepts are shed
     /// with a best-effort `503` and an immediate close.
     pub max_connections: usize,
-    /// Maximum unanswered pipelined requests per connection; past it the
-    /// edge stops reading that socket until slots drain.
-    pub max_pipeline: usize,
-    /// Maximum buffered unsent response bytes per connection; past it
-    /// the edge stops reading that socket and stops converting answered
-    /// pipeline slots into response bytes (a client that sends requests
-    /// but never reads responses cannot grow the write buffer without
-    /// bound — the write timeout then reaps it).
-    pub max_write_backlog: usize,
-    /// Maximum buffered unparsed request bytes per connection; past it
-    /// the edge stops reading that socket until parsing catches up, so
-    /// a client pipelining faster than the edge serves cannot grow the
-    /// read buffer without bound. Must exceed
-    /// `limits.max_head_bytes + limits.max_body_bytes` (one whole
-    /// request) or parsing could deadlock; the constructor-free config
-    /// leaves that to the operator.
-    pub max_read_backlog: usize,
-    /// HTTP parsing caps (head/body bytes, header count).
+    /// HTTP parsing caps (head/body bytes, header count). The
+    /// per-connection read backlog grows with them, so one whole
+    /// request always fits.
     pub limits: HttpLimits,
     /// How long a partially received request may stall before the
     /// connection is answered `408` and closed.
@@ -114,8 +123,6 @@ pub struct EdgeConfig {
     pub idle_timeout: Duration,
     /// Value of the `Retry-After` header on `429`/`503` responses.
     pub retry_after_secs: u32,
-    /// Readiness backend (epoll on Linux by default, poll elsewhere).
-    pub poller: PollerKind,
     /// Expose `GET /admin/shutdown` (for loopback process tests and
     /// supervised deployments; leave off on untrusted networks).
     pub allow_shutdown: bool,
@@ -133,15 +140,11 @@ impl Default for EdgeConfig {
             workers: std::thread::available_parallelism().map_or(1, |p| p.get()),
             queue_capacity: 1024,
             max_connections: 1024,
-            max_pipeline: 64,
-            max_write_backlog: 256 * 1024,
-            max_read_backlog: 64 * 1024,
             limits: HttpLimits::default(),
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
             retry_after_secs: 1,
-            poller: PollerKind::default(),
             allow_shutdown: false,
             slo: SloPolicy::default(),
         }
@@ -356,8 +359,6 @@ pub struct EdgeReport {
     pub bytes_out: u64,
     /// Connections reaped by timeout.
     pub timeouts: u64,
-    /// Readiness backend that served the run.
-    pub poller: &'static str,
 }
 
 /// One pipelined exchange: claimed when the request is parsed, filled
@@ -569,7 +570,8 @@ impl EdgeServer {
             let mut ev_loop = EventLoop {
                 cfg: &cfg,
                 listener: Some(listener),
-                poller: Poller::new(cfg.poller)?,
+                poller: Poller::new()?,
+                rbuf_cap: read_backlog(&cfg.limits),
                 shared: &shared,
                 server,
                 jobs: &jobs,
@@ -600,7 +602,6 @@ impl EdgeServer {
                 bytes_in: m.bytes_in(),
                 bytes_out: m.bytes_out(),
                 timeouts: m.timeouts(),
-                poller: cfg.poller.name(),
             }
         })
     }
@@ -612,6 +613,9 @@ struct EventLoop<'a> {
     cfg: &'a EdgeConfig,
     listener: Option<TcpListener>,
     poller: Poller,
+    /// Per-connection cap on buffered unparsed bytes, from
+    /// [`read_backlog`].
+    rbuf_cap: usize,
     shared: &'a Shared,
     server: &'a Server,
     jobs: &'a BoundedQueue<Job<Tag>>,
@@ -792,16 +796,10 @@ impl EventLoop<'_> {
             conn.dead = true;
         }
         if ev.writable {
-            pump_write(
-                conn,
-                &self.shared.metrics,
-                self.server.tracer(),
-                now,
-                self.cfg.max_write_backlog,
-            );
+            pump_write(conn, &self.shared.metrics, self.server.tracer(), now);
         }
         if ev.readable && !conn.read_shut && !conn.dead {
-            read_some(conn, &self.shared.metrics, now, self.cfg);
+            read_some(conn, &self.shared.metrics, now, self.rbuf_cap);
         }
         self.pump_and_settle(token, now)
     }
@@ -817,11 +815,7 @@ impl EventLoop<'_> {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return; // connection gone; its buffers went with it
             };
-            if conn.dead
-                || conn.close_after_flush
-                || stopping
-                || conn.slots.len() >= self.cfg.max_pipeline
-            {
+            if conn.dead || conn.close_after_flush || stopping || conn.slots.len() >= MAX_PIPELINE {
                 break;
             }
             match http::parse_request(&conn.rbuf[pos..], &self.cfg.limits) {
@@ -1240,7 +1234,7 @@ impl EventLoop<'_> {
     /// The alternation matters: after the *last* completion of a burst
     /// flushes, no further event would arrive to parse the rest of a
     /// deeply pipelined read buffer; looping here is what keeps a
-    /// backlog larger than `max_pipeline` moving.
+    /// backlog larger than [`MAX_PIPELINE`] moving.
     fn pump_and_settle(&mut self, token: u64, now: Instant) -> io::Result<()> {
         let stopping = self.shared.stop.load(Ordering::Relaxed);
         loop {
@@ -1252,13 +1246,7 @@ impl EventLoop<'_> {
                 conn.rbuf.len(),
                 conn.wbuf.len() - conn.wpos,
             );
-            pump_write(
-                conn,
-                &self.shared.metrics,
-                self.server.tracer(),
-                now,
-                self.cfg.max_write_backlog,
-            );
+            pump_write(conn, &self.shared.metrics, self.server.tracer(), now);
             self.parse_conn(token, stopping);
             let Some(conn) = self.conns.get_mut(&token) else {
                 return Ok(());
@@ -1297,9 +1285,9 @@ impl EventLoop<'_> {
         }
 
         let want_read = !conn.read_shut
-            && conn.slots.len() < self.cfg.max_pipeline
-            && conn.rbuf.len() < self.cfg.max_read_backlog
-            && conn.wbuf.len() - conn.wpos < self.cfg.max_write_backlog;
+            && conn.slots.len() < MAX_PIPELINE
+            && conn.rbuf.len() < self.rbuf_cap
+            && conn.wbuf.len() - conn.wpos < MAX_WRITE_BACKLOG;
         let want_write = conn.has_pending_write();
         if want_read != conn.reg_read || want_write != conn.reg_write {
             conn.reg_read = want_read;
@@ -1536,10 +1524,10 @@ fn extract_u32_array(text: &str, key: &str) -> Result<Vec<u32>, (u16, &'static s
 /// backlog cap suggests stopping), appending to the connection's parse
 /// buffer. The read-backlog cap also bounds how long one fast sender
 /// can occupy the event loop in a single pass.
-fn read_some(conn: &mut Conn, metrics: &EdgeMetrics, now: Instant, cfg: &EdgeConfig) {
+fn read_some(conn: &mut Conn, metrics: &EdgeMetrics, now: Instant, rbuf_cap: usize) {
     let mut chunk = [0u8; 16 * 1024];
     loop {
-        if conn.slots.len() >= cfg.max_pipeline || conn.rbuf.len() >= cfg.max_read_backlog {
+        if conn.slots.len() >= MAX_PIPELINE || conn.rbuf.len() >= rbuf_cap {
             return; // stop reading; TCP back-pressure takes over
         }
         match conn.stream.read(&mut chunk) {
@@ -1567,7 +1555,7 @@ fn read_some(conn: &mut Conn, metrics: &EdgeMetrics, now: Instant, cfg: &EdgeCon
 
 /// Moves ready front slots into the write buffer (strict pipeline
 /// order) and writes as much as the socket accepts. Slot conversion
-/// stops once the unsent backlog reaches `max_write_backlog`, so a
+/// stops once the unsent backlog reaches [`MAX_WRITE_BACKLOG`], so a
 /// peer that never reads cannot turn buffered requests into unbounded
 /// response bytes — parked `Ready` slots count against the pipeline
 /// cap, which in turn halts parsing and (via the settle gate) reading.
@@ -1577,19 +1565,13 @@ fn read_some(conn: &mut Conn, metrics: &EdgeMetrics, now: Instant, cfg: &EdgeCon
 /// accepted that many lifetime bytes the span is stamped `Flush` and
 /// finished — the trace ends when the *last byte* clears, not when the
 /// response is merely buffered.
-fn pump_write(
-    conn: &mut Conn,
-    metrics: &EdgeMetrics,
-    tracer: &Tracer,
-    now: Instant,
-    max_write_backlog: usize,
-) {
+fn pump_write(conn: &mut Conn, metrics: &EdgeMetrics, tracer: &Tracer, now: Instant) {
     loop {
         while let Some(front) = conn.slots.front() {
             if !matches!(front.state, SlotState::Ready(_)) {
                 break;
             }
-            if conn.wbuf.len() - conn.wpos >= max_write_backlog {
+            if conn.wbuf.len() - conn.wpos >= MAX_WRITE_BACKLOG {
                 break; // backlog cap: leave the slot parked
             }
             let slot = conn.slots.pop_front().unwrap();

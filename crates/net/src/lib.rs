@@ -7,10 +7,10 @@
 //! bursts, and load beyond capacity. It is deliberately dependency-free
 //! (the build environment has no registry access — no tokio, no mio):
 //!
-//! * [`sys`](crate::PollerKind): a readiness poller over raw file
-//!   descriptors — `epoll(7)` via direct libc declarations on Linux,
-//!   portable `poll(2)` everywhere Unix, both selectable so tests cover
-//!   each — plus a self-pipe waker for worker→loop signalling.
+//! * `sys`: a readiness poller over raw file descriptors, picked by
+//!   the platform — `epoll(7)` via direct libc declarations on Linux,
+//!   portable `poll(2)` on every other Unix (its unit tests run both on
+//!   Linux) — plus a self-pipe waker for worker→loop signalling.
 //! * [`http`]: an incremental HTTP/1.1 subset parser (GET, keep-alive,
 //!   pipelining, header/body caps, never panics) and response builder.
 //! * [`EdgeServer`]: the single-threaded event loop owning all sockets,
@@ -60,5 +60,3 @@ mod sys;
 
 #[cfg(unix)]
 pub use edge::{EdgeConfig, EdgeHandle, EdgeMetrics, EdgeReport, EdgeServer, STATUSES};
-#[cfg(unix)]
-pub use sys::PollerKind;

@@ -4,27 +4,28 @@
 //! cannot lean on `mio` or `tokio`. Instead this module declares the
 //! handful of libc symbols the Rust standard library already links —
 //! `epoll_*` on Linux, `poll` everywhere Unix — and wraps them in a
-//! small [`Poller`] facade plus a pipe-based [`WakePipe`] that lets
-//! worker threads interrupt a blocked wait.
+//! small [`Poller`] plus a pipe-based [`WakePipe`] that lets worker
+//! threads interrupt a blocked wait.
 //!
-//! Two interchangeable backends:
+//! The platform picks the backend; [`Poller`] names its type:
 //!
-//! * [`PollerKind::Epoll`] (Linux only, the default there): one
-//!   `epoll_create1` instance, O(ready) wakeups.
-//! * [`PollerKind::Poll`] (every Unix): a rebuilt `pollfd` array per
-//!   wait, O(registered) — the portable fallback, and also selectable
-//!   on Linux so tests exercise both code paths on one machine.
+//! * `EpollPoller` on Linux: one `epoll_create1` instance, O(ready)
+//!   wakeups.
+//! * `PollPoller` on every other Unix: a rebuilt `pollfd` array per
+//!   wait, O(registered). It is also compiled into Linux unit-test
+//!   builds, so the tests below run both backends on one machine.
 //!
-//! Everything here is level-triggered: the edge reads/writes until
-//! `WouldBlock` and keeps interest flags in sync with what it still
-//! wants to do, so no readiness is ever lost.
+//! Both expose the same methods. Everything here is level-triggered:
+//! the edge reads/writes until `WouldBlock` and keeps interest flags in
+//! sync with what it still wants to do, so no readiness is ever lost.
 
 #![cfg(unix)]
 
-use std::collections::HashMap;
 use std::io;
 use std::os::fd::RawFd;
-use std::os::raw::{c_int, c_ulong, c_void};
+use std::os::raw::{c_int, c_void};
+#[cfg(any(test, not(target_os = "linux")))]
+use std::{collections::HashMap, os::raw::c_ulong};
 
 // Symbols provided by the platform libc that std already links; declaring
 // them here adds no cargo dependency.
@@ -34,6 +35,10 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+}
+
+#[cfg(any(test, not(target_os = "linux")))]
+extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
 }
 
@@ -52,30 +57,6 @@ const O_NONBLOCK: c_int = 0x800;
 #[cfg(not(target_os = "linux"))]
 const O_NONBLOCK: c_int = 0x4; // BSD family
 
-/// Which readiness backend drives the event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerKind {
-    /// `epoll(7)` — Linux only; O(ready) wakeups. The default there.
-    #[cfg(target_os = "linux")]
-    #[default]
-    Epoll,
-    /// `poll(2)` — every Unix; the portable fallback, and the default
-    /// off Linux.
-    #[cfg_attr(not(target_os = "linux"), default)]
-    Poll,
-}
-
-impl PollerKind {
-    /// Backend name for logs and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            PollerKind::Epoll => "epoll",
-            PollerKind::Poll => "poll",
-        }
-    }
-}
-
 /// One readiness notification from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Event {
@@ -92,70 +73,12 @@ pub(crate) struct Event {
     pub hangup: bool,
 }
 
-/// Level-triggered readiness poller over raw file descriptors.
-pub(crate) enum Poller {
-    #[cfg(target_os = "linux")]
-    Epoll(EpollPoller),
-    Poll(PollPoller),
-}
-
-impl Poller {
-    pub fn new(kind: PollerKind) -> io::Result<Poller> {
-        match kind {
-            #[cfg(target_os = "linux")]
-            PollerKind::Epoll => Ok(Poller::Epoll(EpollPoller::new()?)),
-            PollerKind::Poll => Ok(Poller::Poll(PollPoller::new())),
-        }
-    }
-
-    /// Starts watching `fd`; future events carry `token`.
-    pub fn register(&mut self, fd: RawFd, token: u64, r: bool, w: bool) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(EPOLL_CTL_ADD, fd, token, r, w),
-            Poller::Poll(p) => {
-                p.fds.insert(fd, (token, r, w));
-                Ok(())
-            }
-        }
-    }
-
-    /// Updates the interest set of an already-registered `fd`.
-    pub fn modify(&mut self, fd: RawFd, token: u64, r: bool, w: bool) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(EPOLL_CTL_MOD, fd, token, r, w),
-            Poller::Poll(p) => {
-                p.fds.insert(fd, (token, r, w));
-                Ok(())
-            }
-        }
-    }
-
-    /// Stops watching `fd`. Must be called *before* the descriptor is
-    /// closed (closing an epoll-registered fd leaks the registration).
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(EPOLL_CTL_DEL, fd, 0, false, false),
-            Poller::Poll(p) => {
-                p.fds.remove(&fd);
-                Ok(())
-            }
-        }
-    }
-
-    /// Blocks up to `timeout_ms` for readiness; appends events to `out`
-    /// (cleared first). A negative timeout blocks indefinitely.
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-        out.clear();
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.wait(out, timeout_ms),
-            Poller::Poll(p) => p.wait(out, timeout_ms),
-        }
-    }
-}
+/// The platform's level-triggered readiness poller: epoll on Linux.
+#[cfg(target_os = "linux")]
+pub(crate) type Poller = EpollPoller;
+/// The platform's level-triggered readiness poller: `poll(2)` off Linux.
+#[cfg(not(target_os = "linux"))]
+pub(crate) type Poller = PollPoller;
 
 // ---------------------------------------------------------------- epoll
 
@@ -194,7 +117,7 @@ pub(crate) struct EpollPoller {
 
 #[cfg(target_os = "linux")]
 impl EpollPoller {
-    fn new() -> io::Result<Self> {
+    pub fn new() -> io::Result<Self> {
         // SAFETY: no pointer is passed. A non-negative result is a new fd
         // that this poller owns and closes exactly once, in `Drop`.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -205,6 +128,22 @@ impl EpollPoller {
             epfd,
             buf: vec![EpollEvent { events: 0, data: 0 }; 256],
         })
+    }
+
+    /// Starts watching `fd`; future events carry `token`.
+    pub fn register(&mut self, fd: RawFd, token: u64, r: bool, w: bool) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, r, w)
+    }
+
+    /// Updates the interest set of an already-registered `fd`.
+    pub fn modify(&mut self, fd: RawFd, token: u64, r: bool, w: bool) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, r, w)
+    }
+
+    /// Stops watching `fd`. Must be called *before* the descriptor is
+    /// closed (closing an epoll-registered fd leaks the registration).
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, 0, false, false)
     }
 
     fn ctl(&mut self, op: c_int, fd: RawFd, token: u64, r: bool, w: bool) -> io::Result<()> {
@@ -222,7 +161,10 @@ impl EpollPoller {
         Ok(())
     }
 
-    fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+    /// Blocks up to `timeout_ms` for readiness; appends events to `out`
+    /// (cleared first). A negative timeout blocks indefinitely.
+    pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        out.clear();
         // SAFETY: the kernel writes at most `maxevents` = `self.buf.len()`
         // (256, fits `c_int`) entries into `self.buf`, which holds that
         // many initialised `EpollEvent`s; `self.epfd` is owned and open.
@@ -267,6 +209,7 @@ impl Drop for EpollPoller {
 
 // ----------------------------------------------------------------- poll
 
+#[cfg(any(test, not(target_os = "linux")))]
 #[repr(C)]
 pub(crate) struct PollFd {
     fd: c_int,
@@ -274,12 +217,18 @@ pub(crate) struct PollFd {
     revents: i16,
 }
 
+#[cfg(any(test, not(target_os = "linux")))]
 const POLLIN: i16 = 0x1;
+#[cfg(any(test, not(target_os = "linux")))]
 const POLLOUT: i16 = 0x4;
+#[cfg(any(test, not(target_os = "linux")))]
 const POLLERR: i16 = 0x8;
+#[cfg(any(test, not(target_os = "linux")))]
 const POLLHUP: i16 = 0x10;
+#[cfg(any(test, not(target_os = "linux")))]
 const POLLNVAL: i16 = 0x20;
 
+#[cfg(any(test, not(target_os = "linux")))]
 pub(crate) struct PollPoller {
     /// fd → (token, read interest, write interest).
     fds: HashMap<RawFd, (u64, bool, bool)>,
@@ -287,16 +236,37 @@ pub(crate) struct PollPoller {
     tokens: Vec<u64>,
 }
 
+#[cfg(any(test, not(target_os = "linux")))]
 impl PollPoller {
-    fn new() -> Self {
-        PollPoller {
+    pub fn new() -> io::Result<Self> {
+        Ok(PollPoller {
             fds: HashMap::new(),
             scratch: Vec::new(),
             tokens: Vec::new(),
-        }
+        })
     }
 
-    fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+    /// Starts watching `fd`; future events carry `token`.
+    pub fn register(&mut self, fd: RawFd, token: u64, r: bool, w: bool) -> io::Result<()> {
+        self.fds.insert(fd, (token, r, w));
+        Ok(())
+    }
+
+    /// Updates the interest set of an already-registered `fd`.
+    pub fn modify(&mut self, fd: RawFd, token: u64, r: bool, w: bool) -> io::Result<()> {
+        self.register(fd, token, r, w)
+    }
+
+    /// Stops watching `fd`.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.fds.remove(&fd);
+        Ok(())
+    }
+
+    /// Blocks up to `timeout_ms` for readiness; appends events to `out`
+    /// (cleared first). A negative timeout blocks indefinitely.
+    pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        out.clear();
         self.scratch.clear();
         self.tokens.clear();
         for (&fd, &(token, r, w)) in &self.fds {
@@ -439,15 +409,23 @@ mod tests {
     use std::io::{Read as _, Write as _};
     use std::os::fd::AsRawFd;
 
-    fn kinds() -> Vec<PollerKind> {
-        #[cfg(target_os = "linux")]
-        {
-            vec![PollerKind::Epoll, PollerKind::Poll]
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            vec![PollerKind::Poll]
-        }
+    /// Runs `$body` once per backend compiled into this build (epoll
+    /// and poll on Linux, poll elsewhere), with `$poller` bound to a
+    /// fresh poller and `$name` to its backend name.
+    macro_rules! for_each_poller {
+        (|$poller:ident, $name:ident| $body:block) => {{
+            #[cfg(target_os = "linux")]
+            {
+                let mut $poller = EpollPoller::new().unwrap();
+                let $name = "epoll";
+                $body
+            }
+            {
+                let mut $poller = PollPoller::new().unwrap();
+                let $name = "poll";
+                $body
+            }
+        }};
     }
 
     #[test]
@@ -461,12 +439,11 @@ mod tests {
 
     #[test]
     fn both_backends_see_socket_readiness() {
-        for kind in kinds() {
+        for_each_poller!(|poller, name| {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             listener.set_nonblocking(true).unwrap();
             let addr = listener.local_addr().unwrap();
 
-            let mut poller = Poller::new(kind).unwrap();
             poller
                 .register(listener.as_raw_fd(), 7, true, false)
                 .unwrap();
@@ -474,15 +451,14 @@ mod tests {
             // Nothing pending: a short wait returns no events.
             let mut events = Vec::new();
             poller.wait(&mut events, 10).unwrap();
-            assert!(events.is_empty(), "{}: spurious event", kind.name());
+            assert!(events.is_empty(), "{name}: spurious event");
 
             // A connection attempt makes the listener readable.
             let mut client = std::net::TcpStream::connect(addr).unwrap();
             poller.wait(&mut events, 1000).unwrap();
             assert!(
                 events.iter().any(|e| e.token == 7 && e.readable),
-                "{}: accept readiness missed",
-                kind.name()
+                "{name}: accept readiness missed"
             );
             let (mut peer, _) = listener.accept().unwrap();
 
@@ -491,8 +467,7 @@ mod tests {
             poller.wait(&mut events, 1000).unwrap();
             assert!(
                 events.iter().any(|e| e.token == 9 && e.writable),
-                "{}: write readiness missed",
-                kind.name()
+                "{name}: write readiness missed"
             );
 
             // Data from the client makes it readable after a modify.
@@ -501,8 +476,7 @@ mod tests {
             poller.wait(&mut events, 1000).unwrap();
             assert!(
                 events.iter().any(|e| e.token == 9 && e.readable),
-                "{}: read readiness missed",
-                kind.name()
+                "{name}: read readiness missed"
             );
             let mut buf = [0u8; 8];
             peer.set_nonblocking(true).unwrap();
@@ -510,14 +484,13 @@ mod tests {
 
             poller.deregister(peer.as_raw_fd()).unwrap();
             poller.deregister(listener.as_raw_fd()).unwrap();
-        }
+        });
     }
 
     #[test]
     fn waker_interrupts_a_long_wait() {
-        for kind in kinds() {
+        for_each_poller!(|poller, name| {
             let w = std::sync::Arc::new(WakePipe::new().unwrap());
-            let mut poller = Poller::new(kind).unwrap();
             poller.register(w.read_fd(), 1, true, false).unwrap();
 
             let w2 = w.clone();
@@ -529,10 +502,10 @@ mod tests {
             let mut events = Vec::new();
             // Without the wake this would block for 5 s.
             poller.wait(&mut events, 5000).unwrap();
-            assert!(start.elapsed().as_secs() < 4, "{}: not woken", kind.name());
+            assert!(start.elapsed().as_secs() < 4, "{name}: not woken");
             assert!(events.iter().any(|e| e.token == 1 && e.readable));
             w.drain();
             t.join().unwrap();
-        }
+        });
     }
 }

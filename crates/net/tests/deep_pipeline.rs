@@ -1,11 +1,15 @@
-//! A pipelined backlog far deeper than `max_pipeline` must keep
-//! flowing: flushes free slots, freed slots admit buffered requests,
-//! with no dependence on further socket readability events.
+//! A pipelined backlog far deeper than the edge's per-connection
+//! pipelining cap (64 unanswered requests) must keep flowing: flushes
+//! free slots, freed slots admit buffered requests, with no dependence
+//! on further socket readability events.
 
 use std::time::Duration;
 
 use ah_net::{EdgeConfig, EdgeServer};
 use ah_server::{DijkstraBackend, Server, ServerConfig};
+
+/// Requests in the burst: many times the pipelining cap.
+const N: usize = 1_000;
 
 #[test]
 fn deep_pipeline_never_stalls() {
@@ -16,7 +20,6 @@ fn deep_pipeline_never_stalls() {
         "127.0.0.1:0",
         EdgeConfig {
             workers: 2,
-            max_pipeline: 8,
             // Short timeouts: a stall fails fast instead of hanging.
             read_timeout: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(5),
@@ -31,7 +34,6 @@ fn deep_pipeline_never_stalls() {
         let outcome = std::panic::catch_unwind(|| {
             let mut c = ah_net::blocking::Client::connect(addr).unwrap();
             let mut burst = String::new();
-            const N: usize = 300;
             for i in 0..N {
                 burst.push_str(&format!(
                     "GET /v1/distance?src={}&dst={} HTTP/1.1\r\n\r\n",
@@ -58,7 +60,7 @@ fn deep_pipeline_never_stalls() {
                 .find(|&&(s, _)| s == 200)
                 .unwrap()
                 .1,
-            300
+            N as u64
         );
     });
 }

@@ -9,21 +9,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use ah_net::{EdgeConfig, EdgeHandle, EdgeReport, EdgeServer, PollerKind};
+use ah_net::{EdgeConfig, EdgeHandle, EdgeReport, EdgeServer};
 use ah_server::{
     BackendSession, CostCounters, DijkstraBackend, DistanceBackend, Server, ServerConfig,
 };
-
-fn poller_kinds() -> Vec<PollerKind> {
-    #[cfg(target_os = "linux")]
-    {
-        vec![PollerKind::Epoll, PollerKind::Poll]
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        vec![PollerKind::Poll]
-    }
-}
 
 /// Binds an edge, runs it on a scoped thread, hands `(addr, handle)` to
 /// the client closure, then shuts down gracefully and returns the
@@ -95,16 +84,18 @@ impl Client {
 }
 
 #[test]
-fn serves_distance_path_healthz_metrics_on_both_pollers() {
+fn serves_distance_path_healthz_metrics_on_the_platform_poller() {
     let g = ah_data::fixtures::lattice(6, 6, 10);
     let backend = DijkstraBackend::new(&g);
-    for kind in poller_kinds() {
-        let cfg = EdgeConfig {
-            workers: 2,
-            poller: kind,
-            ..Default::default()
-        };
-        let report = with_edge(cfg, ServerConfig::with_workers(2), &backend, |addr, handle| {
+    let cfg = EdgeConfig {
+        workers: 2,
+        ..Default::default()
+    };
+    let report = with_edge(
+        cfg,
+        ServerConfig::with_workers(2),
+        &backend,
+        |addr, handle| {
             assert!(!handle.is_stopping(), "fresh edge is not draining");
             let mut c = connect(addr);
             // Distance with a known answer.
@@ -123,17 +114,24 @@ fn serves_distance_path_healthz_metrics_on_both_pollers() {
             // Unreachable → JSON null, still 200.
             let (status, _, body) = c.get("/v1/distance?src=0&dst=99999");
             assert_eq!(status, 200);
-            assert!(String::from_utf8(body).unwrap().contains("\"distance\":null"));
+            assert!(String::from_utf8(body)
+                .unwrap()
+                .contains("\"distance\":null"));
             // Health and metrics.
             let (status, _, body) = c.get("/healthz");
             assert_eq!(status, 200);
-            assert!(String::from_utf8(body).unwrap().contains("\"status\":\"ok\""));
+            assert!(String::from_utf8(body)
+                .unwrap()
+                .contains("\"status\":\"ok\""));
             let (status, headers, body) = c.get("/metrics");
             assert_eq!(status, 200);
             assert!(headers["content-type"].starts_with("text/plain"));
             let text = String::from_utf8(body).unwrap();
             assert!(text.contains("ah_queue_capacity"), "{text}");
-            assert!(text.contains("ah_server_query_latency_seconds_count"), "{text}");
+            assert!(
+                text.contains("ah_server_query_latency_seconds_count"),
+                "{text}"
+            );
             // The server's and the edge's registries render into one
             // document: no family may be declared twice.
             let mut types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
@@ -145,11 +143,13 @@ fn serves_distance_path_healthz_metrics_on_both_pollers() {
                 handle.metrics().total_responses() >= 5,
                 "live metrics visible through the handle"
             );
-        });
-        assert_eq!(report.poller, kind.name());
-        assert_eq!(report.connections, 1);
-        assert!(report.responses_by_status.iter().any(|&(s, n)| s == 200 && n >= 5));
-    }
+        },
+    );
+    assert_eq!(report.connections, 1);
+    assert!(report
+        .responses_by_status
+        .iter()
+        .any(|&(s, n)| s == 200 && n >= 5));
 }
 
 #[test]
@@ -326,7 +326,6 @@ fn overload_sheds_429_and_drains_accepted_requests_through_shutdown() {
     let cfg = EdgeConfig {
         workers: 1,
         queue_capacity: 2,
-        max_pipeline: 64,
         retry_after_secs: 7,
         ..Default::default()
     };

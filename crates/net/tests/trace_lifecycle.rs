@@ -90,7 +90,6 @@ fn every_200_traces_a_complete_monotonic_span_and_debug_traces_is_json() {
         cache_capacity: 1024,
         trace: TraceConfig {
             sample_every: 1, // trace everything
-            ring_capacity: 1024,
             slow_threshold_ns: 0,
         },
         ..Default::default()

@@ -54,6 +54,6 @@ pub use metrics::{Counter, Gauge, Histogram, BUCKETS};
 pub use registry::Registry;
 pub use slo::{SloPolicy, SloStatus, SloWindows, WindowStats};
 pub use trace::{
-    Span, SpanRecord, SpanRing, Stage, TraceConfig, Tracer, INTERVAL_NAMES, NUM_STAGES,
-    STAGE_NAMES,
+    Span, SpanRecord, SpanRing, Stage, TraceConfig, Tracer, INTERVAL_NAMES, KIND_NAMES,
+    NUM_STAGES, STAGE_NAMES,
 };

@@ -28,8 +28,8 @@ use crate::metrics::Histogram;
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// Ring capacity in seconds. Must exceed the largest window anyone
-/// evaluates (the default slow window is 60 s); 128 leaves headroom
-/// and makes the modulo cheap.
+/// evaluates ([`SLOW_WINDOW_SECS`], checked at compile time); 128
+/// leaves headroom and makes the modulo cheap.
 const RING_SECONDS: usize = 128;
 
 /// One per-second aggregate slot.
@@ -195,8 +195,29 @@ impl WindowStats {
     }
 }
 
-/// The service-level objectives and the windows they are judged over.
-#[derive(Debug, Clone, PartialEq)]
+/// Fast window length, seconds — the readiness trigger.
+const FAST_WINDOW_SECS: u64 = 5;
+
+/// Slow window length, seconds — trend context in `/debug/slo`.
+const SLOW_WINDOW_SECS: u64 = 60;
+
+/// Error burn rate over the fast window that trips readiness (classic
+/// fast-burn paging threshold; 1.0 = budget spent exactly at the
+/// sustainable pace).
+const FAST_BURN_THRESHOLD: f64 = 4.0;
+
+/// Minimum fast-window requests before any objective can trip — a
+/// single failed probe must not flip readiness.
+const MIN_REQUESTS: u64 = 10;
+
+const _: () = assert!(
+    FAST_WINDOW_SECS <= SLOW_WINDOW_SECS && SLOW_WINDOW_SECS < RING_SECONDS as u64,
+    "the SLO windows must fit the per-second ring"
+);
+
+/// The service-level objectives, judged over a fast (5 s) and a slow
+/// (60 s) window. The default has no active objective.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SloPolicy {
     /// 99th-percentile latency target in nanoseconds (0 disables the
     /// latency objective).
@@ -204,50 +225,25 @@ pub struct SloPolicy {
     /// Error budget as a fraction of requests allowed to fail
     /// (e.g. `0.01` = 1%; 0 disables the error objective).
     pub error_budget: f64,
-    /// Fast window length, seconds — the readiness trigger.
-    pub fast_window_secs: u64,
-    /// Slow window length, seconds — trend context in `/debug/slo`.
-    pub slow_window_secs: u64,
-    /// Error burn rate over the fast window that trips readiness
-    /// (classic fast-burn paging threshold; 1.0 = budget spent exactly
-    /// at the sustainable pace).
-    pub fast_burn_threshold: f64,
-    /// Minimum fast-window requests before any objective can trip —
-    /// a single failed probe must not flip readiness.
-    pub min_requests: u64,
-}
-
-impl Default for SloPolicy {
-    fn default() -> Self {
-        SloPolicy {
-            p99_target_ns: 0,
-            error_budget: 0.0,
-            fast_window_secs: 5,
-            slow_window_secs: 60,
-            fast_burn_threshold: 4.0,
-            min_requests: 10,
-        }
-    }
 }
 
 impl SloPolicy {
     /// Evaluates both windows at `now_ns` and decides readiness off
-    /// the fast window: not ready when (with at least
-    /// [`SloPolicy::min_requests`] fast-window samples) the error burn
-    /// rate exceeds [`SloPolicy::fast_burn_threshold`], or the
-    /// fast-window p99 exceeds the latency target.
+    /// the fast window: not ready when (with at least 10 fast-window
+    /// samples) the error burn rate exceeds 4, or the fast-window p99
+    /// exceeds the latency target.
     pub fn evaluate(&self, windows: &SloWindows, now_ns: u64) -> SloStatus {
-        let fast = windows.stats(now_ns, self.fast_window_secs);
-        let slow = windows.stats(now_ns, self.slow_window_secs);
+        let fast = windows.stats(now_ns, FAST_WINDOW_SECS);
+        let slow = windows.stats(now_ns, SLOW_WINDOW_SECS);
         let mut reason = String::new();
-        if fast.requests >= self.min_requests {
+        if fast.requests >= MIN_REQUESTS {
             if self.error_budget > 0.0 {
                 let burn = fast.burn_rate(self.error_budget);
-                if burn > self.fast_burn_threshold {
+                if burn > FAST_BURN_THRESHOLD {
                     reason = format!(
                         "fast-window error rate {:.4} burns budget {:.4} at {:.1}x \
                          (threshold {:.1}x)",
-                        fast.error_rate, self.error_budget, burn, self.fast_burn_threshold
+                        fast.error_rate, self.error_budget, burn, FAST_BURN_THRESHOLD
                     );
                 }
             }
@@ -298,10 +294,10 @@ impl SloStatus {
             crate::json_string(&self.reason),
             self.policy.p99_target_ns,
             self.policy.error_budget,
-            self.policy.fast_window_secs,
-            self.policy.slow_window_secs,
-            self.policy.fast_burn_threshold,
-            self.policy.min_requests,
+            FAST_WINDOW_SECS,
+            SLOW_WINDOW_SECS,
+            FAST_BURN_THRESHOLD,
+            MIN_REQUESTS,
             self.fast.to_json(self.policy.error_budget),
             self.slow.to_json(self.policy.error_budget),
         )
@@ -318,10 +314,6 @@ mod tests {
         SloPolicy {
             p99_target_ns: 1_000_000, // 1 ms
             error_budget: 0.01,       // 1%
-            fast_window_secs: 5,
-            slow_window_secs: 60,
-            fast_burn_threshold: 4.0,
-            min_requests: 10,
         }
     }
 
@@ -386,7 +378,7 @@ mod tests {
             w.record(300 * SEC, 10_000_000, true); // all errors, but only 5
         }
         let s = policy().evaluate(&w, 300 * SEC);
-        assert!(s.ready, "below min_requests nothing can trip");
+        assert!(s.ready, "below MIN_REQUESTS nothing can trip");
     }
 
     #[test]

@@ -291,14 +291,20 @@ impl SpanRing {
     }
 }
 
+/// Slots in the recent-trace ring behind `/debug/traces`.
+const RING_CAPACITY: usize = 256;
+
+/// Request-kind names, indexed by the span `kind` code
+/// (`ah_server::trace_kind`); the per-kind cost counters use the same
+/// order. Codes past the end render as `"other"`.
+pub const KIND_NAMES: [&str; 5] = ["distance", "path", "via", "knn", "matrix"];
+
 /// Tracing knobs, carried in `ServerConfig`.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Sample 1 request in `sample_every` (deterministic on the trace
     /// ID). `1` traces everything, `0` disables tracing entirely.
     pub sample_every: u64,
-    /// Slots in the recent-trace ring behind `/debug/traces`.
-    pub ring_capacity: usize,
     /// Sampled spans whose wall time meets this threshold are written
     /// to the slow-query log (stderr). `0` disables the log.
     pub slow_threshold_ns: u64,
@@ -308,7 +314,6 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             sample_every: 64,
-            ring_capacity: 256,
             slow_threshold_ns: 0,
         }
     }
@@ -331,11 +336,10 @@ impl Tracer {
     /// `ah_stage_duration_seconds` histogram per stage interval, under a
     /// `stage` label.
     pub fn new(cfg: TraceConfig, reg: &Registry) -> Self {
-        let ring = SpanRing::new(cfg.ring_capacity);
         Tracer {
             cfg,
             next_id: AtomicU64::new(0),
-            ring,
+            ring: SpanRing::new(RING_CAPACITY),
             spans_total: reg.counter(
                 "ah_trace_spans_total",
                 &[],
@@ -463,14 +467,7 @@ impl Tracer {
 }
 
 fn kind_name(kind: u8) -> &'static str {
-    match kind {
-        0 => "distance",
-        1 => "path",
-        2 => "via",
-        3 => "knn",
-        4 => "matrix",
-        _ => "other",
-    }
+    KIND_NAMES.get(kind as usize).copied().unwrap_or("other")
 }
 
 #[cfg(test)]
@@ -631,7 +628,6 @@ mod tests {
         let t = tracer(TraceConfig {
             sample_every: 1,
             slow_threshold_ns: 0,
-            ..Default::default()
         });
         let s = full_span(&t);
         t.finish(*s, 200);
@@ -649,7 +645,6 @@ mod tests {
             TraceConfig {
                 sample_every: 1,
                 slow_threshold_ns: 1, // everything with ≥ 2 stamps is "slow"
-                ..Default::default()
             },
             &r,
         );

@@ -70,7 +70,7 @@ pub use backend::{
     AhBackend, BackendSession, ChBackend, DelayBackend, DijkstraBackend, DistanceBackend,
     LabelBackend,
 };
-pub use metrics::{CostMetrics, LatencyHistogram, MetricsSnapshot, ServerMetrics, COST_KIND_NAMES};
+pub use metrics::{CostMetrics, LatencyHistogram, MetricsSnapshot, ServerMetrics};
 pub use queue::{BoundedQueue, TryPushError};
 pub use server::{
     trace_kind, Job, MatrixRequest, QueryKind, Request, Response, RunReport, ScenarioResult,

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use ah_obs::{CostCounters, Counter, Registry, COST_FIELD_NAMES, NUM_COST_FIELDS};
+use ah_obs::{CostCounters, Counter, Registry, COST_FIELD_NAMES, KIND_NAMES, NUM_COST_FIELDS};
 
 /// The serving layer's latency histogram — a re-export of
 /// [`ah_obs::Histogram`], kept under its historical name. Buckets are
@@ -52,19 +52,15 @@ pub struct ServerMetrics {
     pub cost: CostMetrics,
 }
 
-/// Request-kind names indexing [`CostMetrics`] rows; the order matches
-/// the trace-span kind ids (`ah_obs` span `kind` word).
-pub const COST_KIND_NAMES: [&str; 5] = ["distance", "path", "via", "knn", "matrix"];
-
 /// Lock-free per-kind aggregation of [`CostCounters`]: one atomic
 /// counter per `(request kind, cost field)` pair, rendered as one
 /// Prometheus family per field (`ah_query_settled_nodes`,
 /// `ah_query_relaxed_edges`, …) with a `kind` label on each series.
 #[derive(Debug, Default)]
 pub struct CostMetrics {
-    /// `counters[kind][field]`, kinds indexed by [`COST_KIND_NAMES`],
+    /// `counters[kind][field]`, kinds indexed by [`KIND_NAMES`],
     /// fields by [`ah_obs::COST_FIELD_NAMES`].
-    counters: [[Arc<Counter>; NUM_COST_FIELDS]; COST_KIND_NAMES.len()],
+    counters: [[Arc<Counter>; NUM_COST_FIELDS]; KIND_NAMES.len()],
 }
 
 impl CostMetrics {
@@ -77,7 +73,7 @@ impl CostMetrics {
                     let name = COST_FIELD_NAMES[field];
                     reg.counter(
                         &format!("ah_query_{name}"),
-                        &[("kind", COST_KIND_NAMES[kind])],
+                        &[("kind", KIND_NAMES[kind])],
                         &format!("Per-query algorithmic cost: {name}, by request kind"),
                     )
                 })
@@ -112,7 +108,7 @@ impl CostMetrics {
     /// The accumulated tally summed across every request kind.
     pub fn total(&self) -> CostCounters {
         let mut c = CostCounters::default();
-        for kind in 0..COST_KIND_NAMES.len() {
+        for kind in 0..KIND_NAMES.len() {
             c.merge(&self.kind_total(kind));
         }
         c

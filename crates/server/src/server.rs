@@ -186,15 +186,18 @@ const BATCH_SIZE: usize = 32;
 /// Serving parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads (`0` is clamped to 1).
+    /// Worker threads of [`Server::run`]'s closed loop (`0` is clamped
+    /// to 1). An edge serving over a socket takes its worker pool from
+    /// its own config instead.
     pub workers: usize,
-    /// Bounded queue depth — the closed-loop admission window.
+    /// Bounded queue depth of [`Server::run`]'s closed loop. An edge
+    /// takes its admission queue from its own config instead.
     pub queue_capacity: usize,
     /// Total distance-cache entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Request-tracing knobs (deterministic 1-in-N span sampling, the
-    /// recent-trace ring behind `/debug/traces`, and the slow-query
-    /// threshold). `sample_every: 0` disables tracing entirely.
+    /// Request-tracing knobs (deterministic 1-in-N span sampling and
+    /// the slow-query threshold). `sample_every: 0` disables tracing
+    /// entirely.
     pub trace: TraceConfig,
 }
 
@@ -534,10 +537,11 @@ impl Drop for BarrierOnUnwind<'_> {
     }
 }
 
-/// Trace-span kind code for a query (the tracer groups its per-stage
-/// histograms and slow-query ring entries by this). Public so edges
-/// admitting jobs directly into a [`BoundedQueue`] start their spans
-/// with the same codes the closed-loop engine uses.
+/// Trace-span kind code for a query: its index into
+/// [`ah_obs::KIND_NAMES`], which names it in `/debug/traces` and in the
+/// per-kind cost counters. Public so edges admitting jobs directly into
+/// a [`BoundedQueue`] start their spans with the same codes the
+/// closed-loop engine uses.
 pub fn trace_kind(kind: QueryKind) -> u8 {
     match kind {
         QueryKind::Distance => 0,

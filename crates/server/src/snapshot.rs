@@ -172,14 +172,6 @@ impl SnapshotServer {
         *self.tier.write().unwrap() = Tier::Ah(ah);
     }
 
-    /// Loads the snapshot at `path` and [`SnapshotServer::swap_index`]es
-    /// to it. On any load error the serving index is left untouched — a
-    /// bad snapshot can never take down a healthy server.
-    pub fn swap_from_snapshot(&self, path: impl AsRef<Path>) -> Result<Tier, SnapshotError> {
-        let index = Snapshot::load_ah(path)?;
-        Ok(self.swap_index(Arc::new(index)))
-    }
-
     /// Serves `requests` against the current tier (see [`Server::run`]
     /// for the execution model).
     ///
@@ -331,32 +323,6 @@ mod tests {
             let want = dijkstra_distance(&g2, req.s, req.t).map(|d| d.length);
             assert_eq!(resp.distance, want, "generation 2, req {}", req.id);
         }
-    }
-
-    #[test]
-    fn swap_from_bad_snapshot_leaves_serving_intact() {
-        let g = ah_data::fixtures::lattice(4, 4, 10);
-        let idx = Arc::new(AhIndex::build(&g, &BuildConfig::default()));
-        let server = SnapshotServer::new(idx.clone(), ServerConfig::with_workers(1));
-
-        // Missing file.
-        assert!(server.swap_from_snapshot("/no/such/file.snap").is_err());
-        // Present but not a snapshot.
-        let path = tmp("garbage");
-        std::fs::write(&path, b"definitely not a snapshot").unwrap();
-        assert!(matches!(
-            server.swap_from_snapshot(&path),
-            Err(SnapshotError::BadMagic)
-        ));
-        std::fs::remove_file(&path).ok();
-
-        // Still serving from the original index.
-        assert!(matches!(server.tier(), Tier::Ah(now) if Arc::ptr_eq(&now, &idx)));
-        let report = server.run(&[Request::distance(0, 0, 15)]);
-        assert_eq!(
-            report.responses[0].distance,
-            dijkstra_distance(&g, 0, 15).map(|d| d.length)
-        );
     }
 
     #[test]

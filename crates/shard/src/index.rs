@@ -23,9 +23,6 @@ pub struct ShardConfig {
     /// Raising it trades build time and `8·|B|²` bytes of matrix for
     /// composed (per-shard) serving.
     pub max_border_nodes: usize,
-    /// Build configuration for the per-shard (and, via
-    /// [`ShardedIndex::build`], the global) AH indexes.
-    pub build: BuildConfig,
 }
 
 impl Default for ShardConfig {
@@ -33,7 +30,6 @@ impl Default for ShardConfig {
         ShardConfig {
             shards: 4,
             max_border_nodes: 1024,
-            build: BuildConfig::default(),
         }
     }
 }
@@ -141,18 +137,19 @@ pub struct ShardedIndex {
 }
 
 impl ShardedIndex {
-    /// Builds the global AH index and shards it. Convenience over
+    /// Builds the global AH index (default [`BuildConfig`], as every
+    /// shard's) and shards it. Convenience over
     /// [`ShardedIndex::from_global`] when no global index exists yet.
     ///
     /// # Panics
     /// Panics on an empty graph (there is nothing to partition).
     pub fn build(g: &Graph, cfg: &ShardConfig) -> ShardedIndex {
-        let global = Arc::new(AhIndex::build(g, &cfg.build));
+        let global = Arc::new(AhIndex::build(g, &BuildConfig::default()));
         ShardedIndex::from_global(g, global, cfg)
     }
 
     /// Shards the network around an existing global index (shared, not
-    /// rebuilt): partitions by grid key, builds one AH index per
+    /// rebuilt): partitions by grid key, builds one default AH index per
     /// non-empty shard, collects the border nodes, and — unless the
     /// border count exceeds `cfg.max_border_nodes` — precomputes the
     /// exact border-to-border distance matrix and each shard's reentry
@@ -172,7 +169,9 @@ impl ShardedIndex {
         let indexes: Vec<Option<AhIndex>> = skel
             .shards
             .iter()
-            .map(|(_, graph)| (graph.num_nodes() > 0).then(|| AhIndex::build(graph, &cfg.build)))
+            .map(|(_, graph)| {
+                (graph.num_nodes() > 0).then(|| AhIndex::build(graph, &BuildConfig::default()))
+            })
             .collect();
         let (certified, matrix, reentry) = certify(&skel, &global, &indexes, cfg);
         skel.finish(global, indexes, certified, matrix, reentry)
@@ -557,7 +556,6 @@ mod tests {
             &ShardConfig {
                 shards: 4,
                 max_border_nodes: 0,
-                ..Default::default()
             },
         );
         assert!(!idx.certified());

@@ -268,7 +268,6 @@ mod tests {
             &ShardConfig {
                 shards: 4,
                 max_border_nodes: 0,
-                ..Default::default()
             },
         );
         assert!(!idx.certified());

@@ -27,6 +27,8 @@
 //! );
 //! ```
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use ah_graph::{Graph, NodeId, Path, Point};
 use ah_search::shortest_path_tree;
 
@@ -44,18 +46,20 @@ pub struct SilcIndex {
 }
 
 impl SilcIndex {
-    /// Builds the index sequentially.
+    /// Builds the index, one shortest-path tree per source, on every
+    /// available core (the `n` trees are embarrassingly parallel, and
+    /// each is independent of which thread computes it).
     pub fn build(g: &Graph) -> SilcIndex {
-        Self::build_inner(g, 1)
+        Self::build_on(
+            g,
+            std::thread::available_parallelism().map_or(1, |p| p.get()),
+        )
     }
 
-    /// Builds the index with `threads` worker threads (the `n`
-    /// shortest-path trees are embarrassingly parallel).
-    pub fn build_parallel(g: &Graph, threads: usize) -> SilcIndex {
-        Self::build_inner(g, threads.max(1))
-    }
-
-    fn build_inner(g: &Graph, threads: usize) -> SilcIndex {
+    /// [`SilcIndex::build`] on `threads` workers. Each worker claims
+    /// sources from a shared counter and returns its `(source, tree)`
+    /// pairs, which are then placed by source.
+    pub(crate) fn build_on(g: &Graph, threads: usize) -> SilcIndex {
         let bb = g.bounding_box();
         let (origin, side) = if bb.is_empty() {
             (Point::new(0, 0), 1)
@@ -65,37 +69,37 @@ impl SilcIndex {
         };
         let n = g.num_nodes();
         let coords = g.coords();
-        let mut trees: Vec<QuadTree> = Vec::with_capacity(n);
-        if threads <= 1 || n < 64 {
-            for s in 0..n as NodeId {
-                trees.push(Self::tree_for(g, coords, origin, side, s));
-            }
-        } else {
-            let mut slots: Vec<Option<QuadTree>> = vec![None; n];
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots_ptr = slice_ptr(&mut slots);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
+        let next = AtomicUsize::new(0);
+        let claimed: Vec<Vec<(usize, QuadTree)>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads.max(1))
+                .map(|_| {
                     let next = &next;
-                    let slots_ptr = &slots_ptr;
-                    scope.spawn(move || loop {
-                        let s = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if s >= n {
-                            break;
+                    scope.spawn(move || {
+                        let mut out = Vec::new();
+                        loop {
+                            let s = next.fetch_add(1, Ordering::Relaxed);
+                            if s >= n {
+                                return out;
+                            }
+                            out.push((s, Self::tree_for(g, coords, origin, side, s as NodeId)));
                         }
-                        let tree = Self::tree_for(g, coords, origin, side, s as NodeId);
-                        // SAFETY: each index is claimed by exactly one
-                        // thread via the atomic counter.
-                        unsafe {
-                            *slots_ptr.0.add(s) = Some(tree);
-                        }
-                    });
-                }
-            });
-            trees.extend(slots.into_iter().map(|t| t.expect("slot filled")));
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("SILC build worker panicked"))
+                .collect()
+        });
+        let mut slots: Vec<Option<QuadTree>> = vec![None; n];
+        for (s, tree) in claimed.into_iter().flatten() {
+            slots[s] = Some(tree);
         }
         SilcIndex {
-            trees,
+            trees: slots
+                .into_iter()
+                .map(|t| t.expect("every source claimed"))
+                .collect(),
             origin,
             side,
         }
@@ -121,14 +125,6 @@ impl SilcIndex {
     pub fn total_cells(&self) -> usize {
         self.trees.iter().map(QuadTree::num_cells).sum()
     }
-}
-
-/// Wrapper making the raw-pointer handoff to worker threads explicit.
-struct SlicePtr<T>(*mut T);
-unsafe impl<T: Send> Sync for SlicePtr<T> {}
-
-fn slice_ptr(slots: &mut [Option<QuadTree>]) -> SlicePtr<Option<QuadTree>> {
-    SlicePtr(slots.as_mut_ptr())
 }
 
 /// Reusable SILC query state (trivially small: SILC queries are iterative
@@ -238,8 +234,8 @@ mod tests {
     #[test]
     fn parallel_build_matches_sequential() {
         let g = ah_data::fixtures::lattice(8, 8, 12);
-        let a = SilcIndex::build(&g);
-        let b = SilcIndex::build_parallel(&g, 4);
+        let a = SilcIndex::build_on(&g, 1);
+        let b = SilcIndex::build_on(&g, 4);
         assert_eq!(a.size_bytes(), b.size_bytes());
         let mut qa = SilcQuery::new();
         let mut qb = SilcQuery::new();

@@ -384,13 +384,6 @@ impl Snapshot {
         encode::decode_sharded(container, graph, global)
     }
 
-    /// The AH index, or [`SnapshotError::MissingSection`].
-    pub fn require_ah(self) -> Result<Arc<AhIndex>, SnapshotError> {
-        self.ah.ok_or(SnapshotError::MissingSection {
-            section: SectionTag::AH,
-        })
-    }
-
     /// The hub-labeling index, or [`SnapshotError::MissingSection`].
     pub fn require_labels(self) -> Result<Arc<LabelIndex>, SnapshotError> {
         self.labels.ok_or(SnapshotError::MissingSection {
@@ -481,8 +474,8 @@ mod tests {
         let bytes = Snapshot::to_bytes(SnapshotContents::new().graph(&g));
         let loaded = Snapshot::from_bytes(&bytes).unwrap();
         assert!(matches!(
-            Snapshot::from_bytes(&bytes).unwrap().require_ah(),
-            Err(SnapshotError::MissingSection { section }) if section == SectionTag::AH
+            Snapshot::from_bytes(&bytes).unwrap().require_labels(),
+            Err(SnapshotError::MissingSection { section }) if section == SectionTag::LABELS
         ));
         assert!(loaded.require_graph().is_ok());
     }

@@ -135,19 +135,6 @@ pub fn generate_query_sets(g: &Graph, pairs_per_set: usize, seed: u64) -> Vec<Qu
     sets
 }
 
-/// Measures the average wall-clock microseconds per invocation of `f` over
-/// `iterations` calls (after `warmup` unmeasured calls).
-pub fn time_per_call_us(warmup: usize, iterations: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let start = std::time::Instant::now();
-    for _ in 0..iterations {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1e6 / iterations.max(1) as f64
-}
-
 /// One measurement row of a figure series (serialized by the harness into
 /// the experiment log).
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -244,14 +231,6 @@ mod tests {
         let single = fixtures::line(1, 1);
         let sets1 = generate_query_sets(&single, 10, 1);
         assert!(sets1.iter().all(|s| s.pairs.is_empty()));
-    }
-
-    #[test]
-    fn timing_helper_runs() {
-        let mut count = 0u64;
-        let us = time_per_call_us(2, 10, || count += 1);
-        assert_eq!(count, 12);
-        assert!(us >= 0.0);
     }
 
     #[test]

@@ -171,6 +171,8 @@ fn sampled_spans_carry_cost_over_the_socket_and_readyz_degrades() {
     let idx = AhIndex::build(&g, &BuildConfig::default());
     let backend = AhBackend::new(&idx);
     let stream = traffic(&g, 60, 0x510);
+    // The SLO judges nothing below 10 fast-window requests.
+    assert!(stream.len() >= 10, "too few requests to trip readiness");
 
     // Sample every request; give the edge an impossible 1 ns p99
     // objective so serving any real traffic must trip readiness.
@@ -188,7 +190,6 @@ fn sampled_spans_carry_cost_over_the_socket_and_readyz_degrades() {
             workers: 2,
             slo: SloPolicy {
                 p99_target_ns: 1,
-                min_requests: 5,
                 ..Default::default()
             },
             ..Default::default()
@@ -202,7 +203,8 @@ fn sampled_spans_carry_cost_over_the_socket_and_readyz_degrades() {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut c = ah_net::blocking::Client::connect(addr).unwrap();
 
-            // Below min_requests nothing can trip: readiness starts 200.
+            // Below the SLO's 10-request floor nothing can trip:
+            // readiness starts 200.
             let r = get(&mut c, "/readyz");
             assert_eq!(r.status, 200, "{}", r.text());
             assert!(r.text().contains("\"ready\":true"), "{}", r.text());
@@ -235,7 +237,7 @@ fn sampled_spans_carry_cost_over_the_socket_and_readyz_degrades() {
             assert!(slo_body.contains("\"policy\""), "{slo_body}");
             assert!(has_positive_field(&slo_body, "requests"), "{slo_body}");
 
-            // With >= min_requests served against a 1 ns p99 target,
+            // With >= 10 requests served against a 1 ns p99 target,
             // readiness must degrade to 503 with a JSON reason.
             let r = get(&mut c, "/readyz");
             assert_eq!(r.status, 503, "{}", r.text());

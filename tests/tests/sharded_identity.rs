@@ -208,7 +208,6 @@ fn uncertified_fallback_identity() {
         &ShardConfig {
             shards: 4,
             max_border_nodes: 1, // far below any real border count
-            ..Default::default()
         },
     );
     assert!(!idx.certified());

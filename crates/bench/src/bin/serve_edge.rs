@@ -25,12 +25,14 @@
 //! (fault injection for overload rehearsal — this is what the process
 //! suite `tests/serve_edge_process.rs` uses to make 429s
 //! deterministic). `--allow-shutdown` exposes
-//! `GET /admin/shutdown` for supervised drains. `--allow-reload`
-//! (AH backend, unsharded) arms `POST /admin/reload-delta?path=…`: the
-//! delta snapshot at `path` (see `make_delta`) is applied to the live
-//! graph and the rebuilt index is published atomically mid-traffic —
-//! 202 on acceptance, 409 on a stale or concurrent reload, zero
-//! downtime, with `ah_reload_*` metrics and `ah_index_generation` in
+//! `GET /admin/shutdown` for supervised drains. The plain AH backend
+//! always serves through the swappable `SnapshotServer` (its
+//! `ah_index_generation` and `ah_index_tier` are in `/metrics`);
+//! `--allow-reload` (AH backend, unsharded) only arms
+//! `POST /admin/reload-delta?path=…`: the delta snapshot at `path` (see
+//! `make_delta`) is applied to the live graph and the patched index is
+//! published mid-traffic — 202 on acceptance, 409 on a stale or
+//! concurrent reload, zero downtime, with `ah_reload_*` metrics in
 //! `/metrics`. `--trace-sample N`
 //! samples one request in N into the span ring behind
 //! `GET /debug/traces` (default 64; 0 disables tracing), and
@@ -55,7 +57,7 @@ use std::time::Duration;
 use ah_bench::{flag_value, obtain_indices, HarnessArgs};
 use ah_net::{EdgeConfig, EdgeServer};
 use ah_server::{
-    AhBackend, DelayBackend, DeltaReloader, DistanceBackend, LabelBackend, Server, ServerConfig,
+    DelayBackend, DeltaReloader, DistanceBackend, LabelBackend, Server, ServerConfig,
     ShardedBackend, SnapshotBackend, SnapshotServer, TraceConfig,
 };
 
@@ -167,10 +169,9 @@ fn main() {
         ..Default::default()
     });
     // The serving engine and the published index live together in a
-    // SnapshotServer so `--allow-reload` can swap the index under live
-    // traffic; without the flag it is just a holder.
-    let ah = Arc::clone(&idx.ah);
-    let snap = Arc::new(SnapshotServer::with_server(Arc::clone(&ah), server));
+    // SnapshotServer, the one owner of what serves; `--allow-reload`
+    // adds the reloader that swaps the index under live traffic.
+    let snap = Arc::new(SnapshotServer::with_server(Arc::clone(&idx.ah), server));
     let server = snap.server();
     let reloader = args
         .allow_reload
@@ -178,20 +179,17 @@ fn main() {
 
     // Pick the backend: hub labels under --backend labels, sharded
     // composition when requested, the swap-following snapshot backend
-    // under --allow-reload, global AH otherwise; optionally slowed for
-    // overload rehearsal.
-    let ah_backend = AhBackend::new(&ah);
+    // otherwise; optionally slowed for overload rehearsal.
     let snapshot_backend = SnapshotBackend::new(&snap);
     let sharded_backend = idx.sharded.as_deref().map(ShardedBackend::new);
     let label_backend = (args.backend == "labels").then(|| {
         let labels = idx.labels.as_deref().expect("labels obtained for --backend labels");
-        LabelBackend::new(labels, &ah)
+        LabelBackend::new(labels, &idx.ah)
     });
     let inner: &dyn DistanceBackend = match (&label_backend, &sharded_backend) {
         (Some(b), _) => b,
         (None, Some(b)) => b,
-        (None, None) if args.allow_reload => &snapshot_backend,
-        (None, None) => &ah_backend,
+        (None, None) => &snapshot_backend,
     };
     let delayed;
     let backend: &dyn DistanceBackend = if args.slow_us > 0 {

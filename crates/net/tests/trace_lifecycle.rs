@@ -92,7 +92,6 @@ fn every_200_traces_a_complete_monotonic_span_and_debug_traces_is_json() {
             sample_every: 1, // trace everything
             slow_threshold_ns: 0,
         },
-        ..Default::default()
     });
     let edge = EdgeServer::bind(
         "127.0.0.1:0",

@@ -255,9 +255,9 @@ mod tests {
         assert_eq!(h.count(), 5);
         let p50 = h.quantile_ns(0.5);
         // Median observation is 300 ns → bucket (256, 512]; within 2×.
-        assert!(p50 >= 150.0 && p50 <= 600.0, "p50 = {p50}");
+        assert!((150.0..=600.0).contains(&p50), "p50 = {p50}");
         let p99 = h.quantile_ns(0.99);
-        assert!(p99 >= 5_000.0 && p99 <= 20_000.0, "p99 = {p99}");
+        assert!((5_000.0..=20_000.0).contains(&p99), "p99 = {p99}");
         assert!((h.mean_ns() - 2200.0).abs() < 1e-9);
     }
 

@@ -166,11 +166,8 @@ impl<T: Send> BoundedQueue<T> {
     }
 
     /// Closes the queue: producers fail fast, consumers drain what remains
-    /// and then observe the end of the stream.
-    ///
-    /// This is the *graceful* half of shutdown — everything already
-    /// admitted is still served. See [`BoundedQueue::abort`] for the
-    /// hard stop.
+    /// (everything already admitted is still served) and then observe the
+    /// end of the stream.
     pub fn close(&self) {
         let mut st = self.state.lock().unwrap();
         st.closed = true;
@@ -179,28 +176,10 @@ impl<T: Send> BoundedQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Closes the queue *and discards everything still buffered*,
-    /// returning the dropped items so a caller implementing a hard stop
-    /// can still answer their originators (e.g. with 503s). The network
-    /// edge's graceful drain never calls this — it `close()`s and
-    /// serves the backlog instead; this is the escape hatch for
-    /// supervisors that cannot wait. Consumers observe the end of the
-    /// stream immediately; in-flight batches already popped still
-    /// finish on their workers.
-    pub fn abort(&self) -> Vec<T> {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
-        let dropped: Vec<T> = st.items.drain(..).map(|(_, item)| item).collect();
-        drop(st);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-        dropped
-    }
-
-    /// Whether the queue has been closed (by [`BoundedQueue::close`],
-    /// [`BoundedQueue::abort`], or a dying consumer's panic guard).
-    /// Producers can use this to distinguish an orderly shutdown they
-    /// initiated from a worker crash they must react to.
+    /// Whether the queue has been closed (by [`BoundedQueue::close`] or a
+    /// dying consumer's panic guard). Producers can use this to
+    /// distinguish an orderly shutdown they initiated from a worker crash
+    /// they must react to.
     pub fn is_closed(&self) -> bool {
         self.state.lock().unwrap().closed
     }
@@ -330,19 +309,6 @@ mod tests {
         q.push(9);
         assert_eq!(q.high_water(), 5, "draining must not lower the mark");
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn abort_discards_and_returns_backlog() {
-        let q = BoundedQueue::new(8);
-        for i in 0..4 {
-            q.push(i);
-        }
-        let dropped = q.abort();
-        assert_eq!(dropped, vec![0, 1, 2, 3]);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(16, &mut out), 0, "consumers see immediate end");
-        assert!(!q.push(9));
     }
 
     #[test]

@@ -15,25 +15,27 @@
 //!    under the serving tier's own contraction order (an order stays
 //!    valid under any weights; only its quality ages), and that CH index
 //!    is published with [`SnapshotServer::swap_index`]'s semantics: a
-//!    new generation, the distance cache cleared atomically. In-flight
-//!    closed-loop runs finish on the old generation; open-loop sessions
-//!    built over [`crate::SnapshotBackend`] pick up the new one on their
-//!    next query. This closes the staleness window in a fraction of a
-//!    full build.
+//!    new generation, the distance cache cleared atomically. Queries
+//!    already running finish on the old tier; every query that starts
+//!    after the publish answers from the new one. This closes the
+//!    staleness window in a fraction of a full build.
 //! 3. **Rebuild** — a fresh `AhIndex` is built from the patched graph,
 //!    bit-identical to a from-scratch build, while traffic is answered
 //!    by the CH tier.
 //! 4. **Upgrade** — the AH index replaces the CH tier in the same
 //!    generation: both answer the patched graph with bit-identical
 //!    `(length, nuance)`, so the cache is kept and the generation stays.
+//!    Should a [`SnapshotServer::swap_index`] have published another
+//!    network since step 2, that network keeps serving and the rebuilt
+//!    index is dropped.
 //!
 //! Reloads are **single-flight**: while one is in any of the four
 //! steps, further requests fail fast with [`ReloadError::Busy`] (the
 //! edge maps it to `409 Conflict`) instead of queueing rebuilds that
 //! would each clear the cache. Progress and outcomes are observable
-//! through `ah_obs`: swap counts, the serving tier, per-phase and
-//! whole-reload durations, the staleness window each reload closed, and
-//! an in-progress flag.
+//! through `ah_obs`: swap counts, per-phase and whole-reload durations,
+//! the staleness window each reload closed, and an in-progress flag
+//! (the generation and the serving tier are the server's series).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -177,9 +179,6 @@ pub struct DeltaReloader {
     phases: Phases,
     in_progress: Arc<Gauge>,
     staleness_ns: Arc<Gauge>,
-    generation: Arc<Gauge>,
-    tier_ah: Arc<Gauge>,
-    tier_ch: Arc<Gauge>,
 }
 
 impl DeltaReloader {
@@ -215,22 +214,8 @@ impl DeltaReloader {
             &[],
             "Staleness window closed by the last reload (delta arrival to first patched publish)",
         );
-        let generation = reg.gauge(
-            "ah_index_generation",
-            &[],
-            "Serving index generation (patched graphs published since startup)",
-        );
-        let tier = |label| {
-            reg.gauge(
-                "ah_index_tier",
-                &[("tier", label)],
-                "1 for the tier the index is served from (ah, or ch mid-reload), else 0",
-            )
-        };
-        let reloader = DeltaReloader {
+        DeltaReloader {
             phases: Phases::new(reg),
-            tier_ah: tier("ah"),
-            tier_ch: tier("ch"),
             server,
             graph: Mutex::new(Arc::new(graph)),
             build_cfg,
@@ -242,10 +227,7 @@ impl DeltaReloader {
             duration,
             in_progress,
             staleness_ns,
-            generation,
-        };
-        reloader.show_tier();
-        reloader
+        }
     }
 
     /// The server this reloader publishes into.
@@ -368,7 +350,7 @@ impl DeltaReloader {
         let ch = timed(&self.phases.contract, || {
             ChIndex::build_with_order(&applied.graph, &order, self.build_cfg.contraction)
         });
-        timed(&self.phases.publish, || {
+        let (_, generation) = timed(&self.phases.publish, || {
             self.server.publish(Tier::Ch(Arc::new(ch)))
         });
         *graph = Arc::new(applied.graph);
@@ -376,11 +358,8 @@ impl DeltaReloader {
         drop(graph);
 
         let staleness = started.elapsed();
-        let generation = self.server.generation();
         self.swaps_total.inc();
         self.staleness_ns.set(staleness.as_nanos() as u64);
-        self.generation.set(generation);
-        self.show_tier();
         Ok(Interim {
             patched,
             generation,
@@ -400,9 +379,8 @@ impl DeltaReloader {
             AhIndex::build(&interim.patched, &self.build_cfg)
         });
         timed(&self.phases.upgrade, || {
-            self.server.upgrade(Arc::new(index))
+            self.server.upgrade(Arc::new(index), interim.generation)
         });
-        self.show_tier();
         self.duration
             .record_ns(interim.started.elapsed().as_nanos() as u64);
         ReloadOutcome {
@@ -412,13 +390,6 @@ impl DeltaReloader {
             staleness_secs: interim.staleness.as_secs_f64(),
             upgrade_secs: published.elapsed().as_secs_f64(),
         }
-    }
-
-    /// Points `ah_index_tier` at the tier now serving.
-    fn show_tier(&self) {
-        let ch = matches!(self.server.tier(), Tier::Ch(_));
-        self.tier_ah.set(u64::from(!ch));
-        self.tier_ch.set(u64::from(ch));
     }
 }
 
@@ -716,6 +687,30 @@ mod tests {
         );
         assert_eq!(value_of(&after, "ah_reload_duration_seconds_count"), 1.0);
         assert_eq!(value_of(&after, "ah_reload_in_progress"), 0.0);
+    }
+
+    /// A network that `swap_index` publishes between a reload's CH
+    /// publish and its AH upgrade keeps serving: the rebuilt index
+    /// answers a graph that no longer serves.
+    #[test]
+    fn upgrade_yields_to_a_later_publish() {
+        let (g, server, reloader) = setup(7);
+        let other = ah_data::fixtures::lattice(6, 6, 40);
+        let other = Arc::new(AhIndex::build(&other, &BuildConfig::default()));
+        let delta = WeightDelta::new(&g, [WeightChange::new(0, 1, 77)]).unwrap();
+        let flight = DeltaReloader::begin(&*reloader).unwrap();
+        let interim = reloader.publish_patched(delta).unwrap();
+        server.swap_index(Arc::clone(&other));
+        reloader.upgrade(interim);
+        drop(flight);
+        let Tier::Ah(served) = server.tier() else {
+            panic!("the swapped-in AH index must serve")
+        };
+        assert!(
+            Arc::ptr_eq(&served, &other),
+            "the upgrade overwrote a later publish"
+        );
+        assert_eq!(server.generation(), 2);
     }
 
     #[test]

@@ -436,9 +436,6 @@ impl Server {
     /// 4. the caller flushes what `on_done` delivered and only then
     ///    closes connections.
     ///
-    /// For a hard stop that discards the backlog instead, use
-    /// [`BoundedQueue::abort`] — it returns the dropped items so the
-    /// caller can still answer their originators (e.g. with 503s).
     /// If this worker (or the backend underneath it) panics, a drop
     /// guard closes the queue — the same guard [`Server::run`]'s
     /// workers hold — so producers observe

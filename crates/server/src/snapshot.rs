@@ -9,13 +9,14 @@
 //! * **Zero-downtime reindexing** — a [`SnapshotServer`] owns its serving
 //!   [`Tier`] behind an atomically swappable handle. Road data changed?
 //!   Build or load the new index *off the serving path*, then
-//!   [`SnapshotServer::swap_index`]: in-flight request streams finish
-//!   against the old generation (the swap waits for them to drain), then
-//!   the new index is published and the distance cache cleared under the
-//!   same lock — so no answer computed against the old network can ever
-//!   survive the swap, not even from a worker that was mid-stream when
-//!   the swap began. The old tier is returned to the caller (for
-//!   diffing or deferred teardown) and freed when the last `Arc` drops.
+//!   [`SnapshotServer::swap_index`]: the new index is published and the
+//!   distance cache cleared under the tier's write lock. Queries read the
+//!   tier one at a time ([`SnapshotBackend`]), so the swap waits for no
+//!   request stream; an answer computed against the old network can never
+//!   reach the fresh cache, because the cache's epoch check
+//!   (`DistanceCache::put_at`) refuses a write that predates the clear.
+//!   The old tier is returned to the caller (for diffing or deferred
+//!   teardown) and freed when the last `Arc` drops.
 //!
 //! The serving tier is an AH index in steady state. A delta reload
 //! ([`crate::DeltaReloader`]) first publishes a CH index re-contracted
@@ -25,22 +26,20 @@
 //! the same graph with bit-identical `(length, nuance)`, so the upgrade
 //! neither bumps the generation nor clears the cache.
 //!
-//! Workers never lock per query: a run takes the generation read-lock
-//! once and serves its whole stream under it. Concurrent runs share the
-//! read side; only a swap takes the write side, and only for the
-//! pointer exchange plus cache clear.
+//! The `SnapshotServer` is the one ledger of what serves: it creates
+//! `ah_index_generation` and `ah_index_tier{tier}` in its engine's
+//! registry and sets them under the same write lock that swaps the tier.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use ah_ch::{ChIndex, ChQuery};
 use ah_core::{AhIndex, AhQuery};
 use ah_graph::NodeId;
-use ah_obs::CostCounters;
+use ah_obs::{CostCounters, Gauge};
 use ah_store::{Snapshot, SnapshotError};
 
-use crate::backend::{AhBackend, BackendSession, ChBackend, DistanceBackend};
+use crate::backend::{BackendSession, DistanceBackend};
 use crate::server::{Request, RunReport, Server, ServerConfig};
 
 impl Server {
@@ -91,14 +90,21 @@ impl Tier {
 /// A [`Server`] bound to an atomically swappable serving [`Tier`].
 ///
 /// Unlike the bare engine — which borrows a backend per [`Server::run`]
-/// call — this owns the index generation, so the index a request stream
-/// is served against can be replaced between runs without stopping the
-/// process. It boots on an AH index; a delta reload may serve a CH tier
-/// between its first publish and the AH upgrade.
+/// call — this owns the index generation, so the index requests are
+/// served against can be replaced without stopping the process. It
+/// boots on an AH index; a delta reload may serve a CH tier between its
+/// first publish and the AH upgrade.
 pub struct SnapshotServer {
     server: Server,
     tier: RwLock<Tier>,
-    generation: AtomicU64,
+    /// `ah_index_generation`: bumped by every publish, under the write
+    /// lock of `tier`. The gauge's relaxed atomic is enough: the lock
+    /// orders the writes and the one read that decides something (in
+    /// `upgrade`); every other read is a report.
+    generation: Arc<Gauge>,
+    /// `ah_index_tier{tier="ah"}` and `{tier="ch"}`.
+    tier_ah: Arc<Gauge>,
+    tier_ch: Arc<Gauge>,
 }
 
 impl SnapshotServer {
@@ -108,13 +114,30 @@ impl SnapshotServer {
     }
 
     /// Serves from `index` through an already-built engine, whose
-    /// [`Server::registry`] the edge and a [`crate::DeltaReloader`]
-    /// then register into.
+    /// [`Server::registry`] receives the generation and tier series
+    /// (and those of the edge and a [`crate::DeltaReloader`]).
     pub fn with_server(index: Arc<AhIndex>, server: Server) -> Self {
+        let reg = server.registry();
+        let generation = reg.gauge(
+            "ah_index_generation",
+            &[],
+            "Serving index generation (networks published since startup)",
+        );
+        let tier = |label| {
+            reg.gauge(
+                "ah_index_tier",
+                &[("tier", label)],
+                "1 for the tier the index is served from (ah, or ch mid-reload), else 0",
+            )
+        };
+        let (tier_ah, tier_ch) = (tier("ah"), tier("ch"));
+        tier_ah.set(1);
         SnapshotServer {
             server,
             tier: RwLock::new(Tier::Ah(index)),
-            generation: AtomicU64::new(0),
+            generation,
+            tier_ah,
+            tier_ch,
         }
     }
 
@@ -122,7 +145,7 @@ impl SnapshotServer {
     /// Generation 0 is the index the server booted with; an AH upgrade
     /// of the serving graph keeps the generation.
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
+        self.generation.get()
     }
 
     /// The engine underneath (metrics, cache statistics, config).
@@ -139,67 +162,68 @@ impl SnapshotServer {
     /// Atomically replaces the serving tier with `new` and clears the
     /// distance cache. Returns the previous tier.
     ///
-    /// Runs hold the generation read-lock for their whole duration, so
-    /// this call first waits for in-flight [`SnapshotServer::run`]s to
-    /// drain (they finish against the old index), then — still holding
-    /// the write lock, so no run can race the two steps — publishes the
-    /// new index and clears the cache. That ordering is what makes the
-    /// staleness guarantee airtight: an old-generation worker can never
-    /// insert an answer after the clear, because no old-generation
-    /// worker exists once the write lock is held.
+    /// Publishing and clearing happen under the tier's write lock; a
+    /// query already running on the old index finishes there, and the
+    /// cache's epoch check drops its answer instead of storing it.
     pub fn swap_index(&self, new: Arc<AhIndex>) -> Tier {
-        self.publish(Tier::Ah(new))
+        self.publish(Tier::Ah(new)).0
     }
 
     /// [`SnapshotServer::swap_index`] for any tier: a new network, a new
-    /// generation, an empty cache.
-    pub(crate) fn publish(&self, new: Tier) -> Tier {
+    /// generation, an empty cache. Returns the previous tier and the
+    /// generation `new` serves as.
+    pub(crate) fn publish(&self, new: Tier) -> (Tier, u64) {
         let mut slot = self.tier.write().unwrap();
+        self.show(&new);
         let old = std::mem::replace(&mut *slot, new);
         self.server.reset_cache();
-        // Bumped while the write lock is held, so the generation a
-        // reader observes after taking the read lock is never behind
-        // the index it got.
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        old
+        let generation = self.generation.get() + 1;
+        self.generation.set(generation);
+        (old, generation)
     }
 
-    /// Replaces the serving tier with `ah`, which must answer the same
-    /// graph as the tier it replaces: the generation stays and cached
-    /// answers stay valid, since every tier answers a graph with the
-    /// same `(length, nuance)`.
-    pub(crate) fn upgrade(&self, ah: Arc<AhIndex>) {
-        *self.tier.write().unwrap() = Tier::Ah(ah);
-    }
-
-    /// Serves `requests` against the current tier (see [`Server::run`]
-    /// for the execution model).
-    ///
-    /// Holds the generation read-lock for the duration of the run: any
-    /// concurrent [`SnapshotServer::swap_index`] waits for this stream
-    /// to finish, which is what keeps old-generation answers out of the
-    /// post-swap cache. Concurrent `run` calls do not block each other.
-    pub fn run(&self, requests: &[Request]) -> RunReport {
-        match &*self.tier.read().unwrap() {
-            Tier::Ah(idx) => self.server.run(&AhBackend::new(idx), requests),
-            Tier::Ch(idx) => self.server.run(&ChBackend::new(idx), requests),
+    /// Replaces the serving tier with `ah`, which must answer the graph
+    /// `generation` published — but only while that generation still
+    /// serves: an index rebuilt for a network that a later publish has
+    /// replaced is dropped. The generation stays and cached answers stay
+    /// valid, since every tier answers a graph with the same
+    /// `(length, nuance)`.
+    pub(crate) fn upgrade(&self, ah: Arc<AhIndex>, generation: u64) {
+        let mut slot = self.tier.write().unwrap();
+        if self.generation() == generation {
+            *slot = Tier::Ah(ah);
+            self.show(&slot);
         }
+    }
+
+    /// Points `ah_index_tier` at `tier`; the caller holds the write lock.
+    fn show(&self, tier: &Tier) {
+        let ch = matches!(tier, Tier::Ch(_));
+        self.tier_ah.set(u64::from(!ch));
+        self.tier_ch.set(u64::from(ch));
+    }
+
+    /// Serves `requests` against the current tier through a
+    /// [`SnapshotBackend`] (see [`Server::run`] for the execution
+    /// model): each query answers from the tier current when it starts.
+    pub fn run(&self, requests: &[Request]) -> RunReport {
+        self.server.run(&SnapshotBackend::new(self), requests)
     }
 }
 
 /// A [`DistanceBackend`] view over a [`SnapshotServer`] that follows
 /// tier swaps *between queries* instead of pinning one generation.
 ///
-/// [`AhBackend`] borrows a fixed index, so open-loop workers created
-/// over it before a swap would keep serving the old generation forever.
-/// A `SnapshotBackend` session instead re-reads the swappable handle on
-/// every query: each answer is computed against whatever tier is
-/// current when the query starts, and a long-running worker picks up a
-/// published swap on its very next query — the piece that makes
+/// [`crate::AhBackend`] borrows a fixed index, so open-loop workers
+/// created over it before a swap would keep serving the old generation
+/// forever. A `SnapshotBackend` session instead re-reads the swappable
+/// handle on every query: each answer is computed against whatever tier
+/// is current when the query starts, and a long-running worker picks up
+/// a published swap on its very next query — the piece that makes
 /// `/admin/reload-delta` visible to workers that never restart. Each
 /// query clones an `Arc` under the read lock (uncontended outside the
-/// microseconds of an actual swap), so a swap never waits on an
-/// open-loop worker and vice versa.
+/// microseconds of an actual swap), so a swap never waits on a worker
+/// and vice versa.
 pub struct SnapshotBackend<'a> {
     server: &'a SnapshotServer,
 }
@@ -334,6 +358,25 @@ mod tests {
         server.swap_index(idx.clone());
         server.swap_index(idx);
         assert_eq!(server.generation(), 2);
+    }
+
+    #[test]
+    fn the_generation_and_tier_series_belong_to_the_server() {
+        let g = ah_data::fixtures::ring(8);
+        let idx = Arc::new(AhIndex::build(&g, &BuildConfig::default()));
+        let server = SnapshotServer::new(idx.clone(), ServerConfig::with_workers(1));
+        server.swap_index(idx);
+        let text = server.server().registry().render();
+        let gauge = |series: &str| -> u64 {
+            let key = format!("{series} ");
+            let lines: Vec<&str> = text.lines().filter(|l| l.starts_with(&key)).collect();
+            assert_eq!(lines.len(), 1, "{series} must render exactly once:\n{text}");
+            lines[0][key.len()..].parse().unwrap()
+        };
+        assert_eq!(gauge("ah_index_generation"), 1);
+        assert_eq!(gauge("ah_index_tier{tier=\"ah\"}"), 1);
+        assert_eq!(gauge("ah_index_tier{tier=\"ch\"}"), 0);
+        assert_eq!(server.generation(), gauge("ah_index_generation"));
     }
 
     #[test]

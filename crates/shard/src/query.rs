@@ -352,7 +352,7 @@ mod tests {
         // shards own no nodes.
         let mut b = GraphBuilder::new();
         for x in 0..6 {
-            b.add_node(Point::new(x * 50, x as i32 % 2));
+            b.add_node(Point::new(x * 50, x % 2));
         }
         for x in 0..5 {
             b.add_bidirectional_edge(x, x + 1, 3);

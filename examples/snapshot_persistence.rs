@@ -62,7 +62,8 @@ fn main() {
 
     // 3. Reindex under live traffic: new road data (here: a re-seeded
     //    network of the same shape), built off the serving path, swapped
-    //    atomically. In-flight runs finish on the old generation.
+    //    atomically. Queries already running finish on the old index;
+    //    every query that starts after the swap answers from the new one.
     let g2 = ah_data::hierarchical_grid(&ah_data::HierarchicalGridConfig {
         width: 24,
         height: 24,

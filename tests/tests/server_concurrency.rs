@@ -163,10 +163,9 @@ fn served_paths_are_valid_shortest_paths() {
 }
 
 /// Delta swaps racing a 4-worker query load: every answer served while
-/// generations roll must equal Dijkstra on *some* published generation
-/// (a batch pins exactly one), and once the last swap lands a fresh
-/// batch answers only from the final graph — no stale cache entry
-/// survives the swap.
+/// generations roll must equal Dijkstra on *some* published generation,
+/// and once the last swap lands a fresh batch answers only from the
+/// final graph — no stale cache entry survives the swap.
 #[test]
 fn reloads_under_concurrent_load_never_serve_stale_answers() {
     use std::collections::{HashMap, HashSet};
